@@ -4,7 +4,8 @@ Subcommands:
 
 * ``analyze``: parse corpora, build the three variants per (translation,
   book, replicate), estimate entropies and write ``results.csv`` plus a
-  ``manifest.json`` recording the configuration and input digests.
+  ``manifest.json`` recording the configuration, input digests and the
+  match-length kernel that ran (``"c"`` or ``"python"``).
   Reruns with the same configuration and inputs produce byte-identical
   outputs, regardless of the worker count.
 * ``stats``: read a results table and write the statistical outputs
@@ -41,7 +42,7 @@ from .corpus import (
     select_books,
     truncate_books,
 )
-from .entropy import run_oracle_check
+from .entropy import kernel_name, run_oracle_check
 from .measures import (
     MeasureConfig,
     aggregate,
@@ -235,6 +236,9 @@ def cmd_analyze(config: RunConfig) -> int:
         return 1
 
     mcfg = config.measure_config()
+    # Build or load the compiled kernel before any worker starts, so
+    # forked workers inherit it and the manifest names what ran.
+    kernel = kernel_name()
     units = [(book, r) for book in work for r in range(config.replicates)]
     rows = []
     errors = []
@@ -294,6 +298,7 @@ def cmd_analyze(config: RunConfig) -> int:
             errors, key=lambda e: (e["translation_id"], e["book_id"], e["replicate"])
         ),
         "rows_written": len(rows),
+        "kernel": kernel,
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

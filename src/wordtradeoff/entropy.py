@@ -26,19 +26,39 @@ under-estimate that decays like 1/log N: for iid uniform k=4 (h = 2
 bits) the median estimate over 20 seeds is 1.818 bits at N = 10^6,
 9.1% low.
 
-Two implementations are provided: a quadratic-time reference
+Two algorithms are provided: a quadratic-time reference
 (:func:`match_lengths_naive`, the oracle) and a subquadratic one
 (:func:`match_lengths`) based on a suffix automaton annotated with first
 occurrence positions, walked with matching-statistics bookkeeping. They
 agree exactly on every input; :func:`run_oracle_check` randomizes that
 comparison.
+
+The automaton runs as compiled C (``_matchlen.c``, no Python headers,
+called through ``ctypes``). The first call in a process compiles it with
+the C compiler Python was built with (``sysconfig`` ``CC``, else ``cc``)
+into the package's ``__pycache__/`` under a name derived from the source
+and the compiler command; later calls and later processes load that
+file. Where no compiler is found, or compiling or loading fails, one
+warning says why and the same automaton runs in pure Python, 10-30x
+slower and with the same output. :func:`kernel_name` reports which one
+a process uses.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import logging
+import os
 import random
+import shlex
+import subprocess
+import sysconfig
+import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import IO, Callable, Union
 
 import numpy as np
@@ -47,18 +67,36 @@ from .corpus import SymbolSequence
 
 SequenceLike = Union[SymbolSequence, str]
 
+logger = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
+_KERNEL_SOURCE = Path(__file__).with_name("_matchlen.c")
+_KERNEL_CFLAGS = ("-O2", "-shared", "-fPIC")
+#: Longest input the compiled kernel takes: its state and edge indices
+#: (at most 2n + 2 and 3n + 3) are int32. Longer inputs use the Python
+#: automaton.
+_C_MAX_N = (2**31 - 1 - 3) // 3
+
+
+@dataclass(frozen=True, eq=False)
 class MatchLengths:
-    """Per-position match lengths l_1..l_N."""
+    """Per-position match lengths l_1..l_N.
 
-    values: tuple[int, ...]
+    ``values`` is a read-only int32 array; any integer sequence given is
+    copied into one.
+    """
+
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.values:
+        values = np.array(self.values, dtype=np.int32)
+        if values.ndim != 1:
+            raise ValueError("match lengths must be a one-dimensional array")
+        if values.size == 0:
             raise ValueError("empty match-length array")
-        if self.values[0] != 1:
+        if values[0] != 1:
             raise ValueError("l_1 must be 1 for any nonempty sequence")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -100,7 +138,7 @@ def match_lengths_naive(seq: SequenceLike) -> MatchLengths:
                 li = length
                 break
         out.append(li)
-    return MatchLengths(tuple(out))
+    return MatchLengths(out)
 
 
 def match_lengths(seq: SequenceLike) -> MatchLengths:
@@ -114,8 +152,95 @@ def match_lengths(seq: SequenceLike) -> MatchLengths:
     preceding text exactly as the definition requires. Work is near
     linear in N (amortized over suffix-link walks) regardless of how
     long the matches get.
+
+    Runs the compiled kernel when this process could build it, else the
+    Python automaton; both give the same values.
     """
     s = _chars_of(seq)
+    compiled = _load_kernel()
+    if compiled is None or len(s) > _C_MAX_N:
+        return MatchLengths(_automaton_lengths(s))
+    return MatchLengths(compiled(s))
+
+
+def kernel_name() -> str:
+    """The match-length kernel this process uses: ``"c"`` or ``"python"``."""
+    return "python" if _load_kernel() is None else "c"
+
+
+@functools.lru_cache(maxsize=None)
+def _load_kernel() -> Callable[[str], np.ndarray] | None:
+    """The compiled kernel, or None after one warning if it cannot be built."""
+    try:
+        return _build_kernel()
+    except (OSError, subprocess.SubprocessError) as exc:
+        detail = getattr(exc, "stderr", None) or str(exc)
+        if isinstance(detail, bytes):
+            detail = detail.decode("utf-8", "replace")
+        logger.warning(
+            "cannot build the compiled match-length kernel (%s: %s); using the "
+            "pure-Python automaton, which gives the same results 10-30x slower. "
+            "To use the compiled kernel, install a C compiler (the CC Python was "
+            "built with, or cc) and make %s writable.",
+            type(exc).__name__,
+            " ".join(detail.split())[:300],
+            _KERNEL_SOURCE.parent / "__pycache__",
+        )
+        return None
+
+
+def _build_kernel() -> Callable[[str], np.ndarray]:
+    """Compile ``_matchlen.c`` once per source and flags, load it with ctypes."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    command = (*cc, *_KERNEL_CFLAGS)
+    source = _KERNEL_SOURCE.read_bytes()
+    digest = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()[:16]
+    cache = _KERNEL_SOURCE.parent / "__pycache__"
+    library = cache / f"_matchlen-{digest}.so"
+    if not library.exists():
+        cache.mkdir(exist_ok=True)
+        # Compile to a private name and rename: concurrent builders (pool
+        # workers, parallel test runs) never see a half-written library.
+        fd, tmp = tempfile.mkstemp(prefix="_matchlen-", suffix=".tmp", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run(
+                [*command, "-o", tmp, str(_KERNEL_SOURCE)],
+                check=True,
+                capture_output=True,
+                timeout=300,
+            )
+            os.replace(tmp, library)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+    kernel = ctypes.CDLL(str(library)).match_lengths
+    kernel.argtypes = [
+        np.ctypeslib.ndpointer(np.uint32, ndim=1, flags="C_CONTIGUOUS"),
+        ctypes.c_int64,
+        np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
+    ]
+    kernel.restype = ctypes.c_int
+
+    def compiled(s: str) -> np.ndarray:
+        n = len(s)
+        if not 0 < n <= _C_MAX_N:
+            raise ValueError(f"compiled kernel takes 1..{_C_MAX_N} chars, got {n}")
+        # UTF-32 gives one code point per symbol; surrogatepass keeps the
+        # lone surrogates a Python str may hold.
+        codes = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        out = np.empty(n, dtype=np.int32)
+        # With n checked above, the only failure left is allocation.
+        if kernel(codes, n, out) != 0:
+            raise MemoryError(f"match-length kernel could not allocate an automaton for {n} chars")
+        return out
+
+    return compiled
+
+
+def _automaton_lengths(s: str) -> list[int]:
+    """The suffix-automaton algorithm of :func:`match_lengths` in Python."""
     n = len(s)
 
     # Automaton arrays: transitions, suffix link, longest length per
@@ -171,7 +296,7 @@ def match_lengths(seq: SequenceLike) -> MatchLengths:
             match -= 1
             while v and length[link[v]] >= match:
                 v = link[v]
-    return MatchLengths(tuple(out))
+    return out
 
 
 def entropy_rate(ml: MatchLengths, provenance: str | None = None) -> EntropyEstimate:
@@ -233,7 +358,7 @@ def run_oracle_check(
         k = rng.randint(min_alpha, max_alpha)
         n = rng.randint(min_len, max_len)
         s = "".join(chr(ord("a") + rng.randrange(k)) for _ in range(n))
-        if fast_fn(s).values != naive_fn(s).values:
+        if not np.array_equal(fast_fn(s).values, naive_fn(s).values):
             small = _shrink_counterexample(s, fast_fn, naive_fn)
             return OracleReport(
                 cases=count,
@@ -257,7 +382,7 @@ def _shrink_counterexample(
     def disagrees(t: str) -> bool:
         if not t:
             return False
-        return fast_fn(t).values != naive_fn(t).values
+        return not np.array_equal(fast_fn(t).values, naive_fn(t).values)
 
     changed = True
     while changed:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -268,7 +269,12 @@ def write_results_csv(measurements: Sequence[BookMeasurement], fh: IO[str]) -> N
 
 
 def read_results_csv(source: str | Path | IO[str]) -> list[BookMeasurement]:
-    """Read a results table back; raises ValueError on schema mismatch."""
+    """Read a results table back.
+
+    Raises ValueError naming the row on a schema mismatch, a field that
+    does not parse, a non-finite value or a repeated (translation, book,
+    replicate) key.
+    """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
             return read_results_csv(fh)
@@ -279,13 +285,14 @@ def read_results_csv(source: str | Path | IO[str]) -> list[BookMeasurement]:
             f"results CSV schema mismatch: expected columns {','.join(RESULT_COLUMNS)}"
         )
     rows = []
+    seen: dict[tuple[str, int, int], int] = {}
     for line_no, rec in enumerate(reader, start=2):
         if not rec:
             continue
         if len(rec) != len(RESULT_COLUMNS):
             raise ValueError(f"results CSV row {line_no}: wrong field count")
-        rows.append(
-            BookMeasurement(
+        try:
+            row = BookMeasurement(
                 translation_id=rec[0],
                 language=rec[1],
                 book_id=int(rec[2]),
@@ -297,5 +304,17 @@ def read_results_csv(source: str | Path | IO[str]) -> list[BookMeasurement]:
                 d_order=float(rec[8]),
                 d_structure=float(rec[9]),
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"results CSV row {line_no}: {exc}") from None
+        values = (row.h_original, row.h_order, row.h_structure, row.d_order, row.d_structure)
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError(f"results CSV row {line_no}: non-finite value")
+        key = (row.translation_id, row.book_id, row.replicate)
+        if key in seen:
+            raise ValueError(
+                f"results CSV row {line_no}: duplicate of row {seen[key]} "
+                f"(translation {key[0]}, book {key[1]}, replicate {key[2]})"
+            )
+        seen[key] = line_no
+        rows.append(row)
     return rows

@@ -115,13 +115,20 @@ def generate(source: SyntheticSource, n: int, seed: int) -> SymbolSequence:
         cum = np.cumsum(P, axis=1)
         pi_cum = np.cumsum(stationary_distribution(P))
         u = rng.random(n)
-        idx = np.empty(n, dtype=np.int64)
         state = int(np.searchsorted(pi_cum, u[0], side="right"))
-        idx[0] = state
-        rows = [cum[i] for i in range(source.k)]
+        # Every state's successor for every draw, computed up front as one
+        # byte per draw (k <= 62): the walk then only indexes bytes, with
+        # the same searchsorted result per step as a per-step search.
+        successors = [
+            np.searchsorted(cum[s], u, side="right").astype(np.uint8).tobytes()
+            for s in range(source.k)
+        ]
+        walk = bytearray(n)
+        walk[0] = state
         for t in range(1, n):
-            state = int(np.searchsorted(rows[state], u[t], side="right"))
-            idx[t] = state
+            state = successors[state][t]
+            walk[t] = state
+        idx = np.frombuffer(walk, dtype=np.uint8)
     symbols = np.frombuffer(
         STREAM_SYMBOLS[: source.k].encode("ascii"), dtype=np.uint8
     )

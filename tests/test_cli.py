@@ -10,7 +10,8 @@ import pytest
 from wordtradeoff import cli
 from wordtradeoff.cli import RunConfig, cmd_analyze, main
 from wordtradeoff.corpus import parse_corpus
-from wordtradeoff.measures import read_results_csv
+from wordtradeoff.entropy import kernel_name
+from wordtradeoff.measures import RESULT_COLUMNS, read_results_csv
 
 
 def write_toy_corpus(path: Path, mode: str, seed: int, sentences: int = 25) -> None:
@@ -85,6 +86,8 @@ class TestAnalyze:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["rows_written"] == 4
         assert manifest["version"]
+        assert manifest["kernel"] in ("c", "python")
+        assert manifest["kernel"] == kernel_name()
 
     def test_rerun_byte_identical(self, tmp_path):
         code1, out_dir = self._run(tmp_path)
@@ -209,6 +212,38 @@ class TestStats:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert main(["stats", str(bad)]) == 1
+
+    @staticmethod
+    def _stats_with_row(tmp_path, caplog, last_row: str) -> int:
+        """Run stats on three valid rows plus ``last_row`` (CSV row 5)."""
+        lines = [",".join(RESULT_COLUMNS)]
+        for tid, d_order, d_structure in (("t1", 0.1, 0.3), ("t2", 0.2, 0.2), ("t3", 0.3, 0.1)):
+            lines.append(
+                f"{tid},l{tid},40,0,1000,2.5,{2.5 + d_order},{2.5 + d_structure},"
+                f"{d_order},{d_structure}"
+            )
+        lines.append(last_row)
+        results = tmp_path / "results.csv"
+        results.write_text("\n".join(lines) + "\n")
+        code = main(["stats", str(results)])
+        assert not (tmp_path / "fits.csv").exists()
+        assert "row 5" in caplog.text
+        return code
+
+    def test_nan_row_fatal(self, tmp_path, caplog):
+        row = "t4,lt4,40,0,1000,nan,nan,nan,nan,nan"
+        assert self._stats_with_row(tmp_path, caplog, row) == 1
+        assert "non-finite" in caplog.text
+
+    def test_infinite_d_order_fatal(self, tmp_path, caplog):
+        row = "t4,lt4,40,0,1000,2.5,inf,2.6,inf,0.1"
+        assert self._stats_with_row(tmp_path, caplog, row) == 1
+        assert "non-finite" in caplog.text
+
+    def test_duplicate_unit_row_fatal(self, tmp_path, caplog):
+        row = "t1,lt1,40,0,1000,2.5,2.6,2.8,0.1,0.3"
+        assert self._stats_with_row(tmp_path, caplog, row) == 1
+        assert "duplicate of row 2" in caplog.text
 
 
 class TestOracleCheckCommand:

@@ -1,68 +1,161 @@
-"""Match-length computation and the entropy-rate estimator."""
+"""Match-length computation and the entropy-rate estimator.
+
+Match-length tests run every kernel: ``match_lengths`` (the compiled C
+kernel wherever it builds) and the pure-Python automaton it falls back to.
+"""
 
 from __future__ import annotations
 
 import io
+import logging
 import math
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wordtradeoff import entropy
 from wordtradeoff.entropy import (
     MatchLengths,
     dump_match_lengths,
     entropy_rate,
     estimate,
+    kernel_name,
     match_lengths,
     match_lengths_naive,
     run_oracle_check,
 )
+from wordtradeoff.testkit import generate, uniform_iid
 
 random_texts = st.text(
     alphabet=st.sampled_from("abcdefå"), min_size=1, max_size=120
 )
+#: Two- and four-byte UTF-8 letters and a lone surrogate, which a Python
+#: str may hold.
+unicode_texts = st.text(
+    alphabet=st.sampled_from(["a", "b", "é", "😀", "\ud800"]), min_size=1, max_size=120
+)
+
+
+def python_automaton(s: str) -> MatchLengths:
+    return MatchLengths(entropy._automaton_lengths(s))
+
+
+#: (name, function) of each kernel under test.
+KERNELS = (("match_lengths", match_lengths), ("python automaton", python_automaton))
+
+
+def fibonacci_word(n: int) -> str:
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
 
 
 class TestMatchLengthFixtures:
     def test_montana_bananas(self):
         ml = match_lengths_naive("montana bananas")
         assert ml.values[9] == 4  # "anan" starting at position 10
-        assert ml.values == (1, 1, 1, 1, 1, 2, 2, 1, 1, 4, 3, 4, 3, 2, 1)
-        assert match_lengths("montana bananas").values == ml.values
+        assert ml.values.tolist() == [1, 1, 1, 1, 1, 2, 2, 1, 1, 4, 3, 4, 3, 2, 1]
+        for name, kernel in KERNELS:
+            assert np.array_equal(kernel("montana bananas").values, ml.values), name
 
     def test_all_distinct_characters(self):
-        assert match_lengths_naive("abcd").values == (1, 1, 1, 1)
+        assert match_lengths_naive("abcd").values.tolist() == [1, 1, 1, 1]
+        for name, kernel in KERNELS:
+            assert kernel("abcd").values.tolist() == [1, 1, 1, 1], name
 
     def test_abab(self):
-        assert match_lengths_naive("abab").values == (1, 1, 3, 2)
-        assert match_lengths("abab").values == (1, 1, 3, 2)
+        assert match_lengths_naive("abab").values.tolist() == [1, 1, 3, 2]
+        for name, kernel in KERNELS:
+            assert kernel("abab").values.tolist() == [1, 1, 3, 2], name
 
     def test_aaaa_end_convention(self):
         # l_3: both "a" and "aa" occur in the prefix, so the convention
         # value is (suffix length) + 1 = 3; likewise l_4 = 2.
-        assert match_lengths_naive("aaaa").values == (1, 2, 3, 2)
-        assert match_lengths("aaaa").values == (1, 2, 3, 2)
+        assert match_lengths_naive("aaaa").values.tolist() == [1, 2, 3, 2]
+        for name, kernel in KERNELS:
+            assert kernel("aaaa").values.tolist() == [1, 2, 3, 2], name
 
     def test_single_character(self):
-        assert match_lengths("a").values == (1,)
+        for name, kernel in KERNELS:
+            assert kernel("a").values.tolist() == [1], name
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            match_lengths("")
+        for _, kernel in KERNELS:
+            with pytest.raises(ValueError):
+                kernel("")
         with pytest.raises(ValueError):
             match_lengths_naive("")
 
     def test_multibyte_characters_are_single_symbols(self):
-        assert match_lengths_naive("ééé").values == (1, 2, 2)
-        assert match_lengths("ééé").values == (1, 2, 2)
+        assert match_lengths_naive("ééé").values.tolist() == [1, 2, 2]
+        for name, kernel in KERNELS:
+            assert kernel("ééé").values.tolist() == [1, 2, 2], name
+
+    def test_values_are_read_only_int32(self):
+        for name, kernel in KERNELS + (("naive", match_lengths_naive),):
+            values = kernel("abab").values
+            assert values.dtype == np.int32 and values.ndim == 1, name
+            with pytest.raises(ValueError):
+                values[0] = 5
 
 
 class TestOracleEquivalence:
     @given(random_texts)
     @settings(max_examples=300, deadline=None)
     def test_fast_equals_naive(self, s):
-        assert match_lengths(s).values == match_lengths_naive(s).values
+        expected = match_lengths_naive(s).values
+        for name, kernel in KERNELS:
+            assert np.array_equal(kernel(s).values, expected), name
+
+    @given(unicode_texts)
+    @settings(max_examples=200, deadline=None)
+    def test_unicode_equals_naive(self, s):
+        expected = match_lengths_naive(s).values
+        for name, kernel in KERNELS:
+            assert np.array_equal(kernel(s).values, expected), name
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            "é",
+            "😀",
+            "\ud800",
+            "😀é\ud800a😀é\ud800a😀",
+            "a" * 1500,
+            "ab" * 700 + "b",
+            "abcabd" * 300,
+            "😀" * 600 + "é" * 600,
+            fibonacci_word(2000),
+            fibonacci_word(1597) + fibonacci_word(400),
+        ],
+        ids=[
+            "e-acute",
+            "astral",
+            "lone-surrogate",
+            "mixed-unicode",
+            "run",
+            "period-2",
+            "period-6",
+            "astral-runs",
+            "fibonacci",
+            "fibonacci-restart",
+        ],
+    )
+    def test_adversarial_inputs_equal_naive(self, s):
+        # Runs, periodic strings and Fibonacci words drive the automaton's
+        # clone and suffix-link paths hardest.
+        expected = match_lengths_naive(s).values
+        for name, kernel in KERNELS:
+            assert np.array_equal(kernel(s).values, expected), name
 
     @given(random_texts)
     @settings(max_examples=100, deadline=None)
@@ -70,7 +163,8 @@ class TestOracleEquivalence:
         # Match lengths depend only on the equality structure of symbols.
         mapping = {c: chr(0x400 + i) for i, c in enumerate(dict.fromkeys(s))}
         relabeled = "".join(mapping[c] for c in s)
-        assert match_lengths(s).values == match_lengths(relabeled).values
+        for name, kernel in KERNELS:
+            assert np.array_equal(kernel(s).values, kernel(relabeled).values), name
 
     @given(random_texts, st.sampled_from("abcdefå"))
     @settings(max_examples=100, deadline=None)
@@ -78,16 +172,96 @@ class TestOracleEquivalence:
         # Appending a character can only change l_i at positions whose
         # match ran into the end of the sequence (the convention case);
         # everywhere else the value is final as soon as it is computed.
-        before = match_lengths(s).values
-        after = match_lengths(s + extra).values
         n = len(s)
-        for i, li in enumerate(before, start=1):
-            if i + li - 1 <= n:
-                assert after[i - 1] == li
+        for name, kernel in KERNELS:
+            before = kernel(s).values
+            after = kernel(s + extra).values
+            for i, li in enumerate(before, start=1):
+                if i + li - 1 <= n:
+                    assert after[i - 1] == li, name
 
     def test_l1_is_always_one(self):
         for s in ("z", "zz", "montana bananas"):
-            assert match_lengths(s).values[0] == 1
+            for name, kernel in KERNELS:
+                assert kernel(s).values[0] == 1, name
+
+
+class TestKernels:
+    def test_compiled_kernel_builds_where_a_compiler_exists(self):
+        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+        if shutil.which(cc) is None:
+            pytest.skip(f"no C compiler {cc!r}: the Python automaton is the kernel")
+        assert kernel_name() == "c"
+
+    @pytest.mark.parametrize("source", ["iid-k4", "fibonacci", "unicode-iid"])
+    def test_compiled_equals_python_beyond_naive_cap(self, source):
+        n = 100_000
+        if source == "iid-k4":
+            s = generate(uniform_iid(4), n, seed=5).chars
+        elif source == "fibonacci":
+            s = fibonacci_word(n)
+        else:
+            symbols = ["a", "é", "😀", "\ud800"]
+            s = "".join(symbols[i] for i in np.random.default_rng(9).integers(0, 4, n))
+        assert np.array_equal(match_lengths(s).values, python_automaton(s).values)
+
+    def test_load_failure_falls_back_with_one_warning(self, monkeypatch, caplog):
+        def no_compiler():
+            raise FileNotFoundError(2, "No such file or directory", "cc")
+
+        monkeypatch.setattr(entropy, "_build_kernel", no_compiler)
+        entropy._load_kernel.cache_clear()
+        try:
+            with caplog.at_level(logging.WARNING, logger="wordtradeoff.entropy"):
+                first = match_lengths("montana bananas")
+                second = match_lengths("abab")
+                assert kernel_name() == "python"
+        finally:
+            entropy._load_kernel.cache_clear()
+        warnings = [r for r in caplog.records if r.name == "wordtradeoff.entropy"]
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert "FileNotFoundError" in message and "install a C compiler" in message
+        assert np.array_equal(first.values, match_lengths_naive("montana bananas").values)
+        assert second.values.tolist() == [1, 1, 3, 2]
+
+    def test_concurrent_first_builds_leave_one_library(self, tmp_path):
+        # Fresh processes racing to build into an empty cache must each
+        # load a whole library and leave one file behind, no temporaries.
+        if kernel_name() != "c":
+            pytest.skip("compiled kernel unavailable")
+        package = tmp_path / "wordtradeoff"
+        shutil.copytree(
+            Path(entropy.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        code = (
+            "from wordtradeoff.entropy import kernel_name, match_lengths\n"
+            "print(kernel_name(), match_lengths('abab').values.tolist())"
+        )
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code], env=env, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            for _ in range(4)
+        ]
+        outputs = [proc.communicate(timeout=300)[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0, 0, 0]
+        assert outputs == ["c [1, 1, 3, 2]\n"] * 4
+        built = [p.name for p in (package / "__pycache__").glob("_matchlen*")]
+        assert len(built) == 1 and built[0].endswith(".so")
+
+    def test_inputs_beyond_compiled_limit_use_python(self, monkeypatch):
+        compiled = entropy._load_kernel()
+        if compiled is None:
+            pytest.skip("compiled kernel unavailable")
+        monkeypatch.setattr(entropy, "_C_MAX_N", 3)
+        with pytest.raises(ValueError):
+            compiled("abab")
+        with pytest.raises(ValueError):
+            compiled("")
+        assert match_lengths("abab").values.tolist() == [1, 1, 3, 2]
 
 
 class TestEntropyRate:

@@ -10,6 +10,8 @@ import pytest
 
 from wordtradeoff.corpus import flatten
 from wordtradeoff.testkit import (
+    STREAM_SYMBOLS,
+    SyntheticSource,
     ToyLanguageSpec,
     default_toy_vocabulary,
     generate,
@@ -20,6 +22,23 @@ from wordtradeoff.testkit import (
     toy_language_pair,
     uniform_iid,
 )
+
+
+def generate_markov_reference(source: SyntheticSource, n: int, seed: int) -> str:
+    """The per-step searchsorted walk that ``generate`` replaced."""
+    rng = np.random.default_rng(seed)
+    P = np.asarray(source.transition)
+    cum = np.cumsum(P, axis=1)
+    pi_cum = np.cumsum(stationary_distribution(P))
+    u = rng.random(n)
+    idx = np.empty(n, dtype=np.int64)
+    state = int(np.searchsorted(pi_cum, u[0], side="right"))
+    idx[0] = state
+    rows = [cum[i] for i in range(source.k)]
+    for t in range(1, n):
+        state = int(np.searchsorted(rows[state], u[t], side="right"))
+        idx[t] = state
+    return "".join(STREAM_SYMBOLS[i] for i in idx)
 
 
 class TestSources:
@@ -73,6 +92,23 @@ class TestSources:
         src = markov_source([[0.9, 0.1], [0.1, 0.9]])
         assert generate(src, 5000, seed=3).chars == generate(src, 5000, seed=3).chars
         assert generate(src, 5000, seed=3).chars != generate(src, 5000, seed=4).chars
+
+    @pytest.mark.parametrize(
+        "transition",
+        [
+            [[0.9, 0.1], [0.1, 0.9]],
+            [[0.5, 0.25, 0.25], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]],
+            [[1 / 7] * 7] * 7,
+            [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.2, 0.0, 0.8]],
+        ],
+        ids=["binary", "three-state", "uniform-7", "zero-transitions"],
+    )
+    def test_markov_walk_equals_reference_loop(self, transition):
+        src = markov_source(transition)
+        for seed in range(4):
+            assert generate(src, 20_000, seed).chars == generate_markov_reference(
+                src, 20_000, seed
+            )
 
     def test_markov_empirical_transitions(self):
         src = markov_source([[0.9, 0.1], [0.1, 0.9]])
