@@ -54,7 +54,6 @@ from .stats import (
     spearman,
 )
 from .transforms import (
-    BookVariant,
     MaskSpaceExhaustedError,
     MaskTable,
     SeedSpec,
@@ -74,7 +73,6 @@ __all__ = [
     "AggregateMeasurement",
     "Book",
     "BookMeasurement",
-    "BookVariant",
     "CorpusFormatError",
     "CorrelationMatrix",
     "EntropyEstimate",

@@ -1,15 +1,15 @@
 /*
- * Match lengths l_1..l_N of a code-point sequence, computed with a suffix
- * automaton (Blumer et al. 1985). This is the compiled form of the Python
- * automaton in entropy.py and must give the same output on every input.
+ * The package's compiled kernels, plain C with no Python headers.
+ * entropy.py compiles this file on first use and calls it through ctypes.
+ * Each function is the compiled form of Python code that stays in the
+ * package as the reference, and must give the same output on every input.
  *
+ * match_lengths: match lengths l_1..l_N of a code-point sequence, computed
+ * with a suffix automaton (Blumer et al. 1985), as entropy.py's automaton.
  * Each state records the end position of its first occurrence (fpos,
  * 1-indexed). One matching-statistics scan then extends the current
  * match only through states whose first occurrence ends before the
  * current position, which keeps every match inside the preceding text.
- *
- * Plain C with no Python headers; entropy.py compiles it on first use and
- * calls it through ctypes.
  *
  * Layout: a state holds its first INLINE_EDGES transitions in its own
  * 32-byte struct, so the common lookup touches one cache line; further
@@ -18,6 +18,11 @@
  * 4-symbol stream). An automaton over n symbols has at most 2n - 1 states
  * and 3n - 4 transitions (n >= 3), and construction never removes a
  * transition, so 2n + 2 states and 3n + 3 edges always suffice.
+ *
+ * shuffle_segments, randbelow_fill: the seeded draws of transforms.py's
+ * Xorshift64Star, by the recipe of docs/seeds.md sections 2-4 (xorshift64*
+ * stream, threshold-rejection randbelow, backward Fisher-Yates). Both take
+ * the generator state and return the state after their last draw.
  */
 
 #include <stdint.h>
@@ -160,4 +165,65 @@ int match_lengths(const uint32_t *s, int64_t n, int32_t *out)
     free(st);
     free(ed);
     return 0;
+}
+
+#define XORSHIFT_GOLDEN UINT64_C(0x9E3779B97F4A7C15)
+
+/* One xorshift64* draw (docs/seeds.md section 2): advances *s. */
+static uint64_t next_u64(uint64_t *s)
+{
+    uint64_t x = *s;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *s = x;
+    return x * UINT64_C(0x2545F4914F6CDD1D);
+}
+
+/*
+ * Uniform integer in [0, n), 1 <= n < 2^64, by threshold rejection
+ * (section 3): draws u until u < 2^64 - (2^64 mod n), returns u mod n.
+ */
+static uint64_t randbelow(uint64_t *s, uint64_t n)
+{
+    uint64_t rem = (0 - n) % n; /* 2^64 mod n */
+    for (;;) {
+        uint64_t u = next_u64(s);
+        if (rem == 0 || u < 0 - rem)
+            return u % n;
+    }
+}
+
+/*
+ * Backward Fisher-Yates (section 4) over consecutive segments of perm:
+ * segment g holds the next counts[g] entries and is shuffled in place,
+ * the segments in order, all from one stream. Counts must be >= 0 and sum
+ * to at most the length of perm.
+ */
+uint64_t shuffle_segments(uint64_t state, const int64_t *counts, int64_t nseg,
+                          int64_t *perm)
+{
+    if (state == 0)
+        state = XORSHIFT_GOLDEN;
+    for (int64_t g = 0; g < nseg; g++) {
+        for (int64_t i = counts[g] - 1; i > 0; i--) {
+            int64_t j = (int64_t)randbelow(&state, (uint64_t)i + 1);
+            int64_t t = perm[i];
+            perm[i] = perm[j];
+            perm[j] = t;
+        }
+        perm += counts[g];
+    }
+    return state;
+}
+
+/* Writes count draws of randbelow(bound), 1 <= bound < 2^64, to out. */
+uint64_t randbelow_fill(uint64_t state, uint64_t bound, int64_t count,
+                        uint64_t *out)
+{
+    if (state == 0)
+        state = XORSHIFT_GOLDEN;
+    for (int64_t i = 0; i < count; i++)
+        out[i] = randbelow(&state, bound);
+    return state;
 }

@@ -33,15 +33,17 @@ occurrence positions, walked with matching-statistics bookkeeping. They
 agree exactly on every input; :func:`run_oracle_check` randomizes that
 comparison.
 
-The automaton runs as compiled C (``_matchlen.c``, no Python headers,
-called through ``ctypes``). The first call in a process compiles it with
-the C compiler Python was built with (``sysconfig`` ``CC``, else ``cc``)
-into the package's ``__pycache__/`` under a name derived from the source
-and the compiler command; later calls and later processes load that
-file. Where no compiler is found, or compiling or loading fails, one
-warning says why and the same automaton runs in pure Python, 10-30x
-slower and with the same output. :func:`kernel_name` reports which one
-a process uses.
+The automaton runs as compiled C (``_kernels.c``, no Python headers,
+called through ``ctypes``). The same library holds the seeded draws of
+:mod:`wordtradeoff.transforms`, and :func:`load_library` builds and loads
+it for both. The first call in a process compiles it with the C compiler
+Python was built with (``sysconfig`` ``CC``, else ``cc``) into the
+package's ``__pycache__/`` under a name derived from the source and the
+compiler command; later calls and later processes load that file. Where
+no compiler is found, or compiling or loading fails, one warning says
+why and the same algorithms run in pure Python with the same output: the
+match lengths 10-30x slower. :func:`kernel_name` reports which one a
+process uses.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ SequenceLike = Union[SymbolSequence, str]
 
 logger = logging.getLogger(__name__)
 
-_KERNEL_SOURCE = Path(__file__).with_name("_matchlen.c")
+_KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 _KERNEL_CFLAGS = ("-O2", "-shared", "-fPIC")
 #: Longest input the compiled kernel takes: its state and edge indices
 #: (at most 2n + 2 and 3n + 3) are int32. Longer inputs use the Python
@@ -157,31 +159,32 @@ def match_lengths(seq: SequenceLike) -> MatchLengths:
     Python automaton; both give the same values.
     """
     s = _chars_of(seq)
-    compiled = _load_kernel()
-    if compiled is None or len(s) > _C_MAX_N:
+    library = load_library()
+    if library is None or len(s) > _C_MAX_N:
         return MatchLengths(_automaton_lengths(s))
-    return MatchLengths(compiled(s))
+    return MatchLengths(_compiled_lengths(library, s))
 
 
 def kernel_name() -> str:
     """The match-length kernel this process uses: ``"c"`` or ``"python"``."""
-    return "python" if _load_kernel() is None else "c"
+    return "python" if load_library() is None else "c"
 
 
 @functools.lru_cache(maxsize=None)
-def _load_kernel() -> Callable[[str], np.ndarray] | None:
-    """The compiled kernel, or None after one warning if it cannot be built."""
+def load_library() -> ctypes.CDLL | None:
+    """The compiled library, or None after one warning if it cannot be built."""
     try:
-        return _build_kernel()
+        return _build_library()
     except (OSError, subprocess.SubprocessError) as exc:
         detail = getattr(exc, "stderr", None) or str(exc)
         if isinstance(detail, bytes):
             detail = detail.decode("utf-8", "replace")
         logger.warning(
-            "cannot build the compiled match-length kernel (%s: %s); using the "
-            "pure-Python automaton, which gives the same results 10-30x slower. "
-            "To use the compiled kernel, install a C compiler (the CC Python was "
-            "built with, or cc) and make %s writable.",
+            "cannot build the compiled kernels (%s: %s); using the pure-Python "
+            "match-length automaton and xorshift64* draws, which give the same "
+            "results, the match lengths 10-30x slower. To use the compiled "
+            "kernels, install a C compiler (the CC Python was built with, or cc) "
+            "and make %s writable.",
             type(exc).__name__,
             " ".join(detail.split())[:300],
             _KERNEL_SOURCE.parent / "__pycache__",
@@ -189,19 +192,19 @@ def _load_kernel() -> Callable[[str], np.ndarray] | None:
         return None
 
 
-def _build_kernel() -> Callable[[str], np.ndarray]:
-    """Compile ``_matchlen.c`` once per source and flags, load it with ctypes."""
+def _build_library() -> ctypes.CDLL:
+    """Compile ``_kernels.c`` once per source and flags, load it with ctypes."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     command = (*cc, *_KERNEL_CFLAGS)
     source = _KERNEL_SOURCE.read_bytes()
     digest = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()[:16]
     cache = _KERNEL_SOURCE.parent / "__pycache__"
-    library = cache / f"_matchlen-{digest}.so"
+    library = cache / f"_kernels-{digest}.so"
     if not library.exists():
         cache.mkdir(exist_ok=True)
         # Compile to a private name and rename: concurrent builders (pool
         # workers, parallel test runs) never see a half-written library.
-        fd, tmp = tempfile.mkstemp(prefix="_matchlen-", suffix=".tmp", dir=cache)
+        fd, tmp = tempfile.mkstemp(prefix="_kernels-", suffix=".tmp", dir=cache)
         os.close(fd)
         try:
             subprocess.run(
@@ -215,28 +218,43 @@ def _build_kernel() -> Callable[[str], np.ndarray]:
             if os.path.exists(tmp):
                 os.unlink(tmp)
 
-    kernel = ctypes.CDLL(str(library)).match_lengths
-    kernel.argtypes = [
+    lib = ctypes.CDLL(str(library))
+    lib.match_lengths.argtypes = [
         np.ctypeslib.ndpointer(np.uint32, ndim=1, flags="C_CONTIGUOUS"),
         ctypes.c_int64,
         np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
     ]
-    kernel.restype = ctypes.c_int
+    lib.match_lengths.restype = ctypes.c_int
+    lib.shuffle_segments.argtypes = [
+        ctypes.c_uint64,
+        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
+        ctypes.c_int64,
+        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
+    ]
+    lib.shuffle_segments.restype = ctypes.c_uint64
+    lib.randbelow_fill.argtypes = [
+        ctypes.c_uint64,
+        ctypes.c_uint64,
+        ctypes.c_int64,
+        np.ctypeslib.ndpointer(np.uint64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
+    ]
+    lib.randbelow_fill.restype = ctypes.c_uint64
+    return lib
 
-    def compiled(s: str) -> np.ndarray:
-        n = len(s)
-        if not 0 < n <= _C_MAX_N:
-            raise ValueError(f"compiled kernel takes 1..{_C_MAX_N} chars, got {n}")
-        # UTF-32 gives one code point per symbol; surrogatepass keeps the
-        # lone surrogates a Python str may hold.
-        codes = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        out = np.empty(n, dtype=np.int32)
-        # With n checked above, the only failure left is allocation.
-        if kernel(codes, n, out) != 0:
-            raise MemoryError(f"match-length kernel could not allocate an automaton for {n} chars")
-        return out
 
-    return compiled
+def _compiled_lengths(library: ctypes.CDLL, s: str) -> np.ndarray:
+    """Match lengths of ``s`` by the library's ``match_lengths``."""
+    n = len(s)
+    if not 0 < n <= _C_MAX_N:
+        raise ValueError(f"compiled kernel takes 1..{_C_MAX_N} chars, got {n}")
+    # UTF-32 gives one code point per symbol; surrogatepass keeps the
+    # lone surrogates a Python str may hold.
+    codes = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    out = np.empty(n, dtype=np.int32)
+    # With n checked above, the only failure left is allocation.
+    if library.match_lengths(codes, n, out) != 0:
+        raise MemoryError(f"match-length kernel could not allocate an automaton for {n} chars")
+    return out
 
 
 def _automaton_lengths(s: str) -> list[int]:
@@ -336,6 +354,41 @@ class OracleReport:
         return self.failures == 0
 
 
+#: Symbols every oracle alphabet may take besides ASCII letters: two- and
+#: four-byte UTF-8 characters and a lone surrogate, which a Python str may
+#: hold and the compiled kernel must pass through as its own code point.
+_ORACLE_EXTRA_SYMBOLS = ("é", "😀", "\ud800")
+#: Longest run or periodic oracle case. On these the naive oracle's work
+#: grows with the square of the length, since every match runs to the end.
+_ORACLE_STRUCTURED_MAX_LEN = 150
+
+
+def _oracle_case(rng: random.Random, min_len: int, max_len: int, k: int) -> str:
+    """One random oracle input over a k-symbol alphabet.
+
+    Half the cases are iid draws; the others are runs of repeated
+    symbols or a short word repeated with a few point changes, which
+    drive the automaton's clone and suffix-link paths.
+    """
+    letters = [chr(ord("a") + j) for j in range(k)]
+    alphabet = rng.sample([*_ORACLE_EXTRA_SYMBOLS, *letters], k)
+    kind = rng.choice(("iid", "iid", "runs", "periodic"))
+    if kind == "iid":
+        n = rng.randint(min_len, max_len)
+        return "".join(rng.choice(alphabet) for _ in range(n))
+    n = rng.randint(min_len, max(min_len, min(max_len, _ORACLE_STRUCTURED_MAX_LEN)))
+    if kind == "runs":
+        chars: list[str] = []
+        while len(chars) < n:
+            chars += rng.choice(alphabet) * rng.randint(1, n)
+        return "".join(chars[:n])
+    word = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
+    chars = list((word * (n // len(word) + 1))[:n])
+    for _ in range(rng.randint(0, 2)):
+        chars[rng.randrange(n)] = rng.choice(alphabet)
+    return "".join(chars)
+
+
 def run_oracle_check(
     count: int = 1000,
     min_len: int = 1,
@@ -348,6 +401,10 @@ def run_oracle_check(
 ) -> OracleReport:
     """Compare the fast and naive implementations on random sequences.
 
+    Inputs mix iid strings, runs and near-periodic strings over alphabets
+    drawn from ASCII letters and multi-byte, astral and surrogate symbols
+    (see :func:`_oracle_case`).
+
     Stops at the first mismatch and greedily shrinks it to a small
     counterexample (dropping characters while the disagreement
     persists). ``count=0`` is a vacuous pass.
@@ -355,9 +412,7 @@ def run_oracle_check(
     rng = random.Random(seed)
     started = time.monotonic()
     for _ in range(count):
-        k = rng.randint(min_alpha, max_alpha)
-        n = rng.randint(min_len, max_len)
-        s = "".join(chr(ord("a") + rng.randrange(k)) for _ in range(n))
+        s = _oracle_case(rng, min_len, max_len, rng.randint(min_alpha, max_alpha))
         if not np.array_equal(fast_fn(s).values, naive_fn(s).values):
             small = _shrink_counterexample(s, fast_fn, naive_fn)
             return OracleReport(

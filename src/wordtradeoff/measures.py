@@ -60,6 +60,12 @@ def format_float(x: float) -> str:
     return format(x, ".6g")
 
 
+#: Rounding to 6 significant digits moves a value by at most half a unit
+#: in its 6th digit, which is at most 5e-6 of the value written; the
+#: factor covers the rounding of the subtraction that checks a penalty.
+_ROUNDING_6G = 5e-6 * (1 + 1e-9)
+
+
 @dataclass(frozen=True)
 class MeasureConfig:
     master_seed: int = 0
@@ -139,12 +145,14 @@ def measure_replicate(book: Book, replicate: int, config: MeasureConfig) -> Book
     original = flatten(base)
     h_original = entropy_rate(match_lengths(original)).h_bpc
 
-    order_variant = destroy_word_order(base, seeds["order_shuffle"], config.order_scope)
-    h_order = entropy_rate(match_lengths(order_variant.sequence)).h_bpc
+    # The lexicon and alphabet are computed once, for the original; the
+    # two variants are plain strings.
+    order_text = destroy_word_order(base, seeds["order_shuffle"], config.order_scope)
+    h_order = entropy_rate(match_lengths(order_text)).h_bpc
 
     table = build_mask_table(original.lexicon, original.alphabet, seeds["mask_draw"])
-    masked_variant = mask_word_structure(base, table)
-    h_structure = entropy_rate(match_lengths(masked_variant.sequence)).h_bpc
+    masked_text = mask_word_structure(base, table)
+    h_structure = entropy_rate(match_lengths(masked_text)).h_bpc
 
     result = BookMeasurement(
         translation_id=book.translation_id,
@@ -272,8 +280,9 @@ def read_results_csv(source: str | Path | IO[str]) -> list[BookMeasurement]:
     """Read a results table back.
 
     Raises ValueError naming the row on a schema mismatch, a field that
-    does not parse, a non-finite value or a repeated (translation, book,
-    replicate) key.
+    does not parse, a non-finite value, N < 1, a penalty that is not
+    ``h_variant - h_original`` up to the 6-significant-digit rounding of
+    the three values, or a repeated (translation, book, replicate) key.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
@@ -309,6 +318,16 @@ def read_results_csv(source: str | Path | IO[str]) -> list[BookMeasurement]:
         values = (row.h_original, row.h_order, row.h_structure, row.d_order, row.d_structure)
         if not all(math.isfinite(x) for x in values):
             raise ValueError(f"results CSV row {line_no}: non-finite value")
+        if row.n_chars < 1:
+            raise ValueError(f"results CSV row {line_no}: N must be >= 1, got {row.n_chars}")
+        h0 = row.h_original
+        for name, d, h in (("d_order", row.d_order, row.h_order),
+                           ("d_structure", row.d_structure, row.h_structure)):
+            if abs(d - (h - h0)) > _ROUNDING_6G * (abs(d) + abs(h) + abs(h0)):
+                raise ValueError(
+                    f"results CSV row {line_no}: {name} = {d:.6g} but h_{name[2:]} - "
+                    f"h_original = {h - h0:.6g}"
+                )
         key = (row.translation_id, row.book_id, row.replicate)
         if key in seen:
             raise ValueError(

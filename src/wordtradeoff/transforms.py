@@ -14,6 +14,17 @@ avalanche construction, and all draws come from a fixed xorshift64*
 generator with unbiased rejection sampling; permutations use the
 backward Fisher-Yates walk. The byte-level recipe lives in
 ``docs/seeds.md`` so independent implementations can agree exactly.
+
+:class:`Xorshift64Star` is that recipe in pure Python, the reference.
+The transforms draw their permutations and masks in bulk from the
+compiled library that also holds the match-length kernel
+(:func:`wordtradeoff.entropy.load_library`), which gives the same draws
+and the same final state; where that library cannot be built or loaded
+they run the reference instead.
+
+The order and structure variants are returned as flat strings, built
+from the book's token list: verses joined by a space, as
+:func:`wordtradeoff.corpus.flatten` renders the original.
 """
 
 from __future__ import annotations
@@ -21,9 +32,13 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, Sequence
 
-from .corpus import Book, SymbolSequence, Verse, flatten
+import numpy as np
+
+# bench/traced.py times ``flatten`` at this module's attribute as well.
+from .corpus import Book, flatten  # noqa: F401
+from .entropy import load_library
 
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -32,7 +47,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 PURPOSE_TAGS = ("verse_shuffle", "order_shuffle", "mask_draw")
 ORDER_SCOPES = ("per_verse", "per_book")
-VARIANT_KINDS = ("original", "order_destroyed", "structure_masked")
 
 
 class MaskSpaceExhaustedError(ValueError):
@@ -135,6 +149,63 @@ class Xorshift64Star:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
 
+    def permutation(self, counts: Sequence[int]) -> list[int]:
+        """``range(sum(counts))`` with each consecutive segment shuffled.
+
+        Segment g holds the next ``counts[g]`` indices; the segments are
+        shuffled in order, all from this one stream.
+        """
+        perm: list[int] = []
+        for count in counts:
+            if count < 0:
+                raise ValueError("segment counts must be >= 0")
+            segment = list(range(len(perm), len(perm) + count))
+            self.shuffle(segment)
+            perm += segment
+        return perm
+
+    def draws(self, bound: int, count: int) -> list[int]:
+        """``count`` successive ``randbelow(bound)`` draws."""
+        return [self.randbelow(bound) for _ in range(count)]
+
+
+class CompiledXorshift64Star(Xorshift64Star):
+    """The same stream, with ``permutation`` and ``draws`` run in C.
+
+    The compiled functions take the state, make the same draws as the
+    Python methods and return the state after the last one, so the two
+    classes can be interleaved on one stream.
+    """
+
+    __slots__ = ("_lib",)
+
+    def __init__(self, seed: int, library):
+        super().__init__(seed)
+        self._lib = library
+
+    def permutation(self, counts: Sequence[int]) -> list[int]:
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.size and counts.min() < 0:
+            raise ValueError("segment counts must be >= 0")
+        perm = np.arange(int(counts.sum()), dtype=np.int64)
+        self.state = self._lib.shuffle_segments(self.state, counts, counts.size, perm)
+        return perm.tolist()
+
+    def draws(self, bound: int, count: int) -> list[int]:
+        if not 1 <= bound < 1 << 64:
+            raise ValueError("compiled draws need 1 <= bound < 2**64")
+        out = np.empty(count, dtype=np.uint64)
+        self.state = self._lib.randbelow_fill(self.state, bound, count, out)
+        return out.tolist()
+
+
+def _stream(seed: int) -> Xorshift64Star:
+    """The generator for one task seed: compiled where the library loads."""
+    library = load_library()
+    if library is None:
+        return Xorshift64Star(seed)
+    return CompiledXorshift64Star(seed, library)
+
 
 @dataclass(frozen=True)
 class MaskTable:
@@ -150,80 +221,32 @@ class MaskTable:
     mask_alphabet: tuple[str, ...]
     seed: int
 
-    def apply(self, token: str) -> str:
-        if len(token) < 2:
-            return token
-        mask = self.table.get(token)
-        if mask is None:
-            raise ValueError(
-                f"token {token!r} is not covered by this mask table; the table "
-                "was built from a different lexicon"
-            )
-        return mask
-
     def inverse(self) -> dict[str, str]:
         return {mask: word for word, mask in self.table.items()}
 
 
-@dataclass(frozen=True)
-class BookVariant:
-    """One transformed rendering of a book, ready for estimation."""
-
-    kind: str
-    sequence: SymbolSequence
-    seeds: Mapping[str, int]
-    mask_table: MaskTable | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in VARIANT_KINDS:
-            raise ValueError(f"unknown variant kind {self.kind!r}")
-
-
 def shuffle_verses(book: Book, seed: int) -> Book:
     """Permute the verse order of a book (verse contents untouched)."""
-    verses = list(book.verses)
-    Xorshift64Star(seed).shuffle(verses)
-    return replace(book, verses=tuple(verses))
+    perm = _stream(seed).permutation([len(book.verses)])
+    return replace(book, verses=tuple(book.verses[i] for i in perm))
 
 
-def original_variant(book: Book, seeds: Mapping[str, int] | None = None) -> BookVariant:
-    """Wrap a (typically verse-shuffled) book as the untransformed variant."""
-    return BookVariant(kind="original", sequence=flatten(book), seeds=dict(seeds or {}))
-
-
-def destroy_word_order(book: Book, seed: int, scope: str = "per_verse") -> BookVariant:
+def destroy_word_order(book: Book, seed: int, scope: str = "per_verse") -> str:
     """Permute token order, leaving every token itself intact.
 
     ``per_verse`` permutes each verse's tokens independently;
-    ``per_book`` permutes the token stream of the whole book and lays
-    the tokens back into the original verse slots (same token count per
-    verse), so the flattened character count is unchanged in both
-    scopes.
+    ``per_book`` permutes the token stream of the whole book. Either way
+    the permuted tokens are joined by spaces, which equals laying them
+    back into the verse slots (same token count per verse) and joining
+    the verses, so the character count is unchanged in both scopes.
     """
     if scope not in ORDER_SCOPES:
         raise ValueError(f"unknown order-destruction scope {scope!r}")
-    rng = Xorshift64Star(seed)
-    if scope == "per_verse":
-        new_verses = []
-        for verse in book.verses:
-            tokens = verse.text.split(" ")
-            rng.shuffle(tokens)
-            new_verses.append(Verse(verse.ref, " ".join(tokens)))
-    else:
-        counts = [v.text.count(" ") + 1 for v in book.verses]
-        tokens = [t for v in book.verses for t in v.text.split(" ")]
-        rng.shuffle(tokens)
-        new_verses = []
-        offset = 0
-        for verse, k in zip(book.verses, counts):
-            new_verses.append(Verse(verse.ref, " ".join(tokens[offset : offset + k])))
-            offset += k
-    shuffled = replace(book, verses=tuple(new_verses))
-    return BookVariant(
-        kind="order_destroyed",
-        sequence=flatten(shuffled),
-        seeds={"order_shuffle": seed},
-    )
+    texts = [v.text for v in book.verses]
+    tokens = " ".join(texts).split(" ")
+    counts = [len(tokens)] if scope == "per_book" else [t.count(" ") + 1 for t in texts]
+    perm = _stream(seed).permutation(counts)
+    return " ".join([tokens[i] for i in perm])
 
 
 def _maskable(char: str) -> bool:
@@ -250,13 +273,26 @@ def build_mask_table(
         if len(alpha) ** length < count:
             raise MaskSpaceExhaustedError(length, count, len(alpha))
 
-    rng = Xorshift64Star(seed)
+    # Every draw of the table is randbelow(k) on one stream, so the draws
+    # are made in bulk and each mask (or discarded mask) takes the next
+    # len(word) of them.
     k = len(alpha)
+    stream = _stream(seed)
+
+    def draw(count: int) -> str:
+        return "".join([alpha[i] for i in stream.draws(k, count)])
+
+    pool = draw(sum(map(len, types))) if types else ""
+    pos = 0
     used: set[str] = set()
     table: dict[str, str] = {}
     for word in types:
         while True:
-            mask = "".join(alpha[rng.randbelow(k)] for _ in range(len(word)))
+            if pos + len(word) > len(pool):
+                pool = pool[pos:] + draw(len(word))
+                pos = 0
+            mask = pool[pos : pos + len(word)]
+            pos += len(word)
             if mask not in used:
                 break
         used.add(mask)
@@ -264,24 +300,28 @@ def build_mask_table(
     return MaskTable(table=table, mask_alphabet=tuple(alpha), seed=seed)
 
 
-def mask_word_structure(book: Book, table: MaskTable) -> BookVariant:
+def mask_word_structure(book: Book, table: MaskTable) -> str:
     """Replace every token of a length >= 2 type by its mask, everywhere.
 
     Token positions, spaces and verse boundaries are untouched, so the
     character count, the per-token lengths and the frequency spectrum
     survive; only the internal make-up of words is destroyed.
     """
-    new_verses = [
-        Verse(v.ref, " ".join(table.apply(t) for t in v.text.split(" ")))
-        for v in book.verses
-    ]
-    masked = replace(book, verses=tuple(new_verses))
-    return BookVariant(
-        kind="structure_masked",
-        sequence=flatten(masked),
-        seeds={"mask_draw": table.seed},
-        mask_table=table,
-    )
+    tokens = " ".join([v.text for v in book.verses]).split(" ")
+    masks = {}
+    # First-occurrence order, so an uncovered token is reported as it
+    # appears in the text.
+    for token in dict.fromkeys(tokens):
+        if len(token) < 2:
+            masks[token] = token
+        elif token in table.table:
+            masks[token] = table.table[token]
+        else:
+            raise ValueError(
+                f"token {token!r} is not covered by this mask table; the table "
+                "was built from a different lexicon"
+            )
+    return " ".join([masks[t] for t in tokens])
 
 
 def dump_mask_table(table: MaskTable, fh: IO[str]) -> None:

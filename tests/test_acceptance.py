@@ -171,9 +171,9 @@ def test_criterion_3_transform_invariants():
         tokens = seq.chars.split(" ")
 
         table = build_mask_table(seq.lexicon, seq.alphabet, seed)
-        masked = mask_word_structure(book, table).sequence
-        masked_tokens = masked.chars.split(" ")
-        assert masked.n == seq.n
+        masked = mask_word_structure(book, table)
+        masked_tokens = masked.split(" ")
+        assert len(masked) == seq.n
         assert len(masked_tokens) == len(tokens)
         assert [len(t) for t in masked_tokens] == [len(t) for t in tokens]
         assert sorted(Counter(masked_tokens).values()) == sorted(
@@ -188,13 +188,13 @@ def test_criterion_3_transform_invariants():
             v.text for v in book.verses
         )
 
-        order = destroy_word_order(book, seed, scope="per_verse").sequence
-        out_iter = iter(order.chars.split(" "))
+        order = destroy_word_order(book, seed, scope="per_verse")
+        out_iter = iter(order.split(" "))
         for verse in book.verses:
             verse_tokens = verse.text.split(" ")
             got = [next(out_iter) for _ in verse_tokens]
             assert Counter(got) == Counter(verse_tokens)
-        assert order.n == seq.n
+        assert len(order) == seq.n
         checked += 1
 
     report(3, "transform invariants", checked == 500, f"{checked} random books, all exact")

@@ -240,6 +240,24 @@ class TestStats:
         assert self._stats_with_row(tmp_path, caplog, row) == 1
         assert "non-finite" in caplog.text
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_nonpositive_n_row_fatal(self, tmp_path, caplog, n):
+        row = f"t4,lt4,40,0,{n},2.5,2.6,2.8,0.1,0.3"
+        assert self._stats_with_row(tmp_path, caplog, row) == 1
+        assert "N must be >= 1" in caplog.text
+
+    def test_d_order_not_difference_fatal(self, tmp_path, caplog):
+        # 2.6 - 2.5 = 0.1; 0.1001 is off by far more than 6-digit rounding.
+        row = "t4,lt4,40,0,1000,2.5,2.6,2.8,0.1001,0.3"
+        assert self._stats_with_row(tmp_path, caplog, row) == 1
+        assert "d_order = 0.1001 but h_order - h_original = 0.1" in caplog.text
+
+    def test_d_structure_not_difference_fatal(self, tmp_path, caplog):
+        # A sign slip: h_original - h_structure instead of the reverse.
+        row = "t4,lt4,40,0,1000,2.5,2.6,2.8,0.1,-0.3"
+        assert self._stats_with_row(tmp_path, caplog, row) == 1
+        assert "d_structure = -0.3" in caplog.text
+
     def test_duplicate_unit_row_fatal(self, tmp_path, caplog):
         row = "t1,lt1,40,0,1000,2.5,2.6,2.8,0.1,0.3"
         assert self._stats_with_row(tmp_path, caplog, row) == 1

@@ -7,6 +7,7 @@ kernel wherever it builds) and the pure-Python automaton it falls back to.
 from __future__ import annotations
 
 import io
+import json
 import logging
 import math
 import os
@@ -21,7 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wordtradeoff import entropy
+from test_golden import CORPORA, GOLDEN
+from wordtradeoff import cli, entropy
 from wordtradeoff.entropy import (
     MatchLengths,
     dump_match_lengths,
@@ -193,6 +195,17 @@ class TestKernels:
             pytest.skip(f"no C compiler {cc!r}: the Python automaton is the kernel")
         assert kernel_name() == "c"
 
+    def test_source_compiles_with_warnings_as_errors(self, tmp_path):
+        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+        if shutil.which(cc[0]) is None:
+            pytest.skip(f"no C compiler {cc[0]!r}")
+        result = subprocess.run(
+            [*cc, *entropy._KERNEL_CFLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "kernels.so"), str(entropy._KERNEL_SOURCE)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+
     @pytest.mark.parametrize("source", ["iid-k4", "fibonacci", "unicode-iid"])
     def test_compiled_equals_python_beyond_naive_cap(self, source):
         n = 100_000
@@ -205,25 +218,36 @@ class TestKernels:
             s = "".join(symbols[i] for i in np.random.default_rng(9).integers(0, 4, n))
         assert np.array_equal(match_lengths(s).values, python_automaton(s).values)
 
-    def test_load_failure_falls_back_with_one_warning(self, monkeypatch, caplog):
+    def test_load_failure_falls_back_with_one_warning(self, monkeypatch, caplog, tmp_path):
         def no_compiler():
             raise FileNotFoundError(2, "No such file or directory", "cc")
 
-        monkeypatch.setattr(entropy, "_build_kernel", no_compiler)
-        entropy._load_kernel.cache_clear()
+        monkeypatch.setattr(entropy, "_build_library", no_compiler)
+        entropy.load_library.cache_clear()
+        out = tmp_path / "out"
         try:
             with caplog.at_level(logging.WARNING, logger="wordtradeoff.entropy"):
                 first = match_lengths("montana bananas")
                 second = match_lengths("abab")
                 assert kernel_name() == "python"
+                # The whole pipeline, transforms included, falls back.
+                code = cli.main([
+                    "analyze", *(str(GOLDEN / name) for name in CORPORA),
+                    "--format", "tsv", "--books", "1", "--replicates", "2",
+                    "--order-scope", "book", "--workers", "1", "--out", str(out),
+                ])
         finally:
-            entropy._load_kernel.cache_clear()
+            entropy.load_library.cache_clear()
         warnings = [r for r in caplog.records if r.name == "wordtradeoff.entropy"]
         assert len(warnings) == 1
         message = warnings[0].getMessage()
         assert "FileNotFoundError" in message and "install a C compiler" in message
         assert np.array_equal(first.values, match_lengths_naive("montana bananas").values)
         assert second.values.tolist() == [1, 1, 3, 2]
+        assert code == 0
+        expected = GOLDEN / "expected" / "order-scope-book" / "results.csv"
+        assert (out / "results.csv").read_bytes() == expected.read_bytes()
+        assert json.loads((out / "manifest.json").read_text())["kernel"] == "python"
 
     def test_concurrent_first_builds_leave_one_library(self, tmp_path):
         # Fresh processes racing to build into an empty cache must each
@@ -249,18 +273,18 @@ class TestKernels:
         outputs = [proc.communicate(timeout=300)[0] for proc in procs]
         assert [proc.returncode for proc in procs] == [0, 0, 0, 0]
         assert outputs == ["c [1, 1, 3, 2]\n"] * 4
-        built = [p.name for p in (package / "__pycache__").glob("_matchlen*")]
+        built = [p.name for p in (package / "__pycache__").glob("_kernels*")]
         assert len(built) == 1 and built[0].endswith(".so")
 
     def test_inputs_beyond_compiled_limit_use_python(self, monkeypatch):
-        compiled = entropy._load_kernel()
-        if compiled is None:
+        library = entropy.load_library()
+        if library is None:
             pytest.skip("compiled kernel unavailable")
         monkeypatch.setattr(entropy, "_C_MAX_N", 3)
         with pytest.raises(ValueError):
-            compiled("abab")
+            entropy._compiled_lengths(library, "abab")
         with pytest.raises(ValueError):
-            compiled("")
+            entropy._compiled_lengths(library, "")
         assert match_lengths("abab").values.tolist() == [1, 1, 3, 2]
 
 
@@ -310,6 +334,30 @@ class TestOracleCheck:
     def test_zero_cases_vacuous(self):
         report = run_oracle_check(count=0)
         assert report.passed
+
+    @pytest.mark.parametrize("symbol", ["é", "😀", "\ud800"])
+    def test_fault_on_multibyte_or_surrogate_input_found(self, symbol):
+        def faulty(s):
+            ml = match_lengths_naive(s)
+            if symbol in s:
+                return MatchLengths(ml.values.tolist() + [1])
+            return ml
+
+        report = run_oracle_check(count=100, max_len=100, seed=3, fast_fn=faulty)
+        assert not report.passed
+        assert report.counterexample == symbol
+
+    def test_fault_on_long_runs_found(self):
+        def faulty(s):
+            ml = match_lengths_naive(s)
+            if max(ml.values) > 40:
+                return MatchLengths(ml.values.tolist() + [1])
+            return ml
+
+        # iid cases over 2..30 symbols almost never match 40 chars deep.
+        report = run_oracle_check(count=100, max_len=100, seed=4, fast_fn=faulty)
+        assert not report.passed
+        assert max(match_lengths_naive(report.counterexample).values) > 40
 
     def test_injected_fault_found_and_shrunk(self):
         def faulty(s):

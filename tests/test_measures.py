@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 
@@ -21,7 +22,6 @@ from wordtradeoff.measures import (
     sort_measurements,
     write_results_csv,
 )
-from wordtradeoff.transforms import original_variant
 
 
 def book_from_texts(texts, book_id=40, tid="t1", lang="deu"):
@@ -49,7 +49,7 @@ def fake_measurement(tid="t", lang="und", book=40, rep=0, d_order=0.1, d_structu
 class TestMeasureBook:
     def test_identity_order_destruction_gives_zero_d_order(self, monkeypatch):
         def identity_destroy(book, seed, scope="per_verse"):
-            return original_variant(book, {"order_shuffle": seed})
+            return flatten(book).chars
 
         monkeypatch.setattr(measures, "destroy_word_order", identity_destroy)
         book = random_book(1, max_verses=6)
@@ -170,6 +170,25 @@ class TestSerialization:
         assert format_float(1 / 3) == "0.333333"
         assert format_float(1234567.0) == "1.23457e+06"
         assert format_float(0.25) == "0.25"
+
+    def test_rows_rounded_to_six_digits_accepted(self):
+        # The d_* check must allow the rounding of all three written values,
+        # at any magnitude and sign.
+        rng = random.Random(5)
+        ms = []
+        for rep in range(3000):
+            scale = 10.0 ** rng.randint(-4, 4)
+            h = rng.uniform(0.1, 9.99) * scale
+            d_order = rng.uniform(-1, 1) * 10.0 ** rng.randint(-6, 0) * h
+            d_structure = rng.uniform(-1, 1) * 10.0 ** rng.randint(-6, 0) * h
+            ms.append(BookMeasurement(
+                translation_id="t", language="und", book_id=40, replicate=rep,
+                n_chars=10, h_original=h, h_order=h + d_order, h_structure=h + d_structure,
+                d_order=d_order, d_structure=d_structure,
+            ))
+        buf = io.StringIO()
+        write_results_csv(ms, buf)
+        assert len(read_results_csv(io.StringIO(buf.getvalue()))) == 3000
 
     def test_schema_mismatch_rejected(self):
         with pytest.raises(ValueError, match="schema"):

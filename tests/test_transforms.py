@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import io
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_book
+from wordtradeoff import transforms
 from wordtradeoff.corpus import Book, Verse, VerseRef, flatten
+from wordtradeoff.entropy import load_library
 from wordtradeoff.transforms import (
+    CompiledXorshift64Star,
     MaskSpaceExhaustedError,
     MaskTable,
     SeedSpec,
@@ -20,7 +24,6 @@ from wordtradeoff.transforms import (
     destroy_word_order,
     dump_mask_table,
     mask_word_structure,
-    original_variant,
     shuffle_verses,
 )
 
@@ -110,6 +113,128 @@ class TestXorshift:
         assert items != list(range(50))
 
 
+def make_stream(kind, seed):
+    """A stream of the given implementation, skipping where C is unavailable."""
+    if kind == "python":
+        return Xorshift64Star(seed)
+    library = load_library()
+    if library is None:
+        pytest.skip("compiled library unavailable")
+    return CompiledXorshift64Star(seed, library)
+
+
+STREAM_KINDS = ("python", "compiled")
+
+
+class TestSeedVectors:
+    """The test vectors of docs/seeds.md section 7, for both implementations."""
+
+    SPEC = SeedSpec(master_seed=2016, translation_id="deu_x", book_id=40,
+                    replicate_index=1, purpose="order_shuffle")
+    SEED = 0x3366E93FE77FBAF5
+
+    def test_derive_seed(self):
+        assert derive_seed(self.SPEC) == self.SEED
+
+    def test_first_outputs(self):
+        rng = Xorshift64Star(self.SEED)
+        assert [rng.next_u64() for _ in range(5)] == [
+            0xF3D485C3F9990637,
+            0x55D7A99B9F329331,
+            0xFDD95AA8A29D5557,
+            0xF0BBE0648F7BC222,
+            0x0D98D21730B1633F,
+        ]
+
+    @pytest.mark.parametrize("kind", STREAM_KINDS)
+    def test_randbelow_power_of_two(self, kind):
+        rng = make_stream(kind, self.SEED)
+        assert rng.draws(16, 8) == [7, 1, 7, 2, 15, 6, 4, 6]
+        assert rng.state == 0x17B17CACFCDEC91E
+
+    @pytest.mark.parametrize("kind", STREAM_KINDS)
+    def test_randbelow_half_rejected(self, kind):
+        rng = make_stream(kind, self.SEED)
+        assert rng.draws(2**63 + 1, 4) == [
+            6185599099072582449,
+            979763915996095295,
+            1258537110820010022,
+            3906334213700664500,
+        ]
+        assert rng.state == 0x38DB13A68E99B544
+
+    @pytest.mark.parametrize("kind", STREAM_KINDS)
+    def test_per_verse_permutation(self, kind):
+        rng = make_stream(kind, self.SEED)
+        assert rng.permutation([3, 1, 5]) == [0, 2, 1, 3, 5, 4, 7, 6, 8]
+        assert rng.state == 0x7E2F06D314CA8DDE
+
+
+class TestCompiledStream:
+    """The compiled draws equal the Python reference, draw for draw."""
+
+    LENGTHS = (0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65, 256, 257, 1000)
+
+    def test_permutations_and_states_agree(self):
+        make_stream("compiled", 1)  # skips where C is unavailable
+        rng = random.Random(11)
+        for _ in range(200):
+            seed = rng.getrandbits(64)
+            counts = [rng.choice(self.LENGTHS) for _ in range(rng.randint(0, 12))]
+            python, compiled = make_stream("python", seed), make_stream("compiled", seed)
+            perm = python.permutation(counts)
+            assert compiled.permutation(counts) == perm, (seed, counts)
+            assert compiled.state == python.state, (seed, counts)
+            assert sorted(perm) == list(range(sum(counts)))
+
+    def test_draws_and_states_agree(self):
+        make_stream("compiled", 1)
+        rng = random.Random(12)
+        bounds = [1, 2, 3, 7, 2**32, 2**32 + 1, 2**63, 2**63 + 1, 2**64 - 1]
+        for _ in range(200):
+            seed = rng.getrandbits(64)
+            bound = rng.choice(bounds + [rng.randint(1, 10**6)])
+            count = rng.randint(0, 300)
+            python, compiled = make_stream("python", seed), make_stream("compiled", seed)
+            assert compiled.draws(bound, count) == python.draws(bound, count), (seed, bound)
+            assert compiled.state == python.state, (seed, bound)
+
+    def test_interleaves_with_python_draws(self):
+        python, compiled = make_stream("python", 5), make_stream("compiled", 5)
+        for rng in (python, compiled):
+            rng.next_u64()
+        assert compiled.permutation([4, 7]) == python.permutation([4, 7])
+        assert compiled.next_u64() == python.next_u64()
+        assert compiled.draws(10, 5) == python.draws(10, 5)
+
+    @pytest.mark.parametrize("kind", STREAM_KINDS)
+    def test_bad_arguments_rejected(self, kind):
+        rng = make_stream(kind, 1)
+        with pytest.raises(ValueError):
+            rng.permutation([2, -1])
+        with pytest.raises(ValueError):
+            rng.draws(0, 3)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_transforms_agree_without_the_library(self, seed, monkeypatch):
+        book = random_book(seed, max_verses=30)
+        seq = flatten(book)
+
+        def run():
+            table = build_mask_table(seq.lexicon, seq.alphabet, seed)
+            return (
+                shuffle_verses(book, seed).verses,
+                destroy_word_order(book, seed, "per_verse"),
+                destroy_word_order(book, seed, "per_book"),
+                table.table,
+                mask_word_structure(book, table),
+            )
+
+        compiled = run()
+        monkeypatch.setattr(transforms, "load_library", lambda: None)
+        assert run() == compiled
+
+
 class TestShuffleVerses:
     def test_single_verse_unchanged(self):
         book = one_verse_book("hello there")
@@ -136,21 +261,21 @@ class TestDestroyWordOrder:
     def test_song_line_token_multiset(self):
         book = one_verse_book(SONG_LINE)
         variant = destroy_word_order(book, seed=123)
-        out_tokens = variant.sequence.chars.split(" ")
+        out_tokens = variant.split(" ")
         assert len(out_tokens) == 14
         assert Counter(out_tokens) == Counter(SONG_LINE.split(" "))
         assert Counter(out_tokens) == Counter(SONG_SHUFFLED.split(" "))
 
     def test_single_token_verse_unchanged(self):
         book = one_verse_book("hello")
-        assert destroy_word_order(book, 1).sequence.chars == "hello"
+        assert destroy_word_order(book, 1) == "hello"
 
     def test_per_verse_counts_preserved(self):
         book = random_book(11, max_verses=8)
         variant = destroy_word_order(book, 99, scope="per_verse")
         original = [v.text.split(" ") for v in book.verses]
         # Reconstruct per-verse token lists from the flattened output.
-        out_iter = iter(variant.sequence.chars.split(" "))
+        out_iter = iter(variant.split(" "))
         for verse_tokens in original:
             got = [next(out_iter) for _ in verse_tokens]
             assert Counter(got) == Counter(verse_tokens)
@@ -159,8 +284,8 @@ class TestDestroyWordOrder:
         book = random_book(12, max_verses=8)
         variant = destroy_word_order(book, 99, scope="per_book")
         before = flatten(book)
-        assert variant.sequence.n == before.n
-        assert Counter(variant.sequence.chars.split(" ")) == Counter(
+        assert len(variant) == before.n
+        assert Counter(variant.split(" ")) == Counter(
             before.chars.split(" ")
         )
 
@@ -170,8 +295,8 @@ class TestDestroyWordOrder:
 
     def test_determinism(self):
         book = random_book(13)
-        a = destroy_word_order(book, 7).sequence.chars
-        b = destroy_word_order(book, 7).sequence.chars
+        a = destroy_word_order(book, 7)
+        b = destroy_word_order(book, 7)
         assert a == b
 
 
@@ -221,6 +346,23 @@ class TestMaskTable:
         table = build_mask_table(types, set("ab"), seed=0)
         assert sorted(table.table.values()) == sorted(types)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_per_character_reference(self, seed):
+        # Nearly full mask spaces force many whole-mask redraws.
+        alpha = "abc"
+        types = [a + b for a in alpha for b in alpha][seed % 3 :]
+        types += [a + b + c for a in alpha for b in alpha for c in alpha][: 20 + seed]
+        rng = Xorshift64Star(seed)
+        expected, used = {}, set()
+        for word in sorted(types):
+            while True:
+                mask = "".join(alpha[rng.randbelow(3)] for _ in word)
+                if mask not in used:
+                    break
+            used.add(mask)
+            expected[word] = mask
+        assert build_mask_table(types, alpha, seed).table == expected
+
     def test_dump_format(self):
         table = MaskTable(table={"ab": "xy", "cd": "zw"}, mask_alphabet=tuple("wxyz"), seed=0)
         buf = io.StringIO()
@@ -234,7 +376,7 @@ class TestMaskWordStructure:
         seq = flatten(book)
         table = build_mask_table(seq.lexicon, seq.alphabet, seed=77)
         variant = mask_word_structure(book, table)
-        out = variant.sequence.chars.split(" ")
+        out = variant.split(" ")
         src = SONG_LINE.split(" ")
         cond_positions = [i for i, t in enumerate(src) if t == "condition"]
         assert len(cond_positions) == 2
@@ -249,14 +391,14 @@ class TestMaskWordStructure:
         book = one_verse_book("a b c a")
         seq = flatten(book)
         table = build_mask_table(seq.lexicon, seq.alphabet, seed=1)
-        assert mask_word_structure(book, table).sequence.chars == "a b c a"
+        assert mask_word_structure(book, table) == "a b c a"
 
     def test_word_length_histogram_preserved(self):
         book = random_book(21)
         seq = flatten(book)
         table = build_mask_table(seq.lexicon, seq.alphabet, seed=2)
-        out = mask_word_structure(book, table).sequence
-        assert Counter(map(len, out.chars.split(" "))) == Counter(
+        out = mask_word_structure(book, table)
+        assert Counter(map(len, out.split(" "))) == Counter(
             map(len, seq.chars.split(" "))
         )
 
@@ -264,8 +406,8 @@ class TestMaskWordStructure:
         book = random_book(22)
         seq = flatten(book)
         table = build_mask_table(seq.lexicon, seq.alphabet, seed=3)
-        out = mask_word_structure(book, table).sequence
-        assert sorted(Counter(out.chars.split(" ")).values()) == sorted(
+        out = mask_word_structure(book, table)
+        assert sorted(Counter(out.split(" ")).values()) == sorted(
             Counter(seq.chars.split(" ")).values()
         )
 
@@ -273,7 +415,7 @@ class TestMaskWordStructure:
         book = random_book(23)
         seq = flatten(book)
         table = build_mask_table(seq.lexicon, seq.alphabet, seed=4)
-        masked = mask_word_structure(book, table).sequence.chars
+        masked = mask_word_structure(book, table)
         inverse = table.inverse()
         restored = " ".join(
             inverse.get(t, t) if len(t) >= 2 else t for t in masked.split(" ")
@@ -299,16 +441,10 @@ class TestVariantInvariants:
         order = destroy_word_order(shuffled, seed + 1)
         table = build_mask_table(seq.lexicon, seq.alphabet, seed + 2)
         masked = mask_word_structure(shuffled, table)
-        base = original_variant(shuffled)
+        base = flatten(shuffled).chars
 
         for variant in (base, order, masked):
-            assert variant.sequence.n == seq.n
-            out_lengths = [len(t) for t in variant.sequence.chars.split(" ")]
+            assert len(variant) == seq.n
+            out_lengths = [len(t) for t in variant.split(" ")]
             assert len(out_lengths) == len(token_lengths)
             assert sorted(out_lengths) == sorted(token_lengths)
-
-    def test_original_variant_preserves_token_sequence(self):
-        book = random_book(99)
-        variant = original_variant(book)
-        assert variant.sequence.chars == flatten(book).chars
-        assert variant.kind == "original"
