@@ -26,7 +26,6 @@ from .entropy import (
     EntropyEstimate,
     MatchLengths,
     entropy_rate,
-    estimate,
     match_lengths,
     match_lengths_naive,
     run_oracle_check,
@@ -97,7 +96,6 @@ __all__ = [
     "derive_seed",
     "destroy_word_order",
     "entropy_rate",
-    "estimate",
     "exact_perm_test",
     "fit_reciprocal",
     "flatten",

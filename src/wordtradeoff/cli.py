@@ -68,8 +68,6 @@ from .testkit import generate, iid_source, markov_source, render_toy_corpus, toy
 
 logger = logging.getLogger(__name__)
 
-_SCOPE_BY_FLAG = {"verse": "per_verse", "book": "per_book"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -82,7 +80,6 @@ class RunConfig:
     replicates: int = 3
     truncate: str = "token"  # off | token | char
     order_scope: str = "verse"  # verse | book
-    group_by: str = "language"
     verse_shuffle: bool = True
     workers: int = 1
     out_dir: str = "results"
@@ -92,7 +89,7 @@ class RunConfig:
         return MeasureConfig(
             master_seed=self.master_seed,
             replicates=self.replicates,
-            order_scope=_SCOPE_BY_FLAG[self.order_scope],
+            order_scope=self.order_scope,
             verse_shuffle=self.verse_shuffle,
         )
 
@@ -115,6 +112,21 @@ def _books_arg(text: str) -> tuple[int, ...]:
     return ids
 
 
+def _count_arg(minimum: int):
+    """An argparse type for an integer count of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad count {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wordtradeoff", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -130,10 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated canonical book ids (default: %(default)s)",
     )
     p_an.add_argument("--seed", type=int, default=0, help="master seed")
-    p_an.add_argument("--replicates", type=int, default=3)
+    p_an.add_argument("--replicates", type=_count_arg(1), default=3)
     p_an.add_argument("--truncate", choices=("off", "token", "char"), default="token")
     p_an.add_argument("--order-scope", choices=("verse", "book"), default="verse")
-    p_an.add_argument("--group-by", choices=("translation", "language"), default="language")
     p_an.add_argument(
         "--no-verse-shuffle",
         action="store_true",
@@ -155,11 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_st.add_argument("--out", default=None, help="output directory (default: alongside results)")
 
     p_oc = sub.add_parser("oracle-check", help="fast vs naive match-length check")
-    p_oc.add_argument("--count", type=int, default=1000)
-    p_oc.add_argument("--min-len", type=int, default=1)
-    p_oc.add_argument("--max-len", type=int, default=2000)
-    p_oc.add_argument("--alpha-min", type=int, default=2)
-    p_oc.add_argument("--alpha-max", type=int, default=30)
+    p_oc.add_argument("--count", type=_count_arg(0), default=1000)
+    p_oc.add_argument("--min-len", type=_count_arg(1), default=1)
+    p_oc.add_argument("--max-len", type=_count_arg(1), default=2000)
+    p_oc.add_argument("--alpha-min", type=_count_arg(1), default=2)
+    p_oc.add_argument("--alpha-max", type=_count_arg(1), default=30)
     p_oc.add_argument("--seed", type=int, default=0)
 
     p_sy = sub.add_parser("synth", help="emit synthetic corpora (tsv format)")
@@ -167,21 +178,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_toy = sy_sub.add_parser("toy", help="toy positional/affixal language")
     p_toy.add_argument("--mode", choices=("positional", "affixal"), required=True)
-    p_toy.add_argument("--sentences", type=int, default=500)
+    p_toy.add_argument("--sentences", type=_count_arg(1), default=500)
     p_toy.add_argument("--seed", type=int, default=0, help="message-stream seed")
     p_toy.add_argument("--vocab-seed", type=int, default=None, help="default: --seed")
     p_toy.add_argument("--out", default="-", help="output file or - for stdout")
 
     p_strm = sy_sub.add_parser("stream", help="iid or first-order Markov symbol stream")
     p_strm.add_argument("--kind", choices=("iid", "markov1"), required=True)
-    p_strm.add_argument("--k", type=int, default=4, help="alphabet size (iid)")
+    p_strm.add_argument("--k", type=_count_arg(1), default=4, help="alphabet size (iid)")
     p_strm.add_argument("--probs", default=None, help="comma-separated iid probabilities")
     p_strm.add_argument(
         "--transition",
         default=None,
         help="semicolon-separated rows of comma-separated probabilities",
     )
-    p_strm.add_argument("--n", type=int, default=100_000)
+    p_strm.add_argument("--n", type=_count_arg(1), default=100_000)
     p_strm.add_argument("--seed", type=int, default=0)
     p_strm.add_argument("--chunk", type=int, default=60, help="characters per verse line")
     p_strm.add_argument("--out", default="-")
@@ -191,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "analyze":
         config = RunConfig(
             inputs=tuple(args.inputs),
@@ -201,7 +213,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             replicates=args.replicates,
             truncate=args.truncate,
             order_scope=args.order_scope,
-            group_by=args.group_by,
             verse_shuffle=not args.no_verse_shuffle,
             workers=args.workers,
             out_dir=args.out,
@@ -216,6 +227,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             out_dir=args.out,
         )
     if args.command == "oracle-check":
+        if args.min_len > args.max_len:
+            parser.error("--min-len must not exceed --max-len")
+        if args.alpha_min > args.alpha_max:
+            parser.error("--alpha-min must not exceed --alpha-max")
         return cmd_oracle_check(
             count=args.count,
             min_len=args.min_len,
@@ -311,24 +326,32 @@ def cmd_analyze(config: RunConfig) -> int:
 
 
 def _collect_books(config: RunConfig) -> tuple[list[Book], dict[str, list[int]]]:
-    """Parse inputs, select and (optionally) truncate the requested books."""
+    """Parse inputs, select and (optionally) truncate the requested books.
+
+    Raises ValueError when two inputs carry the same translation id, since
+    their rows would share (translation, book, replicate) keys.
+    """
     work: list[Book] = []
     missing_report: dict[str, list[int]] = {}
+    path_by_id: dict[str, str] = {}
     for path in config.inputs:
         translation = parse_corpus(Path(path), config.fmt, lowercase=config.lowercase)
+        tid = translation.translation_id
+        if tid in path_by_id:
+            raise ValueError(
+                f"inputs {path_by_id[tid]} and {path} both have translation id {tid!r}; "
+                "give each a distinct '# translation_id: ...' comment"
+            )
+        path_by_id[tid] = path
         found, missing = select_books(translation, config.books)
         if missing:
-            missing_report[translation.translation_id] = sorted(missing)
+            missing_report[tid] = sorted(missing)
         if not found:
             continue
         if config.truncate != "off" and len(found) >= 2:
-            granularity = "token" if config.truncate == "token" else "character"
-            found = truncate_books(found, granularity)
+            found = truncate_books(found, config.truncate)
         elif config.truncate != "off":
-            logger.info(
-                "translation %s has a single selected book; nothing to truncate",
-                translation.translation_id,
-            )
+            logger.info("translation %s has a single selected book; nothing to truncate", tid)
         work.extend(found)
     return work, missing_report
 
@@ -444,10 +467,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     else:
         try:
             source = _stream_source(args)
+            seq = generate(source, args.n, args.seed)
         except ValueError as exc:
             logger.error("%s", exc)
             return 1
-        seq = generate(source, args.n, args.seed)
         chunk = max(1, args.chunk)
         verses = [
             seq.chars[i : i + chunk] for i in range(0, len(seq.chars), chunk)

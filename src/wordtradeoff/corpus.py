@@ -101,10 +101,6 @@ class Verse:
         if t != t.strip(" ") or "  " in t:
             raise ValueError(f"verse text not space-normalized at {self.ref}")
 
-    @property
-    def tokens(self) -> list[str]:
-        return self.text.split(" ")
-
 
 @dataclass(frozen=True)
 class Book:
@@ -120,17 +116,9 @@ class Book:
             raise ValueError(f"book {self.book_id} has no verses")
 
     @property
-    def name(self) -> str:
-        return BOOK_NAMES.get(self.book_id, f"book {self.book_id}")
-
-    @property
     def char_length(self) -> int:
         """Character count of the flattened book (verses joined by spaces)."""
         return sum(len(v.text) for v in self.verses) + len(self.verses) - 1
-
-    @property
-    def token_count(self) -> int:
-        return sum(v.text.count(" ") + 1 for v in self.verses)
 
 
 @dataclass(frozen=True)
@@ -141,10 +129,6 @@ class Translation:
     language: str
     books: Mapping[int, Book]
     provenance: Mapping[str, str] = field(default_factory=dict)
-
-    @property
-    def book_ids(self) -> list[int]:
-        return sorted(self.books)
 
 
 @dataclass(frozen=True)
@@ -163,10 +147,6 @@ class SymbolSequence:
     @property
     def n(self) -> int:
         return len(self.chars)
-
-    @property
-    def token_count(self) -> int:
-        return sum(self.lexicon.values())
 
 
 def symbol_sequence(chars: str) -> SymbolSequence:
@@ -295,12 +275,12 @@ def truncate_books(
 
     The shortest book is returned unchanged. With ``granularity="token"``
     the cut is placed at the last token boundary not exceeding the target
-    length, so no token is ever split; with ``granularity="character"``
-    the cut is exact (a trailing separator space is dropped). Books are
+    length, so no token is ever split; with ``granularity="char"`` the
+    cut is exact (a trailing separator space is dropped). Books are
     truncated in their given verse order, so any randomization should be
     applied afterwards.
     """
-    if granularity not in ("token", "character"):
+    if granularity not in ("token", "char"):
         raise ValueError(f"unknown truncation granularity {granularity!r}")
     books = list(books)
     if len(books) < 2:

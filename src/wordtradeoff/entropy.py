@@ -61,7 +61,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -112,7 +112,6 @@ class EntropyEstimate:
     h_bpc: float
     n_chars: int
     sum_term: float
-    provenance: str | None = None
 
 
 def _chars_of(seq: SequenceLike) -> str:
@@ -317,27 +316,13 @@ def _automaton_lengths(s: str) -> list[int]:
     return out
 
 
-def entropy_rate(ml: MatchLengths, provenance: str | None = None) -> EntropyEstimate:
+def entropy_rate(ml: MatchLengths) -> EntropyEstimate:
     """Turn a match-length array into a bits-per-character estimate."""
     n = ml.n
     values = np.asarray(ml.values, dtype=np.float64)
     denom = np.log2(np.arange(2, n + 2, dtype=np.float64))
     sum_term = float(np.sum(values / denom))
-    return EntropyEstimate(
-        h_bpc=n / sum_term, n_chars=n, sum_term=sum_term, provenance=provenance
-    )
-
-
-def estimate(seq: SequenceLike, provenance: str | None = None) -> EntropyEstimate:
-    """Convenience wrapper: fast match lengths plus the rate estimate."""
-    return entropy_rate(match_lengths(seq), provenance=provenance)
-
-
-def dump_match_lengths(ml: MatchLengths, fh: IO[str]) -> None:
-    """Write an ``index,l_i`` CSV (1-indexed) for estimator audits."""
-    fh.write("index,l_i\n")
-    for i, li in enumerate(ml.values, start=1):
-        fh.write(f"{i},{li}\n")
+    return EntropyEstimate(h_bpc=n / sum_term, n_chars=n, sum_term=sum_term)
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ _ROUNDING_6G = 5e-6 * (1 + 1e-9)
 class MeasureConfig:
     master_seed: int = 0
     replicates: int = 3
-    order_scope: str = "per_verse"
+    order_scope: str = "verse"
     verse_shuffle: bool = True
 
     def __post_init__(self) -> None:
@@ -204,62 +204,40 @@ def aggregate(
     if group_by not in GROUP_KEYS:
         raise ValueError(f"unknown grouping {group_by!r}")
 
-    per_translation: dict[tuple[str, int], dict] = {}
+    per_translation: dict[tuple[str, int], tuple[str, list[float], list[float]]] = {}
     for m in measurements:
-        slot = per_translation.setdefault(
-            (m.translation_id, m.book_id),
-            {"language": m.language, "d_order": [], "d_structure": []},
+        _, d_order, d_structure = per_translation.setdefault(
+            (m.translation_id, m.book_id), (m.language, [], [])
         )
-        slot["d_order"].append(m.d_order)
-        slot["d_structure"].append(m.d_structure)
+        d_order.append(m.d_order)
+        d_structure.append(m.d_structure)
 
-    def _stats(values: list[float]) -> tuple[float, float | None]:
-        mean = statistics.fmean(values)
-        std = statistics.stdev(values) if len(values) > 1 else None
-        return mean, std
+    # Each group's units: a translation's replicate values, or a
+    # language's per-translation means.
+    by_language = group_by == "language"
+    groups: dict[tuple[str, int], tuple[list[float], list[float]]] = {}
+    for (tid, book_id), (language, d_order, d_structure) in sorted(per_translation.items()):
+        if by_language:
+            d_order, d_structure = [statistics.fmean(d_order)], [statistics.fmean(d_structure)]
+        units = groups.setdefault((language if by_language else tid, book_id), ([], []))
+        units[0].extend(d_order)
+        units[1].extend(d_structure)
 
-    if group_by == "translation":
-        rows = []
-        for (tid, book_id), slot in sorted(per_translation.items()):
-            mo, so = _stats(slot["d_order"])
-            ms, ss = _stats(slot["d_structure"])
-            rows.append(
-                AggregateMeasurement(
-                    group=tid,
-                    book_id=book_id,
-                    mean_d_order=mo,
-                    mean_d_structure=ms,
-                    std_d_order=so,
-                    std_d_structure=ss,
-                    count=len(slot["d_order"]),
-                )
-            )
-        return rows
+    def std(values: list[float]) -> float | None:
+        return statistics.stdev(values) if len(values) > 1 else None
 
-    per_language: dict[tuple[str, int], dict] = {}
-    for (tid, book_id), slot in sorted(per_translation.items()):
-        lang_slot = per_language.setdefault(
-            (slot["language"], book_id), {"d_order": [], "d_structure": []}
+    return [
+        AggregateMeasurement(
+            group=group,
+            book_id=book_id,
+            mean_d_order=statistics.fmean(d_order),
+            mean_d_structure=statistics.fmean(d_structure),
+            std_d_order=std(d_order),
+            std_d_structure=std(d_structure),
+            count=len(d_order),
         )
-        lang_slot["d_order"].append(statistics.fmean(slot["d_order"]))
-        lang_slot["d_structure"].append(statistics.fmean(slot["d_structure"]))
-
-    rows = []
-    for (lang, book_id), slot in sorted(per_language.items()):
-        mo, so = _stats(slot["d_order"])
-        ms, ss = _stats(slot["d_structure"])
-        rows.append(
-            AggregateMeasurement(
-                group=lang,
-                book_id=book_id,
-                mean_d_order=mo,
-                mean_d_structure=ms,
-                std_d_order=so,
-                std_d_structure=ss,
-                count=len(slot["d_order"]),
-            )
-        )
-    return rows
+        for (group, book_id), (d_order, d_structure) in sorted(groups.items())
+    ]
 
 
 def sort_measurements(measurements: Iterable[BookMeasurement]) -> list[BookMeasurement]:

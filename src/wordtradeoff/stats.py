@@ -140,33 +140,26 @@ def exact_perm_test(
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Least-squares fit of y = beta0 + beta1 / x (beta0 = 0 if constrained)."""
+    """Least-squares fit of y = beta0 + beta1 / x."""
 
     beta0: float
     beta1: float
     r_squared: float
     residuals: tuple[float, ...]
     n_points: int
-    constrained: bool
-
-    def predict(self, x: float) -> float:
-        return self.beta0 + self.beta1 / x
 
 
-def fit_reciprocal(
-    points: Sequence[tuple[float, float]], constrained: bool = False
-) -> RegressionFit:
+def fit_reciprocal(points: Sequence[tuple[float, float]]) -> RegressionFit:
     """Fit the reciprocal trade-off model by exact linear least squares.
 
     The model is linear in u = 1/x, so the normal equations are solved in
-    closed form; the constrained variant forces beta0 = 0, making beta1
-    the constant of a pure inverse proportionality. Points with x = 0
-    are rejected with a diagnostic rather than silently dropped.
+    closed form. Points with x = 0 are rejected with a diagnostic rather
+    than silently dropped.
     """
     pts = list(points)
     n = len(pts)
-    if n < (1 if constrained else 2):
-        raise ValueError("not enough points for the requested fit")
+    if n < 2:
+        raise ValueError("not enough points for the fit")
     xs = np.asarray([p[0] for p in pts], dtype=np.float64)
     ys = np.asarray([p[1] for p in pts], dtype=np.float64)
     zero_idx = np.nonzero(xs == 0.0)[0]
@@ -176,18 +169,14 @@ def fit_reciprocal(
             "the reciprocal regressor is undefined there"
         )
     u = 1.0 / xs
-    if constrained:
-        beta1 = float((u @ ys) / (u @ u))
-        beta0 = 0.0
-    else:
-        u_mean = float(u.mean())
-        y_mean = float(ys.mean())
-        du = u - u_mean
-        suu = float(du @ du)
-        if suu == 0.0:
-            raise ValueError("all d_order values identical: slope undefined")
-        beta1 = float((du @ (ys - y_mean)) / suu)
-        beta0 = y_mean - beta1 * u_mean
+    u_mean = float(u.mean())
+    y_mean = float(ys.mean())
+    du = u - u_mean
+    suu = float(du @ du)
+    if suu == 0.0:
+        raise ValueError("all d_order values identical: slope undefined")
+    beta1 = float((du @ (ys - y_mean)) / suu)
+    beta0 = y_mean - beta1 * u_mean
     residuals = ys - (beta0 + beta1 * u)
     sse = float(residuals @ residuals)
     centered = ys - ys.mean()
@@ -202,7 +191,6 @@ def fit_reciprocal(
         r_squared=r_squared,
         residuals=tuple(float(r) for r in residuals),
         n_points=n,
-        constrained=constrained,
     )
 
 
@@ -212,11 +200,6 @@ class CorrelationMatrix:
 
     labels: tuple[str, ...]
     values: np.ndarray  # shape (len(labels), len(labels))
-
-    def entry(self, label_a: str, label_b: str) -> float:
-        i = self.labels.index(label_a)
-        j = self.labels.index(label_b)
-        return float(self.values[i, j])
 
 
 def correlation_matrix(

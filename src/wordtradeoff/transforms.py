@@ -2,11 +2,12 @@
 
 Three book variants feed the entropy comparison: the verse-shuffled
 original, a word-order-destroyed version (tokens permuted within each
-verse, or across the whole book), and a word-structure-masked version
-(every word type of length >= 2 replaced by a unique random
-same-length string over the book's own alphabet). All transforms
-preserve the basic quantitative profile of the text: character count,
-token count, per-token lengths and the type-token frequency spectrum.
+verse, scope ``"verse"``, or across the whole book, scope ``"book"``),
+and a word-structure-masked version (every word type of length >= 2
+replaced by a unique random same-length string over the book's own
+alphabet). All transforms preserve the basic quantitative profile of
+the text: character count, token count, per-token lengths and the
+type-token frequency spectrum.
 
 Randomization is bit-reproducible. Task seeds are derived from
 (master seed, translation, book, replicate, purpose) by a documented
@@ -32,7 +33,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,7 +47,7 @@ _FNV_PRIME = 0x100000001B3
 _GOLDEN = 0x9E3779B97F4A7C15
 
 PURPOSE_TAGS = ("verse_shuffle", "order_shuffle", "mask_draw")
-ORDER_SCOPES = ("per_verse", "per_book")
+ORDER_SCOPES = ("verse", "book")
 
 
 class MaskSpaceExhaustedError(ValueError):
@@ -221,9 +222,6 @@ class MaskTable:
     mask_alphabet: tuple[str, ...]
     seed: int
 
-    def inverse(self) -> dict[str, str]:
-        return {mask: word for word, mask in self.table.items()}
-
 
 def shuffle_verses(book: Book, seed: int) -> Book:
     """Permute the verse order of a book (verse contents untouched)."""
@@ -231,11 +229,11 @@ def shuffle_verses(book: Book, seed: int) -> Book:
     return replace(book, verses=tuple(book.verses[i] for i in perm))
 
 
-def destroy_word_order(book: Book, seed: int, scope: str = "per_verse") -> str:
+def destroy_word_order(book: Book, seed: int, scope: str = "verse") -> str:
     """Permute token order, leaving every token itself intact.
 
-    ``per_verse`` permutes each verse's tokens independently;
-    ``per_book`` permutes the token stream of the whole book. Either way
+    ``"verse"`` permutes each verse's tokens independently;
+    ``"book"`` permutes the token stream of the whole book. Either way
     the permuted tokens are joined by spaces, which equals laying them
     back into the verse slots (same token count per verse) and joining
     the verses, so the character count is unchanged in both scopes.
@@ -244,7 +242,7 @@ def destroy_word_order(book: Book, seed: int, scope: str = "per_verse") -> str:
         raise ValueError(f"unknown order-destruction scope {scope!r}")
     texts = [v.text for v in book.verses]
     tokens = " ".join(texts).split(" ")
-    counts = [len(tokens)] if scope == "per_book" else [t.count(" ") + 1 for t in texts]
+    counts = [len(tokens)] if scope == "book" else [t.count(" ") + 1 for t in texts]
     perm = _stream(seed).permutation(counts)
     return " ".join([tokens[i] for i in perm])
 
@@ -322,9 +320,3 @@ def mask_word_structure(book: Book, table: MaskTable) -> str:
                 "was built from a different lexicon"
             )
     return " ".join([masks[t] for t in tokens])
-
-
-def dump_mask_table(table: MaskTable, fh: IO[str]) -> None:
-    """Write the ``type<TAB>mask`` audit dump."""
-    for word in sorted(table.table):
-        fh.write(f"{word}\t{table.table[word]}\n")

@@ -188,7 +188,7 @@ def test_criterion_3_transform_invariants():
             v.text for v in book.verses
         )
 
-        order = destroy_word_order(book, seed, scope="per_verse")
+        order = destroy_word_order(book, seed, scope="verse")
         out_iter = iter(order.split(" "))
         for verse in book.verses:
             verse_tokens = verse.text.split(" ")

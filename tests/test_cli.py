@@ -66,6 +66,38 @@ class TestSynth:
         assert code == 1
 
 
+#: Count flags out of range or out of order, each a configuration error.
+BAD_COUNTS = [
+    ["analyze", "--format", "tsv", "--replicates", "0", "c.tsv"],
+    ["analyze", "--format", "tsv", "--replicates", "-2", "c.tsv"],
+    ["oracle-check", "--count", "-4"],
+    ["oracle-check", "--min-len", "5", "--max-len", "2"],
+    ["oracle-check", "--alpha-min", "0", "--alpha-max", "0"],
+    ["oracle-check", "--min-len", "0", "--max-len", "0"],
+    ["oracle-check", "--alpha-min", "9", "--alpha-max", "3"],
+    ["synth", "stream", "--kind", "iid", "--n", "0"],
+    ["synth", "stream", "--kind", "iid", "--k", "100"],
+    ["synth", "stream", "--kind", "iid", "--k", "0"],
+    ["synth", "toy", "--mode", "positional", "--sentences", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_COUNTS, ids=" ".join)
+def test_bad_count_exits_1_with_one_line(argv, tmp_path, monkeypatch, capsys, caplog):
+    monkeypatch.chdir(tmp_path)
+    write_two_book_corpus(tmp_path / "c.tsv")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    err = capsys.readouterr().err
+    messages = [line for line in err.splitlines() if line.startswith("error:")]
+    messages += [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(messages) == 1
+    assert "Traceback" not in err
+
+
 class TestAnalyze:
     def _run(self, tmp_path, **overrides) -> tuple[int, Path]:
         corpus = tmp_path / "toy1.tsv"
@@ -154,6 +186,20 @@ class TestAnalyze:
         assert code == 0
         rows = read_results_csv(out_dir / "results.csv")
         assert {r.book_id for r in rows} == {40}
+
+    def test_duplicate_translation_id_fatal(self, tmp_path, caplog):
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "x.tsv")
+            write_two_book_corpus(paths[-1])
+        out_dir = tmp_path / "out"
+        code = main(["analyze", "--format", "tsv", "--books", "40", "--out", str(out_dir),
+                     *map(str, paths)])
+        assert code == 1
+        assert not (out_dir / "results.csv").exists()
+        assert f"inputs {paths[0]} and {paths[1]} both have translation id 'x'" in caplog.text
+        assert "# translation_id:" in caplog.text
 
 
 class TestStats:
@@ -279,8 +325,8 @@ class TestOracleCheckCommand:
 class TestRunConfig:
     def test_order_scope_flag_mapping(self):
         cfg = RunConfig(inputs=(), order_scope="book")
-        assert cfg.measure_config().order_scope == "per_book"
-        assert RunConfig(inputs=()).measure_config().order_scope == "per_verse"
+        assert cfg.measure_config().order_scope == "book"
+        assert RunConfig(inputs=()).measure_config().order_scope == "verse"
 
     def test_no_verse_shuffle_mapping(self):
         cfg = RunConfig(inputs=(), verse_shuffle=False)
@@ -296,6 +342,12 @@ class TestParser:
     def test_bad_book_list_exits_1(self):
         with pytest.raises(SystemExit) as err:
             main(["analyze", "--books", "forty", "x.tsv"])
+        assert err.value.code == 1
+
+    def test_analyze_has_no_group_by(self):
+        # Grouping belongs to stats; analyze writes one row per unit.
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", "--group-by", "language", "x.tsv"])
         assert err.value.code == 1
 
     def test_version_flag(self, capsys):

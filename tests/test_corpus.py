@@ -211,7 +211,7 @@ class TestTruncate:
     def test_character_granularity_cuts_exactly(self):
         long_book = make_book(["alpha beta gamma delta"], book_id=40)
         short = make_book(["0123456789012"], book_id=66)  # 13 chars
-        out = truncate_books([long_book, short], "character")
+        out = truncate_books([long_book, short], "char")
         assert out[0].char_length == short.char_length
         assert flatten(out[0]).chars == flatten(long_book).chars[: short.char_length]
 
@@ -228,8 +228,10 @@ class TestTruncate:
             truncate_books([make_book(["just one"])])
 
     def test_bad_granularity(self):
-        with pytest.raises(ValueError):
-            truncate_books([make_book(["a b"]), make_book(["c d"], book_id=41)], "line")
+        books = [make_book(["a b"]), make_book(["c d"], book_id=41)]
+        for granularity in ("line", "character"):
+            with pytest.raises(ValueError):
+                truncate_books(books, granularity)
 
 
 class TestSelect:

@@ -6,7 +6,6 @@ kernel wherever it builds) and the pure-Python automaton it falls back to.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import math
@@ -26,9 +25,7 @@ from test_golden import CORPORA, GOLDEN
 from wordtradeoff import cli, entropy
 from wordtradeoff.entropy import (
     MatchLengths,
-    dump_match_lengths,
     entropy_rate,
-    estimate,
     kernel_name,
     match_lengths,
     match_lengths_naive,
@@ -306,23 +303,11 @@ class TestEntropyRate:
         expected = n / sum(1 / math.log2(i + 1) for i in range(1, n + 1))
         assert entropy_rate(match_lengths(s)).h_bpc == pytest.approx(expected, abs=1e-12)
 
-    def test_estimate_wrapper(self):
-        est = estimate("abab", provenance="demo")
-        assert est.provenance == "demo"
-        assert est.n_chars == 4
-
     def test_match_lengths_validation(self):
         with pytest.raises(ValueError):
             MatchLengths(())
         with pytest.raises(ValueError):
             MatchLengths((2, 1))
-
-
-class TestDump:
-    def test_csv_dump(self):
-        buf = io.StringIO()
-        dump_match_lengths(match_lengths("abab"), buf)
-        assert buf.getvalue() == "index,l_i\n1,1\n2,1\n3,3\n4,2\n"
 
 
 class TestOracleCheck:

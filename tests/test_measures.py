@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import statistics
 
 import pytest
 
@@ -48,7 +49,7 @@ def fake_measurement(tid="t", lang="und", book=40, rep=0, d_order=0.1, d_structu
 
 class TestMeasureBook:
     def test_identity_order_destruction_gives_zero_d_order(self, monkeypatch):
-        def identity_destroy(book, seed, scope="per_verse"):
+        def identity_destroy(book, seed, scope="verse"):
             return flatten(book).chars
 
         monkeypatch.setattr(measures, "destroy_word_order", identity_destroy)
@@ -82,9 +83,9 @@ class TestMeasureBook:
         rows = measure_book(book, cfg)
         assert rows[0].n_chars == flatten(book).n
         # h_original must equal the canonical-order estimate exactly
-        from wordtradeoff.entropy import estimate
+        from wordtradeoff.entropy import entropy_rate, match_lengths
 
-        assert rows[0].h_original == estimate(flatten(book)).h_bpc
+        assert rows[0].h_original == entropy_rate(match_lengths(flatten(book))).h_bpc
 
     def test_n_constant_across_variants_implicitly(self):
         book = random_book(5)
@@ -93,7 +94,7 @@ class TestMeasureBook:
 
     def test_order_scope_per_book(self):
         book = random_book(6, max_verses=6)
-        (row,) = measure_book(book, MeasureConfig(replicates=1, order_scope="per_book"))
+        (row,) = measure_book(book, MeasureConfig(replicates=1, order_scope="book"))
         assert row.n_chars == flatten(book).n
 
     def test_replicate_count_validated(self):
@@ -130,6 +131,35 @@ class TestAggregate:
         ]
         rows = aggregate(ms, group_by="language")
         assert rows[0].mean_d_order == pytest.approx((0.1 + 0.5) / 2)
+
+    def test_std_and_count_per_grouping(self):
+        # deu: t1 replicates (0.1, 0.3), t2 replicates (0.5, 0.9, 0.7);
+        # fra: t3 a single replicate.
+        ms = [
+            fake_measurement(tid="t2", lang="deu", rep=2, d_order=0.7, d_structure=0.1),
+            fake_measurement(tid="t1", lang="deu", rep=0, d_order=0.1, d_structure=0.4),
+            fake_measurement(tid="t2", lang="deu", rep=0, d_order=0.5, d_structure=0.3),
+            fake_measurement(tid="t3", lang="fra", rep=0, d_order=0.2, d_structure=0.6),
+            fake_measurement(tid="t1", lang="deu", rep=1, d_order=0.3, d_structure=0.2),
+            fake_measurement(tid="t2", lang="deu", rep=1, d_order=0.9, d_structure=0.2),
+        ]
+        t1, t2, t3 = aggregate(ms, group_by="translation")
+        assert [t.group for t in (t1, t2, t3)] == ["t1", "t2", "t3"]
+        assert [t.count for t in (t1, t2, t3)] == [2, 3, 1]
+        assert t1.std_d_order == pytest.approx(statistics.stdev([0.1, 0.3]))
+        assert t1.std_d_structure == pytest.approx(statistics.stdev([0.4, 0.2]))
+        assert t2.std_d_order == pytest.approx(0.2)
+        assert t2.std_d_structure == pytest.approx(0.1)
+        assert t3.std_d_order is None and t3.std_d_structure is None
+
+        deu, fra = aggregate(ms, group_by="language")
+        assert (deu.group, deu.count, fra.group, fra.count) == ("deu", 2, "fra", 1)
+        # Over the translation means (0.2, 0.7) and (0.3, 0.2), not the replicates.
+        assert deu.mean_d_order == pytest.approx(0.45)
+        assert deu.std_d_order == pytest.approx(statistics.stdev([0.2, 0.7]))
+        assert deu.mean_d_structure == pytest.approx(0.25)
+        assert deu.std_d_structure == pytest.approx(statistics.stdev([0.3, 0.2]))
+        assert fra.std_d_order is None and fra.std_d_structure is None
 
     def test_books_kept_separate(self):
         ms = [fake_measurement(book=b) for b in (40, 41, 42, 43, 44, 66)]

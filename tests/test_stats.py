@@ -163,14 +163,6 @@ class TestFitReciprocal:
         assert fit.beta1 == pytest.approx(3.0, abs=1e-9)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
-    def test_constrained_recovers_proportionality_constant(self):
-        xs = [0.25, 0.5, 1.0, 2.0]
-        points = [(x, 3.0 / x) for x in xs]
-        fit = fit_reciprocal(points, constrained=True)
-        assert fit.constrained
-        assert fit.beta0 == 0.0
-        assert fit.beta1 == pytest.approx(3.0, abs=1e-12)
-
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(0)
         xs = rng.uniform(0.3, 1.5, size=40)
@@ -187,16 +179,10 @@ class TestFitReciprocal:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_reciprocal([(1.0, 1.0)])
-        fit = fit_reciprocal([(1.0, 2.5)], constrained=True)
-        assert fit.beta1 == pytest.approx(2.5)
 
     def test_identical_regressors_rejected(self):
         with pytest.raises(ValueError, match="identical"):
             fit_reciprocal([(2.0, 1.0), (2.0, 3.0)])
-
-    def test_predict(self):
-        fit = fit_reciprocal([(x, 1.0 + 2.0 / x) for x in (0.5, 1.0, 2.0)])
-        assert fit.predict(4.0) == pytest.approx(1.5)
 
 
 class TestCorrelationMatrix:
@@ -223,7 +209,8 @@ class TestCorrelationMatrix:
 
     def test_entry_lookup(self):
         m = correlation_matrix(self._rows())
-        assert m.entry("d_order:40", "d_order:40") == 1.0
+        i = m.labels.index("d_order:40")
+        assert m.values[i, i] == 1.0
 
     def test_incomplete_groups_dropped(self):
         rows = self._rows(n_groups=3)
