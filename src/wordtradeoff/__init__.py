@@ -12,14 +12,12 @@ from .corpus import (
     DEFAULT_BOOK_IDS,
     Book,
     CorpusFormatError,
-    SymbolSequence,
     Translation,
     Verse,
     VerseRef,
     flatten,
     parse_corpus,
     select_books,
-    symbol_sequence,
     truncate_books,
 )
 from .entropy import (
@@ -85,7 +83,6 @@ __all__ = [
     "RankTable",
     "RegressionFit",
     "SeedSpec",
-    "SymbolSequence",
     "Translation",
     "Verse",
     "VerseRef",
@@ -111,6 +108,5 @@ __all__ = [
     "select_books",
     "shuffle_verses",
     "spearman",
-    "symbol_sequence",
     "truncate_books",
 ]

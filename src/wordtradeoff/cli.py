@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="estimate on canonical verse order (sensitivity analysis)",
     )
     p_an.add_argument("--lowercase", action="store_true")
-    p_an.add_argument("--workers", type=int, default=1)
+    p_an.add_argument("--workers", type=_count_arg(1), default=1)
     p_an.add_argument("--out", default="results", help="output directory")
 
     p_st = sub.add_parser("stats", help="fit and rank a results table")
@@ -194,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_strm.add_argument("--n", type=_count_arg(1), default=100_000)
     p_strm.add_argument("--seed", type=int, default=0)
-    p_strm.add_argument("--chunk", type=int, default=60, help="characters per verse line")
+    p_strm.add_argument(
+        "--chunk", type=_count_arg(1), default=60, help="characters per verse line"
+    )
     p_strm.add_argument("--out", default="-")
 
     return parser
@@ -471,9 +473,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         except ValueError as exc:
             logger.error("%s", exc)
             return 1
-        chunk = max(1, args.chunk)
         verses = [
-            seq.chars[i : i + chunk] for i in range(0, len(seq.chars), chunk)
+            seq.chars[i : i + args.chunk] for i in range(0, len(seq.chars), args.chunk)
         ]
         book = Book(
             book_id=1,

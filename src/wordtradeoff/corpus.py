@@ -1,12 +1,12 @@
 """Verse-aligned corpus handling.
 
 Parses parallel corpora whose lines are individually addressable by
-(book, chapter, verse), groups verses into books, and renders books as
-flat character sequences for entropy estimation. Inputs are expected to
-be pre-tokenized (word tokens, punctuation included, separated by single
-spaces) and pre-lowercased; an optional Unicode default lowercasing pass
-is available for convenience, but language-specific casing is out of
-scope.
+(book, chapter, verse), groups verses into books, and renders each book
+as one string (:func:`flatten`) for entropy estimation. Inputs are
+expected to be pre-tokenized (word tokens, punctuation included,
+separated by single spaces) and pre-lowercased; an optional Unicode
+default lowercasing pass is available for convenience, but
+language-specific casing is out of scope.
 
 Two input formats are supported:
 
@@ -21,7 +21,6 @@ Two input formats are supported:
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, Union
@@ -131,42 +130,13 @@ class Translation:
     provenance: Mapping[str, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class SymbolSequence:
-    """A book rendered as a flat character sequence.
-
-    ``alphabet`` is the set of distinct characters occurring in ``chars``
-    (spaces included); ``lexicon`` maps each distinct space-separated word
-    type to its token count.
-    """
-
-    chars: str
-    alphabet: frozenset[str]
-    lexicon: Mapping[str, int]
-
-    @property
-    def n(self) -> int:
-        return len(self.chars)
-
-
-def symbol_sequence(chars: str) -> SymbolSequence:
-    """Build a SymbolSequence (alphabet and lexicon) from raw text."""
-    if not chars:
-        raise ValueError("empty character sequence")
-    return SymbolSequence(
-        chars=chars,
-        alphabet=frozenset(chars),
-        lexicon=Counter(chars.split(" ")),
-    )
-
-
-def flatten(book: Book) -> SymbolSequence:
+def flatten(book: Book) -> str:
     """Render a book as one character sequence, verses joined by a space.
 
     The separator is a plain space so the alphabet contains no artificial
-    symbols; per-verse token boundaries are preserved exactly.
+    symbols, and ``flatten(book).split(" ")`` is the book's token list.
     """
-    return symbol_sequence(" ".join(v.text for v in book.verses))
+    return " ".join([v.text for v in book.verses])
 
 
 def parse_corpus(
@@ -294,7 +264,7 @@ def truncate_books(
 
 
 def _truncate_book(book: Book, target: int, granularity: str) -> Book:
-    flat = " ".join(v.text for v in book.verses)
+    flat = flatten(book)
     if granularity == "token":
         cut = _last_token_boundary(flat, target)
         if cut == 0:

@@ -61,13 +61,9 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
-
-from .corpus import SymbolSequence
-
-SequenceLike = Union[SymbolSequence, str]
 
 logger = logging.getLogger(__name__)
 
@@ -114,20 +110,18 @@ class EntropyEstimate:
     sum_term: float
 
 
-def _chars_of(seq: SequenceLike) -> str:
-    s = seq.chars if isinstance(seq, SymbolSequence) else seq
+def _check_nonempty(s: str) -> None:
     if not s:
         raise ValueError("cannot compute match lengths of an empty sequence")
-    return s
 
 
-def match_lengths_naive(seq: SequenceLike) -> MatchLengths:
+def match_lengths_naive(s: str) -> MatchLengths:
     """Reference implementation by direct substring search.
 
     O(N^2) and intended as the oracle for the fast path; do not use on
     book-sized inputs.
     """
-    s = _chars_of(seq)
+    _check_nonempty(s)
     n = len(s)
     out = []
     for i in range(1, n + 1):
@@ -142,7 +136,7 @@ def match_lengths_naive(seq: SequenceLike) -> MatchLengths:
     return MatchLengths(out)
 
 
-def match_lengths(seq: SequenceLike) -> MatchLengths:
+def match_lengths(s: str) -> MatchLengths:
     """Fast match-length computation; output equals the naive version.
 
     Builds a suffix automaton of the whole sequence where each state
@@ -157,7 +151,7 @@ def match_lengths(seq: SequenceLike) -> MatchLengths:
     Runs the compiled kernel when this process could build it, else the
     Python automaton; both give the same values.
     """
-    s = _chars_of(seq)
+    _check_nonempty(s)
     library = load_library()
     if library is None or len(s) > _C_MAX_N:
         return MatchLengths(_automaton_lengths(s))

@@ -4,7 +4,9 @@ For each book and replicate, one verse permutation is drawn and applied
 to all three variants so comparisons are paired: the original variant is
 the verse-shuffled text itself, the order variant additionally permutes
 tokens, and the structure variant masks word internals (then carries the
-same verse permutation). The two penalties are
+same verse permutation). The verse-shuffled book is flattened and split
+into tokens once; both transforms take that token list. The two
+penalties are
 
     d_order     = h(order variant)     - h(original variant)
     d_structure = h(structure variant) - h(original variant)
@@ -39,6 +41,7 @@ from .transforms import (
 logger = logging.getLogger(__name__)
 
 GROUP_KEYS = ("translation", "language")
+ORDER_SCOPES = ("verse", "book")
 
 #: Fixed column order of the results table.
 RESULT_COLUMNS = (
@@ -76,6 +79,8 @@ class MeasureConfig:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.order_scope not in ORDER_SCOPES:
+            raise ValueError(f"unknown order-destruction scope {self.order_scope!r}")
 
 
 @dataclass(frozen=True)
@@ -142,16 +147,23 @@ def measure_replicate(book: Book, replicate: int, config: MeasureConfig) -> Book
     }
 
     base = shuffle_verses(book, seeds["verse_shuffle"]) if config.verse_shuffle else book
-    original = flatten(base)
-    h_original = entropy_rate(match_lengths(original)).h_bpc
+    text = flatten(base)
+    h_original = entropy_rate(match_lengths(text)).h_bpc
 
-    # The lexicon and alphabet are computed once, for the original; the
-    # two variants are plain strings.
-    order_text = destroy_word_order(base, seeds["order_shuffle"], config.order_scope)
+    # Both variants are built from the one token list of the original.
+    tokens = text.split(" ")
+    if config.order_scope == "book":
+        counts = [len(tokens)]
+    else:
+        counts = [v.text.count(" ") + 1 for v in base.verses]
+    order_text = destroy_word_order(tokens, counts, seeds["order_shuffle"])
     h_order = entropy_rate(match_lengths(order_text)).h_bpc
 
-    table = build_mask_table(original.lexicon, original.alphabet, seeds["mask_draw"])
-    masked_text = mask_word_structure(base, table)
+    # The word types hold every character of the text except the space
+    # between tokens, which is never a mask character.
+    types = dict.fromkeys(tokens)
+    table = build_mask_table(types, "".join(types), seeds["mask_draw"])
+    masked_text = mask_word_structure(tokens, table)
     h_structure = entropy_rate(match_lengths(masked_text)).h_bpc
 
     result = BookMeasurement(
@@ -159,7 +171,7 @@ def measure_replicate(book: Book, replicate: int, config: MeasureConfig) -> Book
         language=book.language,
         book_id=book.book_id,
         replicate=replicate,
-        n_chars=original.n,
+        n_chars=len(text),
         h_original=h_original,
         h_order=h_order,
         h_structure=h_structure,

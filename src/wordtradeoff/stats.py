@@ -7,9 +7,12 @@ structure penalties, together with a reciprocal least-squares fit
 ``d_structure = beta0 + beta1 / d_order``, quantifies how strongly one
 kind of information substitutes for the other. Across books within one
 translation, rank tables (rank 1 = largest penalty) and their histograms
-show whether the book-level pattern recurs between translations; small
-rank vectors are compared with exact permutation tests whose p-values
-are exact rationals over n!.
+show whether the book-level pattern recurs between translations.
+
+:func:`exact_perm_test` compares two small vectors (such as the rank
+vectors of a translation's books) by an exact permutation test whose
+p-value is an exact rational over n!. It is a library function: the
+``stats`` command does not call it.
 """
 
 from __future__ import annotations

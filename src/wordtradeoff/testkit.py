@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Book, SymbolSequence, Verse, VerseRef, symbol_sequence
+from .corpus import Book, Verse, VerseRef
 
 #: Symbols used for synthetic streams, in alphabet-index order.
 STREAM_SYMBOLS = string.ascii_lowercase + string.ascii_uppercase + string.digits
@@ -101,6 +101,13 @@ def markov_source(transition: Sequence[Sequence[float]]) -> SyntheticSource:
     )
 
 
+@dataclass(frozen=True)
+class SymbolSequence:
+    """A sampled symbol stream as one flat character sequence."""
+
+    chars: str
+
+
 def generate(source: SyntheticSource, n: int, seed: int) -> SymbolSequence:
     """Sample ``n`` symbols from the source as a flat character sequence."""
     if n < 1:
@@ -132,7 +139,7 @@ def generate(source: SyntheticSource, n: int, seed: int) -> SymbolSequence:
     symbols = np.frombuffer(
         STREAM_SYMBOLS[: source.k].encode("ascii"), dtype=np.uint8
     )
-    return symbol_sequence(symbols[idx].tobytes().decode("ascii"))
+    return SymbolSequence(symbols[idx].tobytes().decode("ascii"))
 
 
 @dataclass(frozen=True)

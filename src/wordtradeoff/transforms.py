@@ -23,9 +23,9 @@ compiled library that also holds the match-length kernel
 and the same final state; where that library cannot be built or loaded
 they run the reference instead.
 
-The order and structure variants are returned as flat strings, built
-from the book's token list: verses joined by a space, as
-:func:`wordtradeoff.corpus.flatten` renders the original.
+The order and structure transforms take the token list of the
+flattened original (``flatten(book).split(" ")``) and return their
+variant as a string in the same rendering, tokens joined by a space.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ _FNV_PRIME = 0x100000001B3
 _GOLDEN = 0x9E3779B97F4A7C15
 
 PURPOSE_TAGS = ("verse_shuffle", "order_shuffle", "mask_draw")
-ORDER_SCOPES = ("verse", "book")
 
 
 class MaskSpaceExhaustedError(ValueError):
@@ -229,20 +228,17 @@ def shuffle_verses(book: Book, seed: int) -> Book:
     return replace(book, verses=tuple(book.verses[i] for i in perm))
 
 
-def destroy_word_order(book: Book, seed: int, scope: str = "verse") -> str:
+def destroy_word_order(tokens: Sequence[str], counts: Sequence[int], seed: int) -> str:
     """Permute token order, leaving every token itself intact.
 
-    ``"verse"`` permutes each verse's tokens independently;
-    ``"book"`` permutes the token stream of the whole book. Either way
-    the permuted tokens are joined by spaces, which equals laying them
-    back into the verse slots (same token count per verse) and joining
-    the verses, so the character count is unchanged in both scopes.
+    ``counts`` splits ``tokens`` into consecutive segments, each permuted
+    on its own: one per verse (scope ``"verse"``) or one for the whole
+    book (scope ``"book"``). The permuted tokens are joined by spaces,
+    which equals laying them back into the verse slots and joining the
+    verses, so the character count is unchanged in both scopes.
     """
-    if scope not in ORDER_SCOPES:
-        raise ValueError(f"unknown order-destruction scope {scope!r}")
-    texts = [v.text for v in book.verses]
-    tokens = " ".join(texts).split(" ")
-    counts = [len(tokens)] if scope == "book" else [t.count(" ") + 1 for t in texts]
+    if sum(counts) != len(tokens):
+        raise ValueError(f"segment counts sum to {sum(counts)}, not {len(tokens)} tokens")
     perm = _stream(seed).permutation(counts)
     return " ".join([tokens[i] for i in perm])
 
@@ -251,12 +247,11 @@ def _maskable(char: str) -> bool:
     return char not in " \t\n\r" and unicodedata.category(char) != "Cc"
 
 
-def build_mask_table(
-    lexicon: Mapping[str, int] | Iterable[str],
-    alphabet: Iterable[str],
-    seed: int,
-) -> MaskTable:
+def build_mask_table(types: Iterable[str], alphabet: Iterable[str], seed: int) -> MaskTable:
     """Draw a unique equal-length mask for every word type of length >= 2.
+
+    ``types`` are the book's distinct tokens and ``alphabet`` its
+    characters (repeats allowed).
 
     Types are processed in code-point lexicographic order so the
     assignment does not depend on iteration order; each mask is drawn
@@ -264,7 +259,7 @@ def build_mask_table(
     rejection on collision. A pigeonhole check fails fast when some
     type length has more types than the alphabet can distinguish.
     """
-    types = sorted(t for t in lexicon if len(t) >= 2)
+    types = sorted(t for t in types if len(t) >= 2)
     alpha = sorted(c for c in set(alphabet) if _maskable(c))
     by_length = Counter(len(t) for t in types)
     for length, count in sorted(by_length.items()):
@@ -298,25 +293,19 @@ def build_mask_table(
     return MaskTable(table=table, mask_alphabet=tuple(alpha), seed=seed)
 
 
-def mask_word_structure(book: Book, table: MaskTable) -> str:
+def mask_word_structure(tokens: Sequence[str], table: MaskTable) -> str:
     """Replace every token of a length >= 2 type by its mask, everywhere.
 
-    Token positions, spaces and verse boundaries are untouched, so the
+    Token positions and the spaces between them are untouched, so the
     character count, the per-token lengths and the frequency spectrum
     survive; only the internal make-up of words is destroyed.
     """
-    tokens = " ".join([v.text for v in book.verses]).split(" ")
-    masks = {}
-    # First-occurrence order, so an uncovered token is reported as it
-    # appears in the text.
-    for token in dict.fromkeys(tokens):
-        if len(token) < 2:
-            masks[token] = token
-        elif token in table.table:
-            masks[token] = table.table[token]
-        else:
-            raise ValueError(
-                f"token {token!r} is not covered by this mask table; the table "
-                "was built from a different lexicon"
-            )
-    return " ".join([masks[t] for t in tokens])
+    masks = table.table
+    try:
+        return " ".join([masks[t] if len(t) >= 2 else t for t in tokens])
+    except KeyError as exc:
+        # The first uncovered token in text order.
+        raise ValueError(
+            f"token {exc.args[0]!r} is not covered by this mask table; the table "
+            "was built from a different lexicon"
+        ) from None

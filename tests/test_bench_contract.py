@@ -1,19 +1,27 @@
-"""The benchmark scripts still find every name they use in the package.
+"""The benchmark scripts still find every name and result shape they use.
 
 ``bench/traced.py`` wraps package functions at the module attributes listed
-in its ``WRAPPED`` table, and ``bench/run.py`` times a set-up probe that
-builds a ``MeasureConfig()`` with its defaults. A change that renames or
-removes one of those names breaks the benchmark, not the package's own
-tests; these tests catch that. The scripts are loaded by path and only read.
+in its ``WRAPPED`` table, three of its count hooks read the arguments or
+results of the function they wrap, and its kernel sweep reads
+``generate(...).chars``. ``bench/run.py`` times a set-up probe that builds
+a ``MeasureConfig()`` with its defaults. A change that renames or removes
+one of those names, or changes one of those shapes, breaks the benchmark,
+not the package's own tests; these tests catch that. The scripts are
+loaded by path and only read.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from test_golden import GOLDEN
+from wordtradeoff.corpus import flatten, parse_corpus
+from wordtradeoff.testkit import generate, uniform_iid
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -48,3 +56,34 @@ def test_setup_probe_runs():
     )
     assert done.returncode == 0, done.stderr
     assert Path(done.stdout.strip()).resolve().is_relative_to(ROOT / "src")
+
+
+def test_count_hooks_read_real_calls(tmp_path):
+    """A traced ``analyze`` runs every count hook on the pipeline's own calls."""
+    hooks = {hook.__name__ for *_, hook in load_script("traced").WRAPPED if hook}
+    assert hooks == {"_count_bytes_in", "_count_mask_types", "_count_match_lengths"}
+
+    corpora = [GOLDEN / "toy_affixal.tsv", GOLDEN / "unicode_mix.tsv"]
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "traced.py"), "cli", str(spans), "contract", "--",
+         "analyze", *map(str, corpora), "--format", "tsv", "--books", "1",
+         "--replicates", "1", "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+    texts = [flatten(parse_corpus(path, "tsv").books[1]) for path in corpora]
+    counts = json.loads(spans.read_text(encoding="utf-8"))["counts"]
+    assert counts["corpus.bytes_in"] == sum(path.stat().st_size for path in corpora)
+    assert counts["transforms.mask_types"] == sum(
+        len({t for t in text.split(" ") if len(t) >= 2}) for text in texts
+    )
+    assert counts["entropy.match_lengths.chars"] == 3 * sum(map(len, texts))
+
+
+def test_sweep_reads_generated_chars():
+    chars = generate(uniform_iid(4), 100, 0).chars
+    assert isinstance(chars, str)
+    assert len(chars) == 100

@@ -70,6 +70,8 @@ class TestSynth:
 BAD_COUNTS = [
     ["analyze", "--format", "tsv", "--replicates", "0", "c.tsv"],
     ["analyze", "--format", "tsv", "--replicates", "-2", "c.tsv"],
+    ["analyze", "--format", "tsv", "--workers", "0", "c.tsv"],
+    ["analyze", "--format", "tsv", "--workers", "-3", "c.tsv"],
     ["oracle-check", "--count", "-4"],
     ["oracle-check", "--min-len", "5", "--max-len", "2"],
     ["oracle-check", "--alpha-min", "0", "--alpha-max", "0"],
@@ -78,6 +80,8 @@ BAD_COUNTS = [
     ["synth", "stream", "--kind", "iid", "--n", "0"],
     ["synth", "stream", "--kind", "iid", "--k", "100"],
     ["synth", "stream", "--kind", "iid", "--k", "0"],
+    ["synth", "stream", "--kind", "iid", "--chunk", "0"],
+    ["synth", "stream", "--kind", "iid", "--chunk", "-5"],
     ["synth", "toy", "--mode", "positional", "--sentences", "0"],
 ]
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import os
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,7 +19,6 @@ from wordtradeoff.corpus import (
     flatten,
     parse_corpus,
     select_books,
-    symbol_sequence,
     truncate_books,
 )
 
@@ -122,24 +120,12 @@ class TestParse:
 
 class TestFlatten:
     def test_single_verse(self):
-        seq = flatten(make_book(["a b"]))
-        assert seq.chars == "a b"
-        assert seq.n == 3
-        assert seq.alphabet == frozenset("a b")
-        assert dict(seq.lexicon) == {"a": 1, "b": 1}
+        text = flatten(make_book(["a b"]))
+        assert text == "a b"
+        assert len(text) == 3
 
     def test_two_verses_joined_by_space(self):
-        seq = flatten(make_book(["x", "x"]))
-        assert seq.chars == "x x"
-        assert dict(seq.lexicon) == {"x": 2}
-
-    def test_token_counts(self):
-        seq = flatten(make_book(["i said i"]))
-        assert dict(seq.lexicon) == {"i": 2, "said": 1}
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            symbol_sequence("")
+        assert flatten(make_book(["x", "x"])) == "x x"
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_roundtrip_recovers_tokens(self, seed):
@@ -147,11 +133,9 @@ class TestFlatten:
 
         book = random_book(seed)
         tokens = [t for v in book.verses for t in v.text.split(" ")]
-        seq = flatten(book)
-        assert seq.chars.split(" ") == tokens
-        assert sum(seq.lexicon.values()) == len(tokens)
-        assert seq.alphabet == frozenset(seq.chars)
-        assert seq.n == book.char_length
+        text = flatten(book)
+        assert text.split(" ") == tokens
+        assert len(text) == book.char_length
 
 
 class TestTruncate:
@@ -201,8 +185,8 @@ class TestTruncate:
         long_book = make_book(["alpha beta gamma delta", "epsilon zeta"], book_id=40)
         short = make_book(["0123456789"], book_id=66)
         out = truncate_books([long_book, short], "token")
-        original_tokens = flatten(long_book).chars.split(" ")
-        kept_tokens = flatten(out[0]).chars.split(" ")
+        original_tokens = flatten(long_book).split(" ")
+        kept_tokens = flatten(out[0]).split(" ")
         assert kept_tokens == original_tokens[: len(kept_tokens)]
         target = short.char_length
         longest = max(len(t) for t in original_tokens)
@@ -213,7 +197,7 @@ class TestTruncate:
         short = make_book(["0123456789012"], book_id=66)  # 13 chars
         out = truncate_books([long_book, short], "char")
         assert out[0].char_length == short.char_length
-        assert flatten(out[0]).chars == flatten(long_book).chars[: short.char_length]
+        assert flatten(out[0]) == flatten(long_book)[: short.char_length]
 
     def test_never_lengthens(self):
         from conftest import random_book
@@ -273,14 +257,3 @@ class TestInvariants:
     def test_book_requires_verses(self):
         with pytest.raises(ValueError):
             Book(book_id=40, verses=())
-
-    @given(st.integers(min_value=0, max_value=5_000))
-    def test_alphabet_matches_chars(self, seed):
-        from conftest import random_book
-
-        seq = flatten(random_book(seed))
-        assert seq.alphabet == frozenset(seq.chars)
-        if len(set(seq.chars)) >= 2:
-            assert len(seq.alphabet) >= 2
-        counted = Counter(seq.chars.split(" "))
-        assert counted == dict(seq.lexicon)

@@ -49,8 +49,8 @@ def fake_measurement(tid="t", lang="und", book=40, rep=0, d_order=0.1, d_structu
 
 class TestMeasureBook:
     def test_identity_order_destruction_gives_zero_d_order(self, monkeypatch):
-        def identity_destroy(book, seed, scope="verse"):
-            return flatten(book).chars
+        def identity_destroy(tokens, counts, seed):
+            return " ".join(tokens)
 
         monkeypatch.setattr(measures, "destroy_word_order", identity_destroy)
         book = random_book(1, max_verses=6)
@@ -81,7 +81,7 @@ class TestMeasureBook:
         book = random_book(4, max_verses=8)
         cfg = MeasureConfig(replicates=1, verse_shuffle=False)
         rows = measure_book(book, cfg)
-        assert rows[0].n_chars == flatten(book).n
+        assert rows[0].n_chars == len(flatten(book))
         # h_original must equal the canonical-order estimate exactly
         from wordtradeoff.entropy import entropy_rate, match_lengths
 
@@ -90,12 +90,12 @@ class TestMeasureBook:
     def test_n_constant_across_variants_implicitly(self):
         book = random_book(5)
         (row,) = measure_book(book, MeasureConfig(replicates=1))
-        assert row.n_chars == flatten(book).n
+        assert row.n_chars == len(flatten(book))
 
     def test_order_scope_per_book(self):
         book = random_book(6, max_verses=6)
         (row,) = measure_book(book, MeasureConfig(replicates=1, order_scope="book"))
-        assert row.n_chars == flatten(book).n
+        assert row.n_chars == len(flatten(book))
 
     def test_replicate_count_validated(self):
         with pytest.raises(ValueError):

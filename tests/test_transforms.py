@@ -12,6 +12,7 @@ from conftest import random_book
 from wordtradeoff import transforms
 from wordtradeoff.corpus import Book, Verse, VerseRef, flatten
 from wordtradeoff.entropy import load_library
+from wordtradeoff.measures import MeasureConfig
 from wordtradeoff.transforms import (
     CompiledXorshift64Star,
     MaskSpaceExhaustedError,
@@ -35,6 +36,11 @@ def one_verse_book(text, book_id=40):
         translation_id="t",
         language="und",
     )
+
+
+def verse_counts(book):
+    """Per-verse token counts: the segments of the ``"verse"`` order scope."""
+    return [len(v.text.split(" ")) for v in book.verses]
 
 
 class TestSeedDerivation:
@@ -215,16 +221,17 @@ class TestCompiledStream:
     @pytest.mark.parametrize("seed", range(40))
     def test_transforms_agree_without_the_library(self, seed, monkeypatch):
         book = random_book(seed, max_verses=30)
-        seq = flatten(book)
+        text = flatten(book)
+        tokens = text.split(" ")
 
         def run():
-            table = build_mask_table(seq.lexicon, seq.alphabet, seed)
+            table = build_mask_table(dict.fromkeys(tokens), text, seed)
             return (
                 shuffle_verses(book, seed).verses,
-                destroy_word_order(book, seed, "verse"),
-                destroy_word_order(book, seed, "book"),
+                destroy_word_order(tokens, verse_counts(book), seed),
+                destroy_word_order(tokens, [len(tokens)], seed),
                 table.table,
-                mask_word_structure(book, table),
+                mask_word_structure(tokens, table),
             )
 
         compiled = run()
@@ -256,20 +263,19 @@ class TestShuffleVerses:
 
 class TestDestroyWordOrder:
     def test_song_line_token_multiset(self):
-        book = one_verse_book(SONG_LINE)
-        variant = destroy_word_order(book, seed=123)
+        tokens = SONG_LINE.split(" ")
+        variant = destroy_word_order(tokens, [len(tokens)], seed=123)
         out_tokens = variant.split(" ")
         assert len(out_tokens) == 14
         assert Counter(out_tokens) == Counter(SONG_LINE.split(" "))
         assert Counter(out_tokens) == Counter(SONG_SHUFFLED.split(" "))
 
     def test_single_token_verse_unchanged(self):
-        book = one_verse_book("hello")
-        assert destroy_word_order(book, 1) == "hello"
+        assert destroy_word_order(["hello"], [1], 1) == "hello"
 
     def test_per_verse_counts_preserved(self):
         book = random_book(11, max_verses=8)
-        variant = destroy_word_order(book, 99, scope="verse")
+        variant = destroy_word_order(flatten(book).split(" "), verse_counts(book), 99)
         original = [v.text.split(" ") for v in book.verses]
         # Reconstruct per-verse token lists from the flattened output.
         out_iter = iter(variant.split(" "))
@@ -279,21 +285,28 @@ class TestDestroyWordOrder:
 
     def test_per_book_scope_preserves_global_multiset_and_n(self):
         book = random_book(12, max_verses=8)
-        variant = destroy_word_order(book, 99, scope="book")
         before = flatten(book)
-        assert len(variant) == before.n
+        tokens = before.split(" ")
+        variant = destroy_word_order(tokens, [len(tokens)], 99)
+        assert len(variant) == len(before)
         assert Counter(variant.split(" ")) == Counter(
-            before.chars.split(" ")
+            before.split(" ")
         )
 
     def test_unknown_scope_rejected(self):
-        with pytest.raises(ValueError):
-            destroy_word_order(one_verse_book("a b"), 0, scope="per_chapter")
+        with pytest.raises(ValueError, match="scope"):
+            MeasureConfig(order_scope="per_book")
+
+    def test_counts_must_cover_the_tokens(self):
+        for counts in ([1], [2, 2], [1, 1]):
+            with pytest.raises(ValueError, match="segment counts"):
+                destroy_word_order(["a", "b", "c"], counts, 0)
 
     def test_determinism(self):
         book = random_book(13)
-        a = destroy_word_order(book, 7)
-        b = destroy_word_order(book, 7)
+        tokens = flatten(book).split(" ")
+        a = destroy_word_order(tokens, verse_counts(book), 7)
+        b = destroy_word_order(tokens, verse_counts(book), 7)
         assert a == b
 
 
@@ -363,10 +376,9 @@ class TestMaskTable:
 
 class TestMaskWordStructure:
     def test_repeated_type_same_mask_everywhere(self):
-        book = one_verse_book(SONG_LINE)
-        seq = flatten(book)
-        table = build_mask_table(seq.lexicon, seq.alphabet, seed=77)
-        variant = mask_word_structure(book, table)
+        tokens = SONG_LINE.split(" ")
+        table = build_mask_table(dict.fromkeys(tokens), SONG_LINE, seed=77)
+        variant = mask_word_structure(tokens, table)
         out = variant.split(" ")
         src = SONG_LINE.split(" ")
         cond_positions = [i for i, t in enumerate(src) if t == "condition"]
@@ -379,45 +391,46 @@ class TestMaskWordStructure:
                 assert out[i] == "i"
 
     def test_all_single_char_book_identical(self):
-        book = one_verse_book("a b c a")
-        seq = flatten(book)
-        table = build_mask_table(seq.lexicon, seq.alphabet, seed=1)
-        assert mask_word_structure(book, table) == "a b c a"
+        tokens = "a b c a".split(" ")
+        table = build_mask_table(dict.fromkeys(tokens), "a b c a", seed=1)
+        assert mask_word_structure(tokens, table) == "a b c a"
 
     def test_word_length_histogram_preserved(self):
         book = random_book(21)
-        seq = flatten(book)
-        table = build_mask_table(seq.lexicon, seq.alphabet, seed=2)
-        out = mask_word_structure(book, table)
+        text = flatten(book)
+        tokens = text.split(" ")
+        table = build_mask_table(dict.fromkeys(tokens), text, seed=2)
+        out = mask_word_structure(tokens, table)
         assert Counter(map(len, out.split(" "))) == Counter(
-            map(len, seq.chars.split(" "))
+            map(len, text.split(" "))
         )
 
     def test_frequency_spectrum_preserved(self):
         book = random_book(22)
-        seq = flatten(book)
-        table = build_mask_table(seq.lexicon, seq.alphabet, seed=3)
-        out = mask_word_structure(book, table)
+        text = flatten(book)
+        tokens = text.split(" ")
+        table = build_mask_table(dict.fromkeys(tokens), text, seed=3)
+        out = mask_word_structure(tokens, table)
         assert sorted(Counter(out.split(" ")).values()) == sorted(
-            Counter(seq.chars.split(" ")).values()
+            Counter(text.split(" ")).values()
         )
 
     def test_inverse_recovers_original(self):
         book = random_book(23)
-        seq = flatten(book)
-        table = build_mask_table(seq.lexicon, seq.alphabet, seed=4)
-        masked = mask_word_structure(book, table)
+        text = flatten(book)
+        tokens = text.split(" ")
+        table = build_mask_table(dict.fromkeys(tokens), text, seed=4)
+        masked = mask_word_structure(tokens, table)
         inverse = {mask: word for word, mask in table.table.items()}
         restored = " ".join(
             inverse.get(t, t) if len(t) >= 2 else t for t in masked.split(" ")
         )
-        assert restored == seq.chars
+        assert restored == text
 
     def test_token_outside_table_is_error(self):
-        book = one_verse_book("known words here")
         table = build_mask_table({"known": 1}, set("knowrdshere"), seed=0)
         with pytest.raises(ValueError, match="not covered"):
-            mask_word_structure(book, table)
+            mask_word_structure("known words here".split(" "), table)
 
 
 class TestVariantInvariants:
@@ -425,17 +438,18 @@ class TestVariantInvariants:
     @settings(max_examples=120, deadline=None)
     def test_n_token_count_and_lengths_invariant(self, seed):
         book = random_book(seed)
-        seq = flatten(book)
-        token_lengths = [len(t) for t in seq.chars.split(" ")]
+        text = flatten(book)
+        token_lengths = [len(t) for t in text.split(" ")]
 
         shuffled = shuffle_verses(book, seed)
-        order = destroy_word_order(shuffled, seed + 1)
-        table = build_mask_table(seq.lexicon, seq.alphabet, seed + 2)
-        masked = mask_word_structure(shuffled, table)
-        base = flatten(shuffled).chars
+        base = flatten(shuffled)
+        tokens = base.split(" ")
+        order = destroy_word_order(tokens, verse_counts(shuffled), seed + 1)
+        table = build_mask_table(dict.fromkeys(text.split(" ")), text, seed + 2)
+        masked = mask_word_structure(tokens, table)
 
         for variant in (base, order, masked):
-            assert len(variant) == seq.n
+            assert len(variant) == len(text)
             out_lengths = [len(t) for t in variant.split(" ")]
             assert len(out_lengths) == len(token_lengths)
             assert sorted(out_lengths) == sorted(token_lengths)
