@@ -19,7 +19,10 @@ token. That one has a single astral character (U+20000, in book 42), and
 no word type of length two or more, so all its structure penalties are 0
 and its structure ranks tie. ``expected/<run>/`` holds all five data files
 and the run-independent part of ``manifest.json`` as the code wrote them
-before the transforms took a token list.
+before the transforms took a token list. ``expected/defaults-by-translation/``
+holds the ``fits.csv`` and ``corr_matrix.csv`` that ``stats --group-by
+translation`` wrote for the ``defaults`` table before ``aggregate`` lost its
+standard deviations and the average ranks moved to numpy.
 """
 
 from __future__ import annotations
@@ -116,3 +119,14 @@ def test_pbc_default_path_matches_golden(tmp_path, run, workers):
     # Key by key, so that the manifest may gain keys.
     for key, value in json.loads((expected / "manifest.json").read_text(encoding="utf-8")).items():
         assert view[key] == value, key
+
+
+def test_pbc_stats_by_translation_matches_golden(tmp_path):
+    # ``stats --group-by translation`` on the checked-in ``defaults`` table:
+    # groups are translations, so each mean runs over three replicates.
+    results = PBC / "expected" / "defaults" / "results.csv"
+    argv = ["stats", str(results), "--group-by", "translation", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    expected = PBC / "expected" / "defaults-by-translation"
+    for name in ("fits.csv", "corr_matrix.csv"):
+        assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
