@@ -26,7 +26,6 @@ import hashlib
 import json
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Sequence
@@ -64,7 +63,6 @@ from .stats import (
     write_rank_hist_csv,
     write_ranks_csv,
 )
-from .testkit import generate, iid_source, markov_source, render_toy_corpus, toy_language_pair
 
 logger = logging.getLogger(__name__)
 
@@ -284,6 +282,8 @@ def cmd_analyze(config: RunConfig) -> int:
             except Exception as exc:
                 record_error(book, r, exc)
     else:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = {
                 pool.submit(measure_replicate, book, r, mcfg): (book, r)
@@ -416,6 +416,14 @@ def cmd_stats(
         hist = rank_histograms(tables)
         with open(out / "rank_hist.csv", "w", newline="", encoding="utf-8") as fh:
             write_rank_hist_csv(hist, fh)
+        tied = [t.translation_id for t in tables if t.has_ties]
+        if tied:
+            logger.warning(
+                "rank_hist.csv counts %d rank table(s) whose tied penalties are ranked by "
+                "book id, not by measurement (first: %s); ranks.csv marks them in its ties column",
+                len(tied),
+                ", ".join(tied[:5]),
+            )
     else:
         logger.warning("no translation has all books %s; rank histograms skipped", selected)
 
@@ -456,6 +464,8 @@ def _write_tsv_corpus(book: Book, header: list[str], fh: IO[str]) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .testkit import generate, render_toy_corpus, toy_language_pair
+
     if args.generator == "toy":
         vocab_seed = args.seed if args.vocab_seed is None else args.vocab_seed
         positional, affixal = toy_language_pair(vocab_seed)
@@ -500,6 +510,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _stream_source(args: argparse.Namespace):
+    from .testkit import iid_source, markov_source
+
     if args.kind == "iid":
         if args.probs:
             probs = [float(p) for p in args.probs.split(",")]

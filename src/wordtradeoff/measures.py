@@ -126,8 +126,6 @@ class AggregateMeasurement:
     book_id: int
     mean_d_order: float
     mean_d_structure: float
-    std_d_order: float | None
-    std_d_structure: float | None
     count: int
 
 
@@ -206,10 +204,8 @@ def aggregate(
 
     Replicate variability is folded in first: replicates are averaged
     per translation, and for language grouping those translation means
-    are then averaged (unweighted) per language. The reported standard
-    deviation is the sample standard deviation over the group's units
-    (replicates, respectively translations); it is absent for singleton
-    groups.
+    are then averaged (unweighted) per language. ``count`` is the number
+    of the group's units (replicates, respectively translations).
     """
     if not measurements:
         raise ValueError("no measurements to aggregate")
@@ -235,17 +231,12 @@ def aggregate(
         units[0].extend(d_order)
         units[1].extend(d_structure)
 
-    def std(values: list[float]) -> float | None:
-        return statistics.stdev(values) if len(values) > 1 else None
-
     return [
         AggregateMeasurement(
             group=group,
             book_id=book_id,
             mean_d_order=statistics.fmean(d_order),
             mean_d_structure=statistics.fmean(d_structure),
-            std_d_order=std(d_order),
-            std_d_structure=std(d_structure),
             count=len(d_order),
         )
         for (group, book_id), (d_order, d_structure) in sorted(groups.items())

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -255,6 +258,21 @@ class TestStats:
         assert (out_dir / "ranks.csv").exists()
         assert not (out_dir / "corr_matrix.csv").exists()
 
+    def test_tied_rank_tables_warned(self, tmp_path, caplog):
+        # In the pbc golden corpus the Han translation's structure
+        # penalties are all 0, so its structure ranks are book-id order.
+        expected = Path(__file__).parent / "data" / "golden" / "pbc" / "expected" / "defaults"
+        assert main(["stats", str(expected / "results.csv"), "--out", str(tmp_path)]) == 0
+        (warning,) = [
+            r.getMessage() for r in caplog.records
+            if r.levelname == "WARNING" and "rank_hist.csv" in r.getMessage()
+        ]
+        assert "counts 1 rank table(s)" in warning
+        assert "(first: tlh-x-bible-2)" in warning
+        assert "ranks.csv marks them in its ties column" in warning
+        for name in ("ranks.csv", "rank_hist.csv"):
+            assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
+
     def test_missing_results_fatal(self, tmp_path):
         assert main(["stats", str(tmp_path / "none.csv")]) == 1
 
@@ -358,3 +376,20 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main(["--version"])
         assert err.value.code == 0
+
+
+def test_import_leaves_synth_and_pool_modules_unloaded():
+    # Only ``synth`` needs testkit and only ``analyze --workers N>1`` a
+    # process pool; every other command should not pay for importing them.
+    probe = (
+        "import sys, wordtradeoff.cli; "
+        "print(*(m for m in ('wordtradeoff.testkit', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""

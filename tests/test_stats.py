@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from wordtradeoff.measures import AggregateMeasurement
 from wordtradeoff.stats import (
+    _average_ranks,
     BookFit,
     CorrelationMatrix,
     InsufficientDataError,
@@ -40,8 +41,6 @@ def agg(group, book_id, d_order, d_structure, count=1):
         book_id=book_id,
         mean_d_order=d_order,
         mean_d_structure=d_structure,
-        std_d_order=None,
-        std_d_structure=None,
         count=count,
     )
 
@@ -97,6 +96,34 @@ class TestSpearman:
     def test_zero_variance(self):
         with pytest.raises(ValueError, match="zero-variance"):
             spearman([1.0, 1.0, 1.0], [1, 2, 3])
+
+
+class TestAverageRanks:
+    """Ranks are exact half-integers, so they must equal scipy's bit for bit."""
+
+    @staticmethod
+    def assert_matches_scipy(values):
+        v = np.asarray(values, dtype=np.float64)
+        assert np.array_equal(_average_ranks(v), scipy.stats.rankdata(v, method="average"))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [7.0],
+            [3.0] * 9,
+            [1.0, 1.0, 1.0, 2.0, 5.0, 4.0],  # a run at the low end
+            [9.0, 0.0, 4.0, 9.0, 9.0],  # a run at the high end
+            [2.0, 0.0, 2.0, 1.0, 0.0, 2.0, 0.0],  # runs at both ends
+            [-0.0, 0.0, 1.0],
+        ],
+    )
+    def test_examples(self, values):
+        self.assert_matches_scipy(values)
+
+    @given(st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_small_integer_values_make_long_runs(self, xs):
+        self.assert_matches_scipy(xs)
 
 
 class TestExactPermTest:
