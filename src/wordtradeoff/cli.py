@@ -26,13 +26,15 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import IO, Sequence
 
 from . import __version__
 from .corpus import (
     DEFAULT_BOOK_IDS,
+    FORMATS,
+    TRUNCATIONS,
     Book,
     CorpusFormatError,
     Verse,
@@ -43,11 +45,12 @@ from .corpus import (
 )
 from .entropy import kernel_name, run_oracle_check
 from .measures import (
+    GROUP_KEYS,
+    ORDER_SCOPES,
     MeasureConfig,
     aggregate,
     measure_replicate,
     read_results_csv,
-    sort_measurements,
     write_results_csv,
 )
 from .stats import (
@@ -66,30 +69,22 @@ from .stats import (
 
 logger = logging.getLogger(__name__)
 
+#: The keys of each unit's entry under ``errors`` in ``manifest.json``.
+ERROR_KEYS = ("translation_id", "book_id", "replicate", "error")
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines an ``analyze`` run's outputs."""
+
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(MeasureConfig):
+    """Everything that determines an ``analyze`` run's outputs. The field names
+    are the parser's destinations and the ``config`` keys of ``manifest.json``."""
 
     inputs: tuple[str, ...]
     fmt: str = "pbc"
     books: tuple[int, ...] = DEFAULT_BOOK_IDS
-    master_seed: int = 0
-    replicates: int = 3
-    truncate: str = "token"  # off | token | char
-    order_scope: str = "verse"  # verse | book
-    verse_shuffle: bool = True
+    truncate: str = "token"  # off or one of TRUNCATIONS
     workers: int = 1
     out_dir: str = "results"
     lowercase: bool = False
-
-    def measure_config(self) -> MeasureConfig:
-        return MeasureConfig(
-            master_seed=self.master_seed,
-            replicates=self.replicates,
-            order_scope=self.order_scope,
-            verse_shuffle=self.verse_shuffle,
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,25 +127,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="measure books and write results.csv")
     p_an.add_argument("inputs", nargs="+", help="corpus files")
-    p_an.add_argument("--format", choices=("pbc", "tsv"), default="pbc")
+    p_an.add_argument("--format", dest="fmt", choices=FORMATS, default="pbc")
     p_an.add_argument(
         "--books",
         type=_books_arg,
         default=DEFAULT_BOOK_IDS,
         help="comma-separated canonical book ids (default: %(default)s)",
     )
-    p_an.add_argument("--seed", type=int, default=0, help="master seed")
+    p_an.add_argument(
+        "--seed", dest="master_seed", metavar="SEED", type=int, default=0, help="master seed"
+    )
     p_an.add_argument("--replicates", type=_count_arg(1), default=3)
-    p_an.add_argument("--truncate", choices=("off", "token", "char"), default="token")
-    p_an.add_argument("--order-scope", choices=("verse", "book"), default="verse")
+    p_an.add_argument("--truncate", choices=("off", *TRUNCATIONS), default="token")
+    p_an.add_argument("--order-scope", choices=ORDER_SCOPES, default="verse")
     p_an.add_argument(
         "--no-verse-shuffle",
-        action="store_true",
+        dest="verse_shuffle",
+        action="store_false",
         help="estimate on canonical verse order (sensitivity analysis)",
     )
     p_an.add_argument("--lowercase", action="store_true")
     p_an.add_argument("--workers", type=_count_arg(1), default=1)
-    p_an.add_argument("--out", default="results", help="output directory")
+    p_an.add_argument(
+        "--out", dest="out_dir", metavar="OUT", default="results", help="output directory"
+    )
 
     p_st = sub.add_parser("stats", help="fit and rank a results table")
     p_st.add_argument("results", help="results.csv from analyze")
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict to these book ids (default: all present)",
     )
-    p_st.add_argument("--group-by", choices=("translation", "language"), default="language")
+    p_st.add_argument("--group-by", choices=GROUP_KEYS, default="language")
     p_st.add_argument("--out", default=None, help="output directory (default: alongside results)")
 
     p_oc = sub.add_parser("oracle-check", help="fast vs naive match-length check")
@@ -205,20 +205,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "analyze":
-        config = RunConfig(
-            inputs=tuple(args.inputs),
-            fmt=args.format,
-            books=tuple(args.books),
-            master_seed=args.seed,
-            replicates=args.replicates,
-            truncate=args.truncate,
-            order_scope=args.order_scope,
-            verse_shuffle=not args.no_verse_shuffle,
-            workers=args.workers,
-            out_dir=args.out,
-            lowercase=args.lowercase,
-        )
-        return cmd_analyze(config)
+        settings = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+        return cmd_analyze(RunConfig(**settings | {"inputs": tuple(args.inputs)}))
     if args.command == "stats":
         return cmd_stats(
             results_path=args.results,
@@ -250,23 +238,15 @@ def cmd_analyze(config: RunConfig) -> int:
         logger.error("%s", exc)
         return 1
 
-    mcfg = config.measure_config()
     # Build or load the compiled kernel before any worker starts, so
     # forked workers inherit it and the manifest names what ran.
     kernel = kernel_name()
     units = [(book, r) for book in work for r in range(config.replicates)]
     rows = []
-    errors = []
+    errors: list[tuple[str, int, int, str]] = []  # in the order of ERROR_KEYS
 
     def record_error(book: Book, replicate: int, exc: Exception) -> None:
-        errors.append(
-            {
-                "translation_id": book.translation_id,
-                "book_id": book.book_id,
-                "replicate": replicate,
-                "error": str(exc),
-            }
-        )
+        errors.append((book.translation_id, book.book_id, replicate, str(exc)))
         logger.error(
             "measurement failed for %s book %d replicate %d: %s",
             book.translation_id,
@@ -278,29 +258,45 @@ def cmd_analyze(config: RunConfig) -> int:
     if config.workers <= 1:
         for book, r in units:
             try:
-                rows.append(measure_replicate(book, r, mcfg))
+                rows.append(measure_replicate(book, r, config))
             except Exception as exc:
                 record_error(book, r, exc)
     else:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {
-                pool.submit(measure_replicate, book, r, mcfg): (book, r)
-                for book, r in units
-            }
-            for future in as_completed(futures):
-                book, r = futures[future]
-                try:
-                    rows.append(future.result())
-                except Exception as exc:
-                    record_error(book, r, exc)
+        # A worker that dies (say, an out-of-memory kill) breaks the pool:
+        # submit raises, and every unit without a result gets BrokenProcessPool.
+        futures = []
+        try:
+            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+                for book, r in units:
+                    futures.append(pool.submit(measure_replicate, book, r, config))
+        except BrokenProcessPool:
+            pass
+        lost = units[len(futures) :]
+        for unit, future in zip(units, futures):
+            try:
+                rows.append(future.result())
+            except BrokenProcessPool:
+                lost.append(unit)
+            except Exception as exc:
+                record_error(*unit, exc)
+        died = "not measured: its worker process died"
+        errors += [(b.translation_id, b.book_id, r, died) for b, r in lost]
+        if lost:
+            logger.error(
+                "a worker process died; %d of %d units were not measured (listed under "
+                "errors in manifest.json): rerun with fewer --workers and check free memory",
+                len(lost),
+                len(units),
+            )
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
     with open(results_path, "w", newline="", encoding="utf-8") as fh:
-        write_results_csv(sort_measurements(rows), fh)
+        write_results_csv(rows, fh)
 
     manifest = {
         "tool": "wordtradeoff",
@@ -311,9 +307,7 @@ def cmd_analyze(config: RunConfig) -> int:
             for path in config.inputs
         },
         "missing_books": missing_report,
-        "errors": sorted(
-            errors, key=lambda e: (e["translation_id"], e["book_id"], e["replicate"])
-        ),
+        "errors": [dict(zip(ERROR_KEYS, error)) for error in sorted(errors)],
         "rows_written": len(rows),
         "kernel": kernel,
     }
@@ -378,7 +372,9 @@ def cmd_stats(
     out.mkdir(parents=True, exist_ok=True)
     selected = sorted(books) if books else sorted({m.book_id for m in measurements})
 
-    grouped = aggregate(measurements, group_by=group_by)
+    # Rank tables need translation aggregates; under translation grouping those are ``grouped``.
+    by_key = {key: aggregate(measurements, group_by=key) for key in {group_by, "translation"}}
+    grouped, per_translation = by_key[group_by], by_key["translation"]
 
     fits: list[BookFit] = []
     for book_id in selected:
@@ -408,7 +404,6 @@ def cmd_stats(
         with open(out / "corr_matrix.csv", "w", newline="", encoding="utf-8") as fh:
             write_corr_matrix_csv(matrix, fh)
 
-    per_translation = aggregate(measurements, group_by="translation")
     tables, excluded = rank_books(per_translation, selected)
     with open(out / "ranks.csv", "w", newline="", encoding="utf-8") as fh:
         write_ranks_csv(tables, fh, excluded)

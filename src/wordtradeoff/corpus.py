@@ -50,6 +50,12 @@ BOOK_NAMES: dict[int, str] = {
 #: Default analysis set: the four Gospels, Acts and Revelation.
 DEFAULT_BOOK_IDS: tuple[int, ...] = (40, 41, 42, 43, 44, 66)
 
+#: Corpus line formats (see the module docstring).
+FORMATS = ("pbc", "tsv")
+
+#: Where :func:`truncate_books` may cut a book.
+TRUNCATIONS = ("token", "char")
+
 #: Provenance keys (normalized) that may carry the ISO 639-3 language code.
 _LANGUAGE_KEYS = (
     "closest iso 639-3",
@@ -143,18 +149,17 @@ def parse_corpus(
     source: Union[bytes, str, Path, BinaryIO],
     fmt: str,
     *,
-    translation_id: str | None = None,
-    language: str | None = None,
     lowercase: bool = False,
 ) -> Translation:
     """Parse a verse-aligned corpus file into a Translation.
 
     ``source`` may be raw bytes, a filesystem path, or a binary file
     object; the content must be valid UTF-8. ``fmt`` selects the line
-    format (``"pbc"`` or ``"tsv"``). Verses are sorted by reference
+    format, one of :data:`FORMATS`. Verses are sorted by reference
     within each book. Data lines whose text is empty (untranslated
     verses) are skipped and counted in the provenance entry
-    ``skipped_empty_verses``.
+    ``skipped_empty_verses``. A ``# translation_id: ...`` comment sets
+    the translation id; the default is the file name's stem.
     """
     data, default_id = _read_source(source)
     try:
@@ -163,12 +168,9 @@ def parse_corpus(
         raise CorpusFormatError(f"input is not valid UTF-8: {exc}") from None
 
     fmt = fmt.lower()
-    if fmt == "pbc":
-        parse_line = _parse_pbc_line
-    elif fmt == "tsv":
-        parse_line = _parse_tsv_line
-    else:
-        raise ValueError(f"unknown corpus format {fmt!r} (expected 'pbc' or 'tsv')")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown corpus format {fmt!r} (expected one of {FORMATS})")
+    parse_line = _parse_pbc_line if fmt == "pbc" else _parse_tsv_line
 
     provenance: dict[str, str] = {}
     by_book: dict[int, list[Verse]] = {}
@@ -205,8 +207,8 @@ def parse_corpus(
         provenance["skipped_empty_verses"] = str(skipped_empty)
         logger.warning("skipped %d verses with empty text", skipped_empty)
 
-    tid = translation_id or provenance.get("translation_id") or default_id or "unknown"
-    lang = language or _language_from_provenance(provenance) or "und"
+    tid = provenance.get("translation_id") or default_id or "unknown"
+    lang = _language_from_provenance(provenance) or "und"
 
     books = {
         book_id: Book(
@@ -250,7 +252,7 @@ def truncate_books(
     truncated in their given verse order, so any randomization should be
     applied afterwards.
     """
-    if granularity not in ("token", "char"):
+    if granularity not in TRUNCATIONS:
         raise ValueError(f"unknown truncation granularity {granularity!r}")
     books = list(books)
     if len(books) < 2:

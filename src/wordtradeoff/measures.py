@@ -30,6 +30,7 @@ from typing import IO, Iterable, Mapping, Sequence
 from .corpus import Book, flatten
 from .entropy import entropy_rate, match_lengths
 from .transforms import (
+    PURPOSE_TAGS,
     SeedSpec,
     build_mask_table,
     derive_seed,
@@ -141,7 +142,7 @@ def measure_replicate(book: Book, replicate: int, config: MeasureConfig) -> Book
                 purpose=purpose,
             )
         )
-        for purpose in ("verse_shuffle", "order_shuffle", "mask_draw")
+        for purpose in PURPOSE_TAGS
     }
 
     base = shuffle_verses(book, seeds["verse_shuffle"]) if config.verse_shuffle else book

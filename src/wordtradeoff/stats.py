@@ -30,9 +30,6 @@ from .measures import AggregateMeasurement, format_float
 
 ALTERNATIVES = ("greater", "less", "two_sided")
 
-#: Deterministic tie handling, recorded on every rank table.
-TIE_POLICY = "ties broken by ascending canonical book id"
-
 
 class InsufficientDataError(ValueError):
     """Not enough complete groups/translations for the requested output."""
@@ -243,7 +240,6 @@ class RankTable:
     order_ranks: Mapping[int, int]
     structure_ranks: Mapping[int, int]
     has_ties: bool
-    tie_policy: str = TIE_POLICY
 
 
 def _rank_desc(values: dict[int, float]) -> tuple[dict[int, int], bool]:
@@ -258,9 +254,10 @@ def rank_books(
 ) -> tuple[list[RankTable], dict[str, tuple[int, ...]]]:
     """Rank books within each translation by both penalties.
 
-    ``rows`` must be translation-level aggregates. Translations missing
-    any requested book are excluded and reported in the second return
-    value rather than silently dropped.
+    ``rows`` must be translation-level aggregates. Ties are broken by
+    ascending canonical book id, and ``has_ties`` marks a table where
+    that happened. Translations missing any requested book are excluded
+    and reported in the second return value rather than silently dropped.
     """
     books = sorted(book_ids) if book_ids else sorted({r.book_id for r in rows})
     by_translation: dict[str, dict[int, AggregateMeasurement]] = {}

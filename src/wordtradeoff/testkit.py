@@ -29,6 +29,9 @@ STREAM_SYMBOLS = string.ascii_lowercase + string.ascii_uppercase + string.digits
 
 TOY_MODES = ("positional", "affixal")
 
+#: Affixal role suffixes of agent, verb and patient.
+ROLE_SUFFIXES = ("ak", "iz", "un")
+
 
 @dataclass(frozen=True)
 class SyntheticSource:
@@ -73,13 +76,13 @@ def uniform_iid(k: int) -> SyntheticSource:
     return iid_source([1.0 / k] * k)
 
 
-def stationary_distribution(transition: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Fixed point of pi = pi P by power iteration to ``tol``."""
+def stationary_distribution(transition: np.ndarray) -> np.ndarray:
+    """Fixed point of pi = pi P by power iteration to 1e-12."""
     k = transition.shape[0]
     pi = np.full(k, 1.0 / k)
     for _ in range(1_000_000):
         nxt = pi @ transition
-        if float(np.max(np.abs(nxt - pi))) < tol:
+        if float(np.max(np.abs(nxt - pi))) < 1e-12:
             return nxt
         pi = nxt
     raise ValueError("stationary distribution did not converge; is the chain periodic?")
@@ -148,36 +151,25 @@ class ToyLanguageSpec:
 
     In ``positional`` mode every proposition is rendered as
     agent-verb-patient with bare roots; in ``affixal`` mode each
-    constituent carries its role suffix and the tokens of a verse are
-    permuted. Roots must not end in any role suffix, otherwise the two
-    styles would blur into each other.
+    constituent carries its role suffix (:data:`ROLE_SUFFIXES`) and the
+    tokens of a verse are permuted. Roots must not end in any role
+    suffix, otherwise the two styles would blur into each other.
     """
 
     agents: tuple[str, ...]
     verbs: tuple[str, ...]
     patients: tuple[str, ...]
     mode: str
-    min_props: int = 1
-    max_props: int = 3
-    agent_suffix: str = "ak"
-    verb_suffix: str = "iz"
-    patient_suffix: str = "un"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in TOY_MODES:
             raise ValueError(f"unknown toy-language mode {self.mode!r}")
         if not (self.agents and self.verbs and self.patients):
             raise ValueError("vocabulary must be nonempty for every role")
-        if not (1 <= self.min_props <= self.max_props):
-            raise ValueError("invalid proposition-count range")
-        suffixes = (self.agent_suffix, self.verb_suffix, self.patient_suffix)
-        if len(set(suffixes)) != 3 or not all(suffixes):
-            raise ValueError("role suffixes must be nonempty and distinct")
         for root in self.agents + self.verbs + self.patients:
             if not root or " " in root:
                 raise ValueError(f"bad root {root!r}")
-            for suffix in suffixes:
+            for suffix in ROLE_SUFFIXES:
                 if root.endswith(suffix):
                     raise ValueError(
                         f"root {root!r} ends with role suffix {suffix!r}; "
@@ -194,7 +186,6 @@ def default_toy_vocabulary(
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
     """Random pronounceable CVCV(+C) roots, unique and suffix-safe."""
     rng = np.random.default_rng([seed, 97])
-    suffixes = ("ak", "iz", "un")
     roots: list[str] = []
     seen: set[str] = set()
     while len(roots) < n_agents + n_verbs + n_patients:
@@ -203,7 +194,7 @@ def default_toy_vocabulary(
             parts.append(_CONSONANTS[int(rng.integers(len(_CONSONANTS)))])
             parts.append(_VOWELS[int(rng.integers(len(_VOWELS)))])
         root = "".join(parts)
-        if root in seen or any(root.endswith(s) for s in suffixes):
+        if root in seen or any(root.endswith(s) for s in ROLE_SUFFIXES):
             continue
         seen.add(root)
         roots.append(root)
@@ -219,16 +210,13 @@ def toy_language_pair(
 ) -> tuple[ToyLanguageSpec, ToyLanguageSpec]:
     """Positional and affixal specs sharing one vocabulary."""
     agents, verbs, patients = default_toy_vocabulary(seed, **vocab_kwargs)
-    make = lambda mode: ToyLanguageSpec(
-        agents=agents, verbs=verbs, patients=patients, mode=mode, seed=seed
-    )
+    make = lambda mode: ToyLanguageSpec(agents=agents, verbs=verbs, patients=patients, mode=mode)
     return make("positional"), make("affixal")
 
 
-def render_toy_corpus(
-    spec: ToyLanguageSpec, n_sentences: int, seed: int, book_id: int = 1
-) -> Book:
-    """Render ``n_sentences`` verses; one sentence per verse.
+def render_toy_corpus(spec: ToyLanguageSpec, n_sentences: int, seed: int) -> Book:
+    """Render ``n_sentences`` verses of book 1; one sentence of one to
+    three propositions per verse.
 
     The message stream (which propositions occur) depends only on
     ``seed``, not on the mode, so a positional and an affixal corpus
@@ -240,7 +228,7 @@ def render_toy_corpus(
     order_rng = np.random.default_rng([seed, 1])
     verses = []
     for s_idx in range(1, n_sentences + 1):
-        n_props = int(msg_rng.integers(spec.min_props, spec.max_props + 1))
+        n_props = int(msg_rng.integers(1, 4))
         tokens: list[str] = []
         for _ in range(n_props):
             agent = spec.agents[int(msg_rng.integers(len(spec.agents)))]
@@ -249,16 +237,12 @@ def render_toy_corpus(
             if spec.mode == "positional":
                 tokens += [agent, verb, patient]
             else:
-                tokens += [
-                    agent + spec.agent_suffix,
-                    verb + spec.verb_suffix,
-                    patient + spec.patient_suffix,
-                ]
+                tokens += [r + s for r, s in zip((agent, verb, patient), ROLE_SUFFIXES)]
         if spec.mode == "affixal":
             tokens = [tokens[i] for i in order_rng.permutation(len(tokens))]
-        verses.append(Verse(VerseRef(book_id, 1, s_idx), " ".join(tokens)))
+        verses.append(Verse(VerseRef(1, 1, s_idx), " ".join(tokens)))
     return Book(
-        book_id=book_id,
+        book_id=1,
         verses=tuple(verses),
         translation_id=f"toy_{spec.mode}_{seed}",
         language=f"toy_{spec.mode}",

@@ -3,18 +3,25 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from wordtradeoff import cli
+from wordtradeoff import cli, measures
 from wordtradeoff.cli import RunConfig, cmd_analyze, main
-from wordtradeoff.corpus import parse_corpus
+from wordtradeoff.corpus import Book, Verse, VerseRef, parse_corpus
 from wordtradeoff.entropy import kernel_name
-from wordtradeoff.measures import RESULT_COLUMNS, read_results_csv
+from wordtradeoff.measures import (
+    RESULT_COLUMNS,
+    MeasureConfig,
+    measure_replicate,
+    read_results_csv,
+)
 
 
 def write_toy_corpus(path: Path, mode: str, seed: int, sentences: int = 25) -> None:
@@ -344,15 +351,119 @@ class TestOracleCheckCommand:
         assert "vacuous" in capsys.readouterr().out
 
 
-class TestRunConfig:
-    def test_order_scope_flag_mapping(self):
-        cfg = RunConfig(inputs=(), order_scope="book")
-        assert cfg.measure_config().order_scope == "book"
-        assert RunConfig(inputs=()).measure_config().order_scope == "verse"
+def _parsed_analyze_config(monkeypatch, *flags):
+    """The RunConfig that main builds for `analyze c.tsv` plus flags."""
+    built = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda config: built.append(config) or 0)
+    assert main(["analyze", "c.tsv", *flags]) == 0
+    (config,) = built
+    return config
 
-    def test_no_verse_shuffle_mapping(self):
-        cfg = RunConfig(inputs=(), verse_shuffle=False)
-        assert not cfg.measure_config().verse_shuffle
+
+class TestRunConfig:
+    def test_order_scope_flag_mapping(self, monkeypatch):
+        cfg = _parsed_analyze_config(monkeypatch, "--order-scope", "book")
+        assert isinstance(cfg, MeasureConfig)
+        assert cfg.order_scope == "book"
+        assert _parsed_analyze_config(monkeypatch).order_scope == "verse"
+        assert RunConfig(inputs=()).order_scope == "verse"
+
+    def test_no_verse_shuffle_mapping(self, monkeypatch):
+        cfg = _parsed_analyze_config(monkeypatch, "--no-verse-shuffle")
+        assert isinstance(cfg, MeasureConfig)
+        assert not cfg.verse_shuffle
+        assert _parsed_analyze_config(monkeypatch).verse_shuffle
+        assert RunConfig(inputs=()).verse_shuffle
+
+    def test_every_analyze_flag_reaches_its_manifest_key(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "cmd_analyze", lambda config: built.append(config) or 0)
+        argv = [
+            "analyze", "a.txt", "b.txt",
+            "--format", "tsv",
+            "--books", "1,2",
+            "--seed", "7",
+            "--replicates", "2",
+            "--truncate", "char",
+            "--order-scope", "book",
+            "--no-verse-shuffle",
+            "--lowercase",
+            "--workers", "3",
+            "--out", "elsewhere",
+        ]
+        assert main(argv) == 0
+        (config,) = built
+        expected = {
+            "inputs": ("a.txt", "b.txt"),
+            "fmt": "tsv",
+            "books": (1, 2),
+            "master_seed": 7,
+            "replicates": 2,
+            "truncate": "char",
+            "order_scope": "book",
+            "verse_shuffle": False,
+            "lowercase": True,
+            "workers": 3,
+            "out_dir": "elsewhere",
+        }
+        assert asdict(config) == expected
+        defaults = asdict(RunConfig(inputs=()))
+        assert [key for key in expected if expected[key] == defaults[key]] == []
+
+        # The run config is the measurement config of its inherited fields.
+        verses = tuple(
+            Verse(VerseRef(1, 1, v), f"ka{v % 3} lo mi{v % 5} ta") for v in range(1, 30)
+        )
+        book = Book(book_id=1, verses=verses, translation_id="t", language="x")
+        alone = MeasureConfig(master_seed=7, replicates=2, order_scope="book", verse_shuffle=False)
+        for r in range(config.replicates):
+            assert measure_replicate(book, r, config) == measure_replicate(book, r, alone)
+
+
+def _measure_or_die(book, replicate, config):
+    """A measure_replicate whose worker dies on book 40's first replicate."""
+    if book.book_id == 40 and replicate == 0:
+        os._exit(1)
+    return measures.measure_replicate(book, replicate, config)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the stand-in measure function reaches the workers only when they are forked",
+)
+@pytest.mark.parametrize("replicates", [2, 1000])
+def test_dead_worker_exits_2_and_writes_what_finished(tmp_path, monkeypatch, caplog, replicates):
+    # Two books, so two units per replicate. With 2000 units the worker
+    # usually dies while the parent is still submitting, and submit raises.
+    corpus = tmp_path / "c.tsv"
+    write_two_book_corpus(corpus)
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "measure_replicate", _measure_or_die)
+    argv = [
+        "analyze", str(corpus),
+        "--format", "tsv",
+        "--books", "40,41",
+        "--replicates", str(replicates),
+        "--workers", "2",
+        "--out", str(out),
+    ]
+    assert main(argv) == 2
+    messages = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(messages) == 1
+    assert "worker process died" in messages[0] and "--workers" in messages[0]
+
+    rows = read_results_csv(out / "results.csv")
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    errors = manifest["errors"]
+    assert manifest["rows_written"] == len(rows)
+    assert len(rows) + len(errors) == 2 * replicates
+    assert f"{len(errors)} of {2 * replicates} units" in messages[0]
+    assert {"book_id": 40, "replicate": 0} in [
+        {"book_id": e["book_id"], "replicate": e["replicate"]} for e in errors
+    ]
+    assert all("worker process died" in e["error"] for e in errors)
+    measured = {(m.book_id, m.replicate) for m in rows}
+    assert not measured & {(e["book_id"], e["replicate"]) for e in errors}
 
 
 class TestParser:

@@ -114,7 +114,7 @@ class TestParse:
         assert tr.translation_id == "eng_kjv"
 
     def test_binary_stream_source(self):
-        tr = parse_corpus(io.BytesIO(TSV_SAMPLE), "tsv", translation_id="x")
+        tr = parse_corpus(io.BytesIO(b"# translation_id: x\n" + TSV_SAMPLE), "tsv")
         assert tr.translation_id == "x"
 
 

@@ -67,6 +67,14 @@ def test_outputs_match_golden_bytes(tmp_path, variant, workers):
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("mode", ["positional", "affixal"])
+def test_synth_toy_reproduces_golden_corpus(tmp_path, mode):
+    out = tmp_path / f"toy_{mode}.tsv"
+    argv = ["synth", "toy", "--mode", mode, "--sentences", "300", "--seed", "0", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / f"toy_{mode}.tsv").read_bytes()
+
+
 PBC = GOLDEN / "pbc"
 PBC_FILES = ("results.csv", "fits.csv", "corr_matrix.csv", "ranks.csv", "rank_hist.csv")
 

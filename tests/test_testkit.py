@@ -10,6 +10,7 @@ import pytest
 
 from wordtradeoff.corpus import flatten
 from wordtradeoff.testkit import (
+    ROLE_SUFFIXES,
     STREAM_SYMBOLS,
     SyntheticSource,
     ToyLanguageSpec,
@@ -136,25 +137,19 @@ class TestToyLanguage:
     def test_affixal_tokens_carry_role_suffixes(self):
         _, spec = toy_language_pair(seed=0)
         book = render_toy_corpus(spec, 40, seed=1)
-        suffixes = (spec.agent_suffix, spec.verb_suffix, spec.patient_suffix)
         for verse in book.verses:
             for token in verse.text.split(" "):
-                assert any(token.endswith(s) for s in suffixes)
+                assert any(token.endswith(s) for s in ROLE_SUFFIXES)
 
     def test_same_message_stream_across_modes(self):
         positional, affixal = toy_language_pair(seed=2)
         pos_book = render_toy_corpus(positional, 30, seed=9)
         aff_book = render_toy_corpus(affixal, 30, seed=9)
-        strip = {
-            affixal.agent_suffix: "agent",
-            affixal.verb_suffix: "verb",
-            affixal.patient_suffix: "patient",
-        }
         for pv, av in zip(pos_book.verses, aff_book.verses):
             pos_roots = Counter(pv.text.split(" "))
             aff_roots = Counter()
             for token in av.text.split(" "):
-                for suffix in strip:
+                for suffix in ROLE_SUFFIXES:
                     if token.endswith(suffix):
                         aff_roots[token[: -len(suffix)]] += 1
                         break
@@ -192,8 +187,5 @@ class TestToyLanguage:
     def test_invalid_spec_params(self):
         with pytest.raises(ValueError):
             ToyLanguageSpec(agents=(), verbs=("a",), patients=("b",), mode="positional")
-        with pytest.raises(ValueError):
-            ToyLanguageSpec(
-                agents=("ba",), verbs=("ti",), patients=("mo",), mode="positional",
-                min_props=3, max_props=1,
-            )
+        with pytest.raises(ValueError, match="mode"):
+            ToyLanguageSpec(agents=("ba",), verbs=("ti",), patients=("mo",), mode="free")
