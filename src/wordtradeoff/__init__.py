@@ -32,9 +32,11 @@ from .measures import (
     AggregateMeasurement,
     BookMeasurement,
     MeasureConfig,
+    ResultsTable,
     aggregate,
     measure_book,
     measure_replicate,
+    read_results_csv,
 )
 from .stats import (
     CorrelationMatrix,
@@ -82,6 +84,7 @@ __all__ = [
     "RankHistograms",
     "RankTable",
     "RegressionFit",
+    "ResultsTable",
     "SeedSpec",
     "Translation",
     "Verse",
@@ -104,6 +107,7 @@ __all__ = [
     "parse_corpus",
     "rank_books",
     "rank_histograms",
+    "read_results_csv",
     "run_oracle_check",
     "select_books",
     "shuffle_verses",

@@ -26,7 +26,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_st = sub.add_parser("stats", help="fit and rank a results table")
-    p_st.add_argument("results", help="results.csv from analyze")
+    p_st.add_argument("results_path", metavar="results", help="results.csv from analyze")
     p_st.add_argument(
         "--books",
         type=_books_arg,
@@ -161,14 +161,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to these book ids (default: all present)",
     )
     p_st.add_argument("--group-by", choices=GROUP_KEYS, default="language")
-    p_st.add_argument("--out", default=None, help="output directory (default: alongside results)")
+    p_st.add_argument(
+        "--out",
+        dest="out_dir",
+        metavar="OUT",
+        default=None,
+        help="output directory (default: alongside results)",
+    )
 
     p_oc = sub.add_parser("oracle-check", help="fast vs naive match-length check")
     p_oc.add_argument("--count", type=_count_arg(0), default=1000)
     p_oc.add_argument("--min-len", type=_count_arg(1), default=1)
     p_oc.add_argument("--max-len", type=_count_arg(1), default=2000)
-    p_oc.add_argument("--alpha-min", type=_count_arg(1), default=2)
-    p_oc.add_argument("--alpha-max", type=_count_arg(1), default=30)
+    p_oc.add_argument(
+        "--alpha-min", dest="min_alpha", metavar="ALPHA_MIN", type=_count_arg(1), default=2
+    )
+    p_oc.add_argument(
+        "--alpha-max", dest="max_alpha", metavar="ALPHA_MAX", type=_count_arg(1), default=30
+    )
     p_oc.add_argument("--seed", type=int, default=0)
 
     p_sy = sub.add_parser("synth", help="emit synthetic corpora (tsv format)")
@@ -204,29 +214,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The destinations of each command's options are the names its
+    # ``cmd_*`` function (or ``RunConfig``) takes.
+    settings = {key: value for key, value in vars(args).items() if key != "command"}
     if args.command == "analyze":
-        settings = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
         return cmd_analyze(RunConfig(**settings | {"inputs": tuple(args.inputs)}))
     if args.command == "stats":
-        return cmd_stats(
-            results_path=args.results,
-            books=args.books,
-            group_by=args.group_by,
-            out_dir=args.out,
-        )
+        return cmd_stats(**settings)
     if args.command == "oracle-check":
         if args.min_len > args.max_len:
             parser.error("--min-len must not exceed --max-len")
-        if args.alpha_min > args.alpha_max:
+        if args.min_alpha > args.max_alpha:
             parser.error("--alpha-min must not exceed --alpha-max")
-        return cmd_oracle_check(
-            count=args.count,
-            min_len=args.min_len,
-            max_len=args.max_len,
-            min_alpha=args.alpha_min,
-            max_alpha=args.alpha_max,
-            seed=args.seed,
-        )
+        return cmd_oracle_check(**settings)
     return cmd_synth(args)
 
 
@@ -360,20 +360,20 @@ def cmd_stats(
 ) -> int:
     """Compute fits, correlation matrix, ranks and rank histograms."""
     try:
-        measurements = read_results_csv(results_path)
+        results = read_results_csv(results_path)
     except (OSError, ValueError) as exc:
         logger.error("cannot read results: %s", exc)
         return 1
-    if not measurements:
+    if not results:
         logger.error("results table is empty")
         return 1
 
     out = Path(out_dir) if out_dir else Path(results_path).parent
     out.mkdir(parents=True, exist_ok=True)
-    selected = sorted(books) if books else sorted({m.book_id for m in measurements})
+    selected = sorted(books) if books else sorted(set(results.book_id.tolist()))
 
     # Rank tables need translation aggregates; under translation grouping those are ``grouped``.
-    by_key = {key: aggregate(measurements, group_by=key) for key in {group_by, "translation"}}
+    by_key = {key: aggregate(results, group_by=key) for key in {group_by, "translation"}}
     grouped, per_translation = by_key[group_by], by_key["translation"]
 
     fits: list[BookFit] = []

@@ -15,6 +15,10 @@ in bits per character: the description-length cost of having destroyed
 that dimension of regularity. Replicates vary only the derived seeds.
 Estimation noise can push a penalty slightly below zero on short books;
 values are reported as computed, with a warning.
+
+``write_results_csv`` writes one row per :class:`BookMeasurement`.
+``read_results_csv`` reads the table back as a :class:`ResultsTable` of
+columns, and ``aggregate`` averages it per translation or language.
 """
 
 from __future__ import annotations
@@ -22,10 +26,15 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import statistics
-from dataclasses import dataclass, field
+import sys
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass, field, fields
+from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import Book, flatten
 from .entropy import entropy_rate, match_lengths
@@ -119,6 +128,41 @@ class BookMeasurement:
         ]
 
 
+@dataclass(frozen=True, eq=False)
+class ResultsTable:
+    """A results table as columns, one per ``RESULT_COLUMNS`` entry, rows in
+    file order. The ids are tuples of str, ``book_id``, ``replicate`` and
+    ``n_chars`` int64 arrays, and the entropies and penalties float64 arrays."""
+
+    translation_id: tuple[str, ...]
+    language: tuple[str, ...]
+    book_id: np.ndarray
+    replicate: np.ndarray
+    n_chars: np.ndarray
+    h_original: np.ndarray
+    h_order: np.ndarray
+    h_structure: np.ndarray
+    d_order: np.ndarray
+    d_structure: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.translation_id)
+
+    @classmethod
+    def from_measurements(cls, rows: Iterable[BookMeasurement]) -> ResultsTable:
+        rows = list(rows)
+        return _table([[getattr(m, f.name) for m in rows] for f in fields(cls)])
+
+
+def _table(columns: Sequence[Sequence]) -> ResultsTable:
+    """The table of ten raw columns: two of text, three of ints, five of floats."""
+    return ResultsTable(
+        *map(tuple, columns[:2]),
+        *(np.array(c, dtype=np.int64) for c in columns[2:5]),
+        *(np.array(c, dtype=np.float64) for c in columns[5:]),
+    )
+
+
 @dataclass(frozen=True)
 class AggregateMeasurement:
     """Per-group (translation or language) averages for one book."""
@@ -199,49 +243,71 @@ def measure_book(book: Book, config: MeasureConfig | None = None) -> list[BookMe
 
 
 def aggregate(
-    measurements: Sequence[BookMeasurement], group_by: str = "language"
+    results: ResultsTable | Sequence[BookMeasurement], group_by: str = "language"
 ) -> list[AggregateMeasurement]:
     """Average penalties per group and book.
 
     Replicate variability is folded in first: replicates are averaged
     per translation, and for language grouping those translation means
     are then averaged (unweighted) per language. ``count`` is the number
-    of the group's units (replicates, respectively translations).
+    of the group's units (replicates, respectively translations). Each
+    mean is ``math.fsum(units) / len(units)``, as ``statistics.fmean``
+    computes it.
     """
-    if not measurements:
+    if not isinstance(results, ResultsTable):
+        results = ResultsTable.from_measurements(results)
+    if not len(results):
         raise ValueError("no measurements to aggregate")
     if group_by not in GROUP_KEYS:
         raise ValueError(f"unknown grouping {group_by!r}")
 
-    per_translation: dict[tuple[str, int], tuple[str, list[float], list[float]]] = {}
-    for m in measurements:
-        _, d_order, d_structure = per_translation.setdefault(
-            (m.translation_id, m.book_id), (m.language, [], [])
-        )
-        d_order.append(m.d_order)
-        d_structure.append(m.d_structure)
-
-    # Each group's units: a translation's replicate values, or a
-    # language's per-translation means.
-    by_language = group_by == "language"
-    groups: dict[tuple[str, int], tuple[list[float], list[float]]] = {}
-    for (tid, book_id), (language, d_order, d_structure) in sorted(per_translation.items()):
-        if by_language:
-            d_order, d_structure = [statistics.fmean(d_order)], [statistics.fmean(d_structure)]
-        units = groups.setdefault((language if by_language else tid, book_id), ([], []))
-        units[0].extend(d_order)
-        units[1].extend(d_structure)
+    # Each (translation, book): its replicates' mean, and its first row.
+    order, bounds = _runs(_codes(results.translation_id), results.book_id)
+    first = order[bounds[:-1]]
+    d_order = _means(results.d_order[order].tolist(), bounds)
+    d_structure = _means(results.d_structure[order].tolist(), bounds)
+    groups = results.translation_id
+    if group_by == "language":
+        # Each (language, book): the mean of its translations' means. A
+        # translation's language is the one on its first row of the book.
+        languages = [results.language[i] for i in first.tolist()]
+        order, bounds = _runs(_codes(languages), results.book_id[first])
+        first = first[order[bounds[:-1]]]
+        d_order = _means([d_order[i] for i in order.tolist()], bounds)
+        d_structure = _means([d_structure[i] for i in order.tolist()], bounds)
+        groups = results.language
 
     return [
-        AggregateMeasurement(
-            group=group,
-            book_id=book_id,
-            mean_d_order=statistics.fmean(d_order),
-            mean_d_structure=statistics.fmean(d_structure),
-            count=len(d_order),
+        AggregateMeasurement(groups[i], book_id, mean_order, mean_structure, count)
+        for i, book_id, mean_order, mean_structure, count in zip(
+            first.tolist(),
+            results.book_id[first].tolist(),
+            d_order,
+            d_structure,
+            np.diff(bounds).tolist(),
         )
-        for (group, book_id), (d_order, d_structure) in sorted(groups.items())
     ]
+
+
+def _codes(values: Sequence[str]) -> np.ndarray:
+    """Each value's index among the sorted distinct values."""
+    index = {value: code for code, value in enumerate(sorted(set(values)))}
+    return np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+
+
+def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable sort by ``keys`` (the first is primary), and the bounds of
+    its runs of equal keys: run ``r`` is ``order[bounds[r]:bounds[r + 1]]``."""
+    order = np.lexsort(keys[::-1])
+    ordered = np.stack(keys)[:, order]
+    starts = np.flatnonzero((ordered[:, 1:] != ordered[:, :-1]).any(axis=0)) + 1
+    return order, np.concatenate(([0], starts, [len(order)]))
+
+
+def _means(values: list[float], bounds: np.ndarray) -> list[float]:
+    """The mean of each run ``values[bounds[r]:bounds[r + 1]]``."""
+    edges = bounds.tolist()
+    return [math.fsum(values[a:b]) / (b - a) for a, b in zip(edges, edges[1:])]
 
 
 def sort_measurements(measurements: Iterable[BookMeasurement]) -> list[BookMeasurement]:
@@ -258,13 +324,25 @@ def write_results_csv(measurements: Sequence[BookMeasurement], fh: IO[str]) -> N
         writer.writerow(m.csv_row())
 
 
-def read_results_csv(source: str | Path | IO[str]) -> list[BookMeasurement]:
-    """Read a results table back.
+#: Rows converted at a time: large enough that per-chunk work is negligible,
+#: small enough that the raw text rows never all sit in memory at once.
+_CHUNK_ROWS = 1024
+
+
+def read_results_csv(source: str | Path | IO[str]) -> ResultsTable:
+    """Read a results table back, as columns.
 
     Raises ValueError naming the row on a schema mismatch, a field that
     does not parse, a non-finite value, N < 1, a penalty that is not
     ``h_variant - h_original`` up to the 6-significant-digit rounding of
     the three values, or a repeated (translation, book, replicate) key.
+    Rows are numbered by CSV record, blank records included. The row
+    named is the first bad one in file order, and the fault named is the
+    first one it has, in the order listed.
+
+    The file is read in chunks of ``_CHUNK_ROWS`` records, each split into
+    columns and converted by the builtins ``int`` and ``float``; the value
+    and key checks then run on the whole columns.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
@@ -275,47 +353,86 @@ def read_results_csv(source: str | Path | IO[str]) -> list[BookMeasurement]:
         raise ValueError(
             f"results CSV schema mismatch: expected columns {','.join(RESULT_COLUMNS)}"
         )
-    rows = []
-    seen: dict[tuple[str, int, int], int] = {}
-    for line_no, rec in enumerate(reader, start=2):
-        if not rec:
-            continue
-        if len(rec) != len(RESULT_COLUMNS):
-            raise ValueError(f"results CSV row {line_no}: wrong field count")
+    columns = [[], [], *(array("q") for _ in range(3)), *(array("d") for _ in range(5))]
+    blanks: list[int] = []  # for each blank record, the number of rows before it
+
+    def row_no(i: int) -> int:
+        """The CSV record number of row ``i``; the header is record 1."""
+        return i + 2 + bisect_right(blanks, i)
+
+    unreadable = None  # the error of the first row that does not convert
+    while unreadable is None and (chunk := list(islice(reader, _CHUNK_ROWS))):
+        done = len(columns[0])
+        rows = list(filter(None, chunk))
+        if len(rows) < len(chunk):
+            blank_at = (p for p, rec in enumerate(chunk) if not rec)
+            blanks += [done + p - k for k, p in enumerate(blank_at)]
         try:
-            row = BookMeasurement(
-                translation_id=rec[0],
-                language=rec[1],
-                book_id=int(rec[2]),
-                replicate=int(rec[3]),
-                n_chars=int(rec[4]),
-                h_original=float(rec[5]),
-                h_order=float(rec[6]),
-                h_structure=float(rec[7]),
-                d_order=float(rec[8]),
-                d_structure=float(rec[9]),
-            )
-        except ValueError as exc:
-            raise ValueError(f"results CSV row {line_no}: {exc}") from None
-        values = (row.h_original, row.h_order, row.h_structure, row.d_order, row.d_structure)
-        if not all(math.isfinite(x) for x in values):
-            raise ValueError(f"results CSV row {line_no}: non-finite value")
-        if row.n_chars < 1:
-            raise ValueError(f"results CSV row {line_no}: N must be >= 1, got {row.n_chars}")
-        h0 = row.h_original
-        for name, d, h in (("d_order", row.d_order, row.h_order),
-                           ("d_structure", row.d_structure, row.h_structure)):
-            if abs(d - (h - h0)) > _ROUNDING_6G * (abs(d) + abs(h) + abs(h0)):
-                raise ValueError(
-                    f"results CSV row {line_no}: {name} = {d:.6g} but h_{name[2:]} - "
-                    f"h_original = {h - h0:.6g}"
-                )
-        key = (row.translation_id, row.book_id, row.replicate)
-        if key in seen:
-            raise ValueError(
-                f"results CSV row {line_no}: duplicate of row {seen[key]} "
-                f"(translation {key[0]}, book {key[1]}, replicate {key[2]})"
-            )
-        seen[key] = line_no
-        rows.append(row)
-    return rows
+            converted = _convert(rows)
+        except (ValueError, OverflowError):
+            for bad, rec in enumerate(rows):
+                try:
+                    _convert([rec])
+                except (ValueError, OverflowError) as exc:
+                    unreadable = f"results CSV row {row_no(done + bad)}: {exc}"
+                    break
+            converted = _convert(rows[:bad])
+        for column, values in zip(columns, converted):
+            column.extend(values)
+    table = _table(columns)
+    _check_rows(table, row_no)
+    if unreadable is not None:
+        raise ValueError(unreadable)
+    return table
+
+
+def _convert(rows: list[list[str]]) -> list:
+    """The ten columns of ``rows``; equal ids share one string object."""
+    if set(map(len, rows)) - {len(RESULT_COLUMNS)}:
+        raise ValueError("wrong field count")
+    text = list(zip(*rows)) or [()] * len(RESULT_COLUMNS)
+    return [
+        *(list(map(sys.intern, column)) for column in text[:2]),
+        *(array("q", map(int, column)) for column in text[2:5]),
+        *(array("d", map(float, column)) for column in text[5:]),
+    ]
+
+
+def _check_rows(table: ResultsTable, row_no: Callable[[int], int]) -> None:
+    """Raise ValueError naming the first row that fails a value check or
+    repeats an earlier row's key, and the first check it fails."""
+    if not len(table):
+        return
+    h0 = table.h_original
+    values = (h0, table.h_order, table.h_structure, table.d_order, table.d_structure)
+    finite = np.logical_and.reduce([np.isfinite(x) for x in values])
+    off = {}  # rows whose penalty is not the difference of the h values
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, d, h in (("d_order", table.d_order, table.h_order),
+                           ("d_structure", table.d_structure, table.h_structure)):
+            off[name] = np.abs(d - (h - h0)) > _ROUNDING_6G * (np.abs(d) + np.abs(h) + np.abs(h0))
+    # Each row's first row in file order with the same key.
+    order, bounds = _runs(_codes(table.translation_id), table.book_id, table.replicate)
+    first_of_key = np.empty_like(order)
+    first_of_key[order] = np.repeat(order[bounds[:-1]], np.diff(bounds))
+
+    bad = ~finite | (table.n_chars < 1) | off["d_order"] | off["d_structure"]
+    bad |= first_of_key != np.arange(len(table))
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    penalty = next((name for name in off if off[name][i]), None)
+    if not finite[i]:
+        fault = "non-finite value"
+    elif table.n_chars[i] < 1:
+        fault = f"N must be >= 1, got {int(table.n_chars[i])}"
+    elif penalty:
+        h_name = f"h_{penalty[2:]}"
+        d, h, h0 = (float(getattr(table, name)[i]) for name in (penalty, h_name, "h_original"))
+        fault = f"{penalty} = {d:.6g} but {h_name} - h_original = {h - h0:.6g}"
+    else:
+        fault = (
+            f"duplicate of row {row_no(int(first_of_key[i]))} (translation "
+            f"{table.translation_id[i]}, book {table.book_id[i]}, replicate {table.replicate[i]})"
+        )
+    raise ValueError(f"results CSV row {row_no(i)}: {fault}")

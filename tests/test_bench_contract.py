@@ -3,7 +3,8 @@
 ``bench/traced.py`` wraps package functions at the module attributes listed
 in its ``WRAPPED`` table, three of its count hooks read the arguments or
 results of the function they wrap, and its kernel sweep reads
-``generate(...).chars``. ``bench/run.py`` times a set-up probe that builds
+``generate(...).chars``. A traced ``stats`` records the read and aggregate
+spans under their names. ``bench/run.py`` times a set-up probe that builds
 a ``MeasureConfig()`` with its defaults. A change that renames or removes
 one of those names, or changes one of those shapes, breaks the benchmark,
 not the package's own tests; these tests catch that. The scripts are
@@ -17,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from test_golden import GOLDEN
@@ -81,6 +83,27 @@ def test_count_hooks_read_real_calls(tmp_path):
         len({t for t in text.split(" ") if len(t) >= 2}) for text in texts
     )
     assert counts["entropy.match_lengths.chars"] == 3 * sum(map(len, texts))
+
+
+def test_traced_stats_records_read_and_aggregate(tmp_path):
+    """A traced ``stats`` records the read and aggregate spans and writes the golden files."""
+    defaults = GOLDEN / "pbc" / "expected" / "defaults"
+    spans = tmp_path / "spans.json"
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "traced.py"), "cli", str(spans), "contract", "--",
+         "stats", str(defaults / "results.csv"), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+    traced = json.loads(spans.read_text(encoding="utf-8"))["spans"]
+    names = Counter(span["name"] for span in traced)
+    assert names["measures.read_results_csv"] in (1, 2)
+    assert names["measures.aggregate"] in (1, 2)
+    for name in ("fits.csv", "corr_matrix.csv", "ranks.csv", "rank_hist.csv"):
+        assert (out / name).read_bytes() == (defaults / name).read_bytes(), name
 
 
 def test_sweep_reads_generated_chars():

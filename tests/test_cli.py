@@ -155,7 +155,7 @@ class TestAnalyze:
             out_dir=str(out_dir),
         )
         assert cmd_analyze(config) == 1
-        assert read_results_csv(out_dir / "results.csv") == []
+        assert len(read_results_csv(out_dir / "results.csv")) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["missing_books"] == {"toy1": [42]}
 
@@ -175,7 +175,7 @@ class TestAnalyze:
         code, out_dir = self._run(tmp_path)
         assert code == 2
         rows = read_results_csv(out_dir / "results.csv")
-        assert {r.book_id for r in rows} == {40}
+        assert set(rows.book_id.tolist()) == {40}
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert len(manifest["errors"]) == 2
         assert manifest["errors"][0]["error"] == "injected failure"
@@ -199,7 +199,7 @@ class TestAnalyze:
         code, out_dir = self._run(tmp_path, books=(40,))
         assert code == 0
         rows = read_results_csv(out_dir / "results.csv")
-        assert {r.book_id for r in rows} == {40}
+        assert set(rows.book_id.tolist()) == {40}
 
     def test_duplicate_translation_id_fatal(self, tmp_path, caplog):
         paths = []
@@ -419,6 +419,23 @@ class TestRunConfig:
         for r in range(config.replicates):
             assert measure_replicate(book, r, config) == measure_replicate(book, r, alone)
 
+    def test_stats_and_oracle_check_flags_reach_their_parameters(self, monkeypatch):
+        calls = {}
+        monkeypatch.setattr(cli, "cmd_stats", lambda **kw: calls.setdefault("stats", kw) and 0)
+        monkeypatch.setattr(
+            cli, "cmd_oracle_check", lambda **kw: calls.setdefault("oracle-check", kw) and 0
+        )
+        assert main(["stats", "r.csv", "--books", "40,41", "--group-by", "translation",
+                     "--out", "elsewhere"]) == 0
+        assert main(["oracle-check", "--count", "3", "--min-len", "2", "--max-len", "9",
+                     "--alpha-min", "4", "--alpha-max", "5", "--seed", "7"]) == 0
+        assert calls == {
+            "stats": {"results_path": "r.csv", "books": (40, 41), "group_by": "translation",
+                      "out_dir": "elsewhere"},
+            "oracle-check": {"count": 3, "min_len": 2, "max_len": 9, "min_alpha": 4,
+                             "max_alpha": 5, "seed": 7},
+        }
+
 
 def _measure_or_die(book, replicate, config):
     """A measure_replicate whose worker dies on book 40's first replicate."""
@@ -462,7 +479,7 @@ def test_dead_worker_exits_2_and_writes_what_finished(tmp_path, monkeypatch, cap
         {"book_id": e["book_id"], "replicate": e["replicate"]} for e in errors
     ]
     assert all("worker process died" in e["error"] for e in errors)
-    measured = {(m.book_id, m.replicate) for m in rows}
+    measured = set(zip(rows.book_id.tolist(), rows.replicate.tolist()))
     assert not measured & {(e["book_id"], e["replicate"]) for e in errors}
 
 

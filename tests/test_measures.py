@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import csv
 import io
+import math
 import random
+import statistics
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_book
 from wordtradeoff import measures
@@ -15,6 +21,7 @@ from wordtradeoff.measures import (
     AggregateMeasurement,
     BookMeasurement,
     MeasureConfig,
+    ResultsTable,
     aggregate,
     format_float,
     measure_book,
@@ -183,8 +190,8 @@ class TestSerialization:
         text = buf.getvalue()
         assert text.splitlines()[0] == ",".join(RESULT_COLUMNS)
         back = read_results_csv(io.StringIO(text))
-        assert [m.translation_id for m in back] == ["t1", "t2"]  # sorted
-        assert back[0].d_order == pytest.approx(1 / 3, abs=1e-6)
+        assert back.translation_id == ("t1", "t2")  # sorted
+        assert back.d_order[0] == pytest.approx(1 / 3, abs=1e-6)
 
     def test_six_significant_digits(self):
         assert format_float(1 / 3) == "0.333333"
@@ -210,6 +217,12 @@ class TestSerialization:
         write_results_csv(ms, buf)
         assert len(read_results_csv(io.StringIO(buf.getvalue()))) == 3000
 
+    def test_integer_beyond_int64_rejected(self):
+        # book_id, replicate and N are read into int64 arrays.
+        text = ",".join(RESULT_COLUMNS) + "\nt,l,40,0,9223372036854775808,1,1.1,1.2,0.1,0.2\n"
+        with pytest.raises(ValueError, match="^results CSV row 2: int too big to convert$"):
+            read_results_csv(io.StringIO(text))
+
     def test_schema_mismatch_rejected(self):
         with pytest.raises(ValueError, match="schema"):
             read_results_csv(io.StringIO("a,b,c\n1,2,3\n"))
@@ -230,3 +243,201 @@ class TestSerialization:
     def test_negative_penalty_flag(self):
         assert fake_measurement(d_order=-0.01).has_negative_penalty
         assert not fake_measurement().has_negative_penalty
+
+
+def reference_aggregate(measurements, group_by):
+    """Row-object aggregation with ``statistics.fmean``, the definition
+    the columnar ``aggregate`` must reproduce bit for bit."""
+    per_translation = {}
+    for m in measurements:
+        _, d_order, d_structure = per_translation.setdefault(
+            (m.translation_id, m.book_id), (m.language, [], [])
+        )
+        d_order.append(m.d_order)
+        d_structure.append(m.d_structure)
+    by_language = group_by == "language"
+    groups = {}
+    for (tid, book_id), (language, d_order, d_structure) in sorted(per_translation.items()):
+        if by_language:
+            d_order, d_structure = [statistics.fmean(d_order)], [statistics.fmean(d_structure)]
+        units = groups.setdefault((language if by_language else tid, book_id), ([], []))
+        units[0].extend(d_order)
+        units[1].extend(d_structure)
+    return [
+        AggregateMeasurement(
+            group, book_id, statistics.fmean(d_o), statistics.fmean(d_s), len(d_o)
+        )
+        for (group, book_id), (d_o, d_s) in sorted(groups.items())
+    ]
+
+
+class TestAggregateBitEquality:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equals_fmean_reference(self, seed):
+        # Unequal replicate counts, languages spanning several translations,
+        # books missing from some translations, and penalties of mixed sign
+        # and magnitude, where a plain running sum would round differently.
+        rng = random.Random(seed)
+        n_languages = rng.randint(1, 4)
+        ms = []
+        for t in range(rng.randint(1, 9)):
+            language = f"l{rng.randrange(n_languages)}"
+            for book in rng.sample([40, 41, 42, 66], rng.randint(1, 4)):
+                for rep in range(rng.randint(1, 5)):
+                    d_order, d_structure = (
+                        rng.choice([-1, 1]) * rng.uniform(0, 1) * 10.0 ** rng.randint(-9, 3)
+                        for _ in range(2)
+                    )
+                    ms.append(fake_measurement(f"t{t}", language, book, rep, d_order, d_structure))
+        rng.shuffle(ms)
+        for group_by in ("translation", "language"):
+            expected = reference_aggregate(ms, group_by)
+            assert aggregate(ms, group_by) == expected
+            assert aggregate(ResultsTable.from_measurements(ms), group_by) == expected
+
+
+def reference_read(text):
+    """The row-by-row reader that ``read_results_csv`` replaced: the error
+    text it gives is the one the columnar reader must give."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or tuple(header) != RESULT_COLUMNS:
+        raise ValueError(
+            f"results CSV schema mismatch: expected columns {','.join(RESULT_COLUMNS)}"
+        )
+    rows = []
+    seen = {}
+    for line_no, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        if len(rec) != len(RESULT_COLUMNS):
+            raise ValueError(f"results CSV row {line_no}: wrong field count")
+        try:
+            row = BookMeasurement(
+                translation_id=rec[0],
+                language=rec[1],
+                book_id=int(rec[2]),
+                replicate=int(rec[3]),
+                n_chars=int(rec[4]),
+                h_original=float(rec[5]),
+                h_order=float(rec[6]),
+                h_structure=float(rec[7]),
+                d_order=float(rec[8]),
+                d_structure=float(rec[9]),
+            )
+        except ValueError as exc:
+            raise ValueError(f"results CSV row {line_no}: {exc}") from None
+        values = (row.h_original, row.h_order, row.h_structure, row.d_order, row.d_structure)
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError(f"results CSV row {line_no}: non-finite value")
+        if row.n_chars < 1:
+            raise ValueError(f"results CSV row {line_no}: N must be >= 1, got {row.n_chars}")
+        h0 = row.h_original
+        for name, d, h in (("d_order", row.d_order, row.h_order),
+                           ("d_structure", row.d_structure, row.h_structure)):
+            if abs(d - (h - h0)) > measures._ROUNDING_6G * (abs(d) + abs(h) + abs(h0)):
+                raise ValueError(
+                    f"results CSV row {line_no}: {name} = {d:.6g} but h_{name[2:]} - "
+                    f"h_original = {h - h0:.6g}"
+                )
+        key = (row.translation_id, row.book_id, row.replicate)
+        if key in seen:
+            raise ValueError(
+                f"results CSV row {line_no}: duplicate of row {seen[key]} "
+                f"(translation {key[0]}, book {key[1]}, replicate {key[2]})"
+            )
+        seen[key] = line_no
+        rows.append(row)
+    return rows
+
+
+FAULTS = ("unparsable", "field_count", "non_finite", "nonpositive_n", "penalty_off", "duplicate")
+
+
+def corrupt(rng, records, fault, i):
+    """Apply one fault of the given kind to record ``i``. A record may
+    already have lost a field to an earlier fault."""
+    rec = records[i]
+    last = len(rec) - 1
+    if fault == "unparsable":
+        rec[rng.randint(2, last)] = rng.choice(["x", "1.5e", "", "4-0"])
+    elif fault == "field_count":
+        if rng.random() < 0.5:
+            del rec[rng.randrange(len(rec))]
+        else:
+            rec.append("0")
+    elif fault == "non_finite":
+        rec[rng.randint(5, last)] = rng.choice(["nan", "inf", "-inf", "NaN"])
+    elif fault == "nonpositive_n":
+        rec[4] = str(-rng.randint(0, 5))
+    elif fault == "penalty_off":
+        column = min(rng.choice([8, 9]), last)
+        try:
+            rec[column] = format_float(float(rec[column]) + rng.choice([-1, 1]) * 0.01)
+        except ValueError:
+            pass  # already unparsable
+    else:
+        other = records[rng.choice([j for j in range(len(records)) if j != i])]
+        rec[0], rec[2], rec[3] = other[0], other[2], other[3]
+
+
+def read_outcome(read, text):
+    """The error text of ``read(text)``, or the columns it read."""
+    try:
+        rows = read(text)
+    except ValueError as exc:
+        return str(exc)
+    table = rows if isinstance(rows, ResultsTable) else ResultsTable.from_measurements(rows)
+    return [list(getattr(table, name)) for name in RESULT_COLUMNS[:4] + ("n_chars",)
+            + RESULT_COLUMNS[5:]]
+
+
+class TestReadErrors:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        faults=st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3),
+        chunk=st.sampled_from([1, 2, 3, 5, 8, measures._CHUNK_ROWS]),
+    )
+    def test_names_the_row_the_row_loop_named(self, seed, faults, chunk):
+        # 1-3 faults of any kind on random records, several possibly on one
+        # record, with blank records between and chunk boundaries anywhere.
+        rng = random.Random(seed)
+        keys = [(t, b, r) for t in ("a", "b,c", "d") for b in (40, 41, 42) for r in (0, 1, 2)]
+        records = []
+        for tid, book, rep in sorted(rng.sample(keys, rng.randint(2, len(keys)))):
+            h = [rng.uniform(0.5, 3.0) for _ in range(3)]
+            records.append([
+                tid, f"l{tid[0]}", str(book), str(rep), str(rng.randint(1, 10**6)),
+                *map(format_float, h), format_float(h[1] - h[0]), format_float(h[2] - h[0]),
+            ])
+        for fault in faults:
+            corrupt(rng, records, fault, rng.randrange(len(records)))
+        for _ in range(rng.randint(0, 2)):
+            records.insert(rng.randint(0, len(records)), [])  # blank records
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(RESULT_COLUMNS)
+        writer.writerows(records)
+        text = buf.getvalue()
+
+        expected = read_outcome(reference_read, text)
+        with mock.patch.object(measures, "_CHUNK_ROWS", chunk):
+            got = read_outcome(lambda t: read_results_csv(io.StringIO(t)), text)
+        assert got == expected
+
+    def test_valid_table_equals_row_loop(self):
+        rng = random.Random(3)
+        ms = [
+            fake_measurement(f"t{t}", f"l{t % 3}", book, rep, rng.uniform(-1, 1), rng.random())
+            for t in range(40) for book in (40, 66) for rep in range(3)
+        ]
+        buf = io.StringIO()
+        write_results_csv(ms, buf)
+        text = buf.getvalue().replace("\n", "\n\n", 7)  # blank records, then 240 rows
+        expected = read_outcome(reference_read, text)
+        with mock.patch.object(measures, "_CHUNK_ROWS", 16):
+            got = read_outcome(lambda t: read_results_csv(io.StringIO(t)), text)
+        assert len(expected[0]) == 240
+        assert got == expected
