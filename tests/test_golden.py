@@ -33,6 +33,10 @@ penalties are all 0 and one whose order penalties are equal in every book
 a translation id with a comma (a quoted CSV field) and one blank line.
 ``stats/expected/by-<grouping>/`` holds the four files ``stats`` wrote for
 it under each ``--group-by`` before the table was read as columns.
+``stats/expected/books-<ids>/`` holds what ``stats --books`` wrote for it
+before ``aggregate`` returned one group-by-book table: all four files for
+books 40 and 66, and for 40 and 99 (a book the table lacks, so no group has
+both) only ``fits.csv`` and ``ranks.csv``, the other two being skipped.
 """
 
 from __future__ import annotations
@@ -161,4 +165,22 @@ def test_stats_on_seeded_table_matches_golden(tmp_path, group_by):
     assert cli.main(argv) == 0
     expected = STATS_TABLE / "expected" / f"by-{group_by}"
     for name in STATS_FILES:
+        assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+#: Expected-output directory -> the ``--books`` value and the files written.
+STATS_BOOKS_RUNS = {
+    "books-40-66": ("40,66", STATS_FILES),
+    "books-40-99": ("40,99", ("fits.csv", "ranks.csv")),
+}
+
+
+@pytest.mark.parametrize("run", sorted(STATS_BOOKS_RUNS))
+def test_stats_books_subset_matches_golden(tmp_path, run):
+    books, written = STATS_BOOKS_RUNS[run]
+    argv = ["stats", str(STATS_TABLE / "results.csv"), "--books", books, "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    expected = STATS_TABLE / "expected" / run
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
+    for name in written:
         assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
