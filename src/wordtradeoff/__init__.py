@@ -29,8 +29,8 @@ from .entropy import (
     run_oracle_check,
 )
 from .measures import (
-    AggregateMeasurement,
     BookMeasurement,
+    GroupMeans,
     MeasureConfig,
     ResultsTable,
     aggregate,
@@ -43,7 +43,7 @@ from .stats import (
     InsufficientDataError,
     PermutationTestResult,
     RankHistograms,
-    RankTable,
+    RankTables,
     RegressionFit,
     correlation_matrix,
     exact_perm_test,
@@ -69,12 +69,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BOOK_NAMES",
     "DEFAULT_BOOK_IDS",
-    "AggregateMeasurement",
     "Book",
     "BookMeasurement",
     "CorpusFormatError",
     "CorrelationMatrix",
     "EntropyEstimate",
+    "GroupMeans",
     "InsufficientDataError",
     "MaskSpaceExhaustedError",
     "MaskTable",
@@ -82,7 +82,7 @@ __all__ = [
     "MeasureConfig",
     "PermutationTestResult",
     "RankHistograms",
-    "RankTable",
+    "RankTables",
     "RegressionFit",
     "ResultsTable",
     "SeedSpec",

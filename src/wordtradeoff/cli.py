@@ -370,25 +370,22 @@ def cmd_stats(
 
     out = Path(out_dir) if out_dir else Path(results_path).parent
     out.mkdir(parents=True, exist_ok=True)
-    selected = sorted(books) if books else sorted(set(results.book_id.tolist()))
 
     # Rank tables need translation aggregates; under translation grouping those are ``grouped``.
     by_key = {key: aggregate(results, group_by=key) for key in {group_by, "translation"}}
     grouped, per_translation = by_key[group_by], by_key["translation"]
+    selected = sorted(set(books)) if books else list(grouped.book_ids)
 
     fits: list[BookFit] = []
-    for book_id in selected:
-        points = [
-            (row.mean_d_order, row.mean_d_structure)
-            for row in grouped
-            if row.book_id == book_id
-        ]
-        if len(points) < 2:
+    present, d_order, d_structure = grouped.cells(selected)
+    for j, book_id in enumerate(selected):
+        x, y = d_order[present[:, j], j], d_structure[present[:, j], j]
+        if len(x) < 2:
             logger.warning("book %d: fewer than 2 groups, no fit", book_id)
             continue
         try:
-            fit = fit_reciprocal(points)
-            r_s = spearman([p[0] for p in points], [p[1] for p in points])
+            fit = fit_reciprocal(list(zip(x, y)))
+            r_s = spearman(x, y)
         except ValueError as exc:
             logger.warning("book %d: %s; skipped", book_id, exc)
             continue
@@ -404,14 +401,14 @@ def cmd_stats(
         with open(out / "corr_matrix.csv", "w", newline="", encoding="utf-8") as fh:
             write_corr_matrix_csv(matrix, fh)
 
-    tables, excluded = rank_books(per_translation, selected)
+    tables = rank_books(per_translation, selected)
     with open(out / "ranks.csv", "w", newline="", encoding="utf-8") as fh:
-        write_ranks_csv(tables, fh, excluded)
+        write_ranks_csv(tables, fh)
     if tables:
         hist = rank_histograms(tables)
         with open(out / "rank_hist.csv", "w", newline="", encoding="utf-8") as fh:
             write_rank_hist_csv(hist, fh)
-        tied = [t.translation_id for t in tables if t.has_ties]
+        tied = [tid for tid, ties in zip(tables.translation_ids, tables.ties) if ties]
         if tied:
             logger.warning(
                 "rank_hist.csv counts %d rank table(s) whose tied penalties are ranked by "

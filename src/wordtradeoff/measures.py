@@ -18,7 +18,9 @@ values are reported as computed, with a warning.
 
 ``write_results_csv`` writes one row per :class:`BookMeasurement`.
 ``read_results_csv`` reads the table back as a :class:`ResultsTable` of
-columns, and ``aggregate`` averages it per translation or language.
+columns, and ``aggregate`` averages it per translation or language into
+one :class:`GroupMeans` table of groups by books, which every statistic
+of the ``stats`` command indexes.
 """
 
 from __future__ import annotations
@@ -163,15 +165,31 @@ def _table(columns: Sequence[Sequence]) -> ResultsTable:
     )
 
 
-@dataclass(frozen=True)
-class AggregateMeasurement:
-    """Per-group (translation or language) averages for one book."""
+@dataclass(frozen=True, eq=False)
+class GroupMeans:
+    """Mean penalties per group (translation or language) and book.
 
-    group: str
-    book_id: int
-    mean_d_order: float
-    mean_d_structure: float
-    count: int
+    Cell ``[g, b]`` of the float64 arrays ``d_order`` and ``d_structure``
+    holds group ``groups[g]`` on book ``book_ids[b]``; it is NaN where the
+    group has no row for that book. ``groups`` are sorted and ``book_ids``
+    ascend.
+    """
+
+    groups: tuple[str, ...]
+    book_ids: tuple[int, ...]
+    d_order: np.ndarray
+    d_structure: np.ndarray
+
+    def cells(self, book_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The columns of ``book_ids``, in the order given: which cells are
+        present, and both penalties. An id the table lacks becomes a column
+        that no group has."""
+        position = {book_id: j for j, book_id in enumerate(self.book_ids)}
+        columns = [position.get(book_id, len(position)) for book_id in book_ids]
+        absent = np.full((len(self.groups), 1), np.nan)
+        d_order = np.hstack((self.d_order, absent))[:, columns]
+        d_structure = np.hstack((self.d_structure, absent))[:, columns]
+        return ~np.isnan(d_order), d_order, d_structure
 
 
 def measure_replicate(book: Book, replicate: int, config: MeasureConfig) -> BookMeasurement:
@@ -244,15 +262,13 @@ def measure_book(book: Book, config: MeasureConfig | None = None) -> list[BookMe
 
 def aggregate(
     results: ResultsTable | Sequence[BookMeasurement], group_by: str = "language"
-) -> list[AggregateMeasurement]:
+) -> GroupMeans:
     """Average penalties per group and book.
 
     Replicate variability is folded in first: replicates are averaged
     per translation, and for language grouping those translation means
-    are then averaged (unweighted) per language. ``count`` is the number
-    of the group's units (replicates, respectively translations). Each
-    mean is ``math.fsum(units) / len(units)``, as ``statistics.fmean``
-    computes it.
+    are then averaged (unweighted) per language. Each mean is
+    ``math.fsum(units) / len(units)``, as ``statistics.fmean`` computes it.
     """
     if not isinstance(results, ResultsTable):
         results = ResultsTable.from_measurements(results)
@@ -277,16 +293,12 @@ def aggregate(
         d_structure = _means([d_structure[i] for i in order.tolist()], bounds)
         groups = results.language
 
-    return [
-        AggregateMeasurement(groups[i], book_id, mean_order, mean_structure, count)
-        for i, book_id, mean_order, mean_structure, count in zip(
-            first.tolist(),
-            results.book_id[first].tolist(),
-            d_order,
-            d_structure,
-            np.diff(bounds).tolist(),
-        )
-    ]
+    # Each run's means go to the cell of its group and book.
+    names = [groups[i] for i in first.tolist()]
+    book_ids, columns = np.unique(results.book_id[first], return_inverse=True)
+    means = np.full((2, len(set(names)), len(book_ids)), np.nan)
+    means[:, _codes(names), columns] = d_order, d_structure
+    return GroupMeans(tuple(sorted(set(names))), tuple(book_ids.tolist()), *means)
 
 
 def _codes(values: Sequence[str]) -> np.ndarray:
@@ -332,8 +344,9 @@ _CHUNK_ROWS = 1024
 def read_results_csv(source: str | Path | IO[str]) -> ResultsTable:
     """Read a results table back, as columns.
 
-    Raises ValueError naming the row on a schema mismatch, a field that
-    does not parse, a non-finite value, N < 1, a penalty that is not
+    Raises ValueError naming the row on a schema mismatch, a record the
+    ``csv`` module cannot read (such as a field over its size limit), a
+    field that does not parse, a non-finite value, N < 1, a penalty that is not
     ``h_variant - h_original`` up to the 6-significant-digit rounding of
     the three values, or a repeated (translation, book, replicate) key.
     Rows are numbered by CSV record, blank records included. The row
@@ -348,7 +361,10 @@ def read_results_csv(source: str | Path | IO[str]) -> ResultsTable:
         with open(source, newline="", encoding="utf-8") as fh:
             return read_results_csv(fh)
     reader = csv.reader(source)
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ValueError(f"results CSV row 1: {exc}") from None
     if header is None or tuple(header) != RESULT_COLUMNS:
         raise ValueError(
             f"results CSV schema mismatch: expected columns {','.join(RESULT_COLUMNS)}"
@@ -360,9 +376,16 @@ def read_results_csv(source: str | Path | IO[str]) -> ResultsTable:
         """The CSV record number of row ``i``; the header is record 1."""
         return i + 2 + bisect_right(blanks, i)
 
-    unreadable = None  # the error of the first row that does not convert
-    while unreadable is None and (chunk := list(islice(reader, _CHUNK_ROWS))):
+    unreadable = None  # the error of the first row that does not read or convert
+    while unreadable is None:
         done = len(columns[0])
+        chunk: list[list[str]] = []  # keeps the records read before a csv.Error
+        try:
+            chunk.extend(islice(reader, _CHUNK_ROWS))
+        except csv.Error as exc:
+            unreadable = f"results CSV row {done + len(blanks) + len(chunk) + 2}: {exc}"
+        if not chunk:
+            break
         rows = list(filter(None, chunk))
         if len(rows) < len(chunk):
             blank_at = (p for p, rec in enumerate(chunk) if not rec)

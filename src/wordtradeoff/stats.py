@@ -7,7 +7,9 @@ structure penalties, together with a reciprocal least-squares fit
 ``d_structure = beta0 + beta1 / d_order``, quantifies how strongly one
 kind of information substitutes for the other. Across books within one
 translation, rank tables (rank 1 = largest penalty) and their histograms
-show whether the book-level pattern recurs between translations.
+show whether the book-level pattern recurs between translations. Both
+index the one table of mean penalties by group and book that
+``measures.aggregate`` returns (:class:`~wordtradeoff.measures.GroupMeans`).
 
 :func:`exact_perm_test` compares two small vectors (such as the rank
 vectors of a translation's books) by an exact permutation test whose
@@ -21,12 +23,12 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import compress, permutations
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .measures import AggregateMeasurement, format_float
+from .measures import GroupMeans, format_float
 
 ALTERNATIVES = ("greater", "less", "two_sided")
 
@@ -199,30 +201,23 @@ class CorrelationMatrix:
 
 
 def correlation_matrix(
-    rows: Sequence[AggregateMeasurement], book_ids: Sequence[int] | None = None
+    means: GroupMeans, book_ids: Sequence[int] | None = None
 ) -> CorrelationMatrix:
     """Cross-book rank correlation of both penalties over groups.
 
-    Columns are d_order and d_structure of each book; rows of the input
-    are per-group aggregates. Only groups with every requested book are
-    used, and at least two such groups are required.
+    Columns are d_order and d_structure of each book, rows the groups of
+    ``means``. Only groups with every requested book are used, and at
+    least two such groups are required.
     """
-    books = sorted(book_ids) if book_ids else sorted({r.book_id for r in rows})
-    by_group: dict[str, dict[int, AggregateMeasurement]] = {}
-    for r in rows:
-        by_group.setdefault(r.group, {})[r.book_id] = r
-    complete = sorted(g for g, d in by_group.items() if all(b in d for b in books))
-    if len(complete) < 2:
+    books = sorted(set(book_ids)) if book_ids else list(means.book_ids)
+    present, d_order, d_structure = means.cells(books)
+    complete = present.all(axis=1)
+    if (n_complete := int(complete.sum())) < 2:
         raise InsufficientDataError(
-            f"need >= 2 groups with all books {books}; have {len(complete)}"
+            f"need >= 2 groups with all books {books}; have {n_complete}"
         )
-    columns = []
-    labels = []
-    for dim in ("d_order", "d_structure"):
-        for b in books:
-            labels.append(f"{dim}:{b}")
-            attr = "mean_d_order" if dim == "d_order" else "mean_d_structure"
-            columns.append([getattr(by_group[g][b], attr) for g in complete])
+    columns = np.hstack((d_order[complete], d_structure[complete])).T
+    labels = [f"{dim}:{b}" for dim in ("d_order", "d_structure") for b in books]
     m = len(labels)
     values = np.eye(m)
     for i in range(m):
@@ -232,58 +227,60 @@ def correlation_matrix(
     return CorrelationMatrix(labels=tuple(labels), values=values)
 
 
-@dataclass(frozen=True)
-class RankTable:
-    """Book ranks (1 = largest penalty) for one translation."""
+@dataclass(frozen=True, eq=False)
+class RankTables:
+    """Book ranks (1 = largest penalty) within each translation.
 
-    translation_id: str
-    order_ranks: Mapping[int, int]
-    structure_ranks: Mapping[int, int]
-    has_ties: bool
+    Row ``t`` of the int arrays ``order_ranks`` and ``structure_ranks``
+    ranks the books of translation ``translation_ids[t]``, column ``b``
+    being book ``book_ids[b]``. ``ties[t]`` marks a row where equal
+    penalties were ranked by ascending book id. Translations missing a
+    book have no row; ``excluded`` maps each to the books it lacks.
+    """
+
+    translation_ids: tuple[str, ...]
+    book_ids: tuple[int, ...]
+    order_ranks: np.ndarray
+    structure_ranks: np.ndarray
+    ties: np.ndarray
+    excluded: Mapping[str, tuple[int, ...]]
+
+    def __len__(self) -> int:
+        return len(self.translation_ids)
 
 
-def _rank_desc(values: dict[int, float]) -> tuple[dict[int, int], bool]:
-    items = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
-    ranks = {book: pos for pos, (book, _) in enumerate(items, start=1)}
-    has_ties = len(set(values.values())) < len(values)
-    return ranks, has_ties
+def _rank_desc(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ranks, largest value first and equal values by column,
+    and whether the row has equal values."""
+    order = np.argsort(-values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    return np.argsort(order, axis=1) + 1, (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
 
 
-def rank_books(
-    rows: Sequence[AggregateMeasurement], book_ids: Sequence[int] | None = None
-) -> tuple[list[RankTable], dict[str, tuple[int, ...]]]:
+def rank_books(means: GroupMeans, book_ids: Sequence[int] | None = None) -> RankTables:
     """Rank books within each translation by both penalties.
 
-    ``rows`` must be translation-level aggregates. Ties are broken by
-    ascending canonical book id, and ``has_ties`` marks a table where
-    that happened. Translations missing any requested book are excluded
-    and reported in the second return value rather than silently dropped.
+    ``means`` must be translation-level aggregates. Ties are broken by
+    ascending book id and marked in ``ties``. Translations missing any
+    requested book are excluded and reported rather than silently dropped.
     """
-    books = sorted(book_ids) if book_ids else sorted({r.book_id for r in rows})
-    by_translation: dict[str, dict[int, AggregateMeasurement]] = {}
-    for r in rows:
-        by_translation.setdefault(r.group, {})[r.book_id] = r
-    tables = []
-    excluded: dict[str, tuple[int, ...]] = {}
-    for tid in sorted(by_translation):
-        present = by_translation[tid]
-        missing = tuple(b for b in books if b not in present)
-        if missing:
-            excluded[tid] = missing
-            continue
-        order_ranks, t1 = _rank_desc({b: present[b].mean_d_order for b in books})
-        structure_ranks, t2 = _rank_desc(
-            {b: present[b].mean_d_structure for b in books}
-        )
-        tables.append(
-            RankTable(
-                translation_id=tid,
-                order_ranks=order_ranks,
-                structure_ranks=structure_ranks,
-                has_ties=t1 or t2,
-            )
-        )
-    return tables, excluded
+    books = sorted(set(book_ids)) if book_ids else list(means.book_ids)
+    present, d_order, d_structure = means.cells(books)
+    complete = present.all(axis=1)
+    order_ranks, order_ties = _rank_desc(d_order[complete])
+    structure_ranks, structure_ties = _rank_desc(d_structure[complete])
+    return RankTables(
+        translation_ids=tuple(compress(means.groups, complete.tolist())),
+        book_ids=tuple(books),
+        order_ranks=order_ranks,
+        structure_ranks=structure_ranks,
+        ties=order_ties | structure_ties,
+        excluded={
+            tid: tuple(b for b, has in zip(books, row) if not has)
+            for tid, row, ok in zip(means.groups, present.tolist(), complete.tolist())
+            if not ok
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -305,30 +302,20 @@ class RankHistograms:
         return 100.0 * count / self.n_tables
 
 
-def rank_histograms(tables: Sequence[RankTable]) -> RankHistograms:
-    """Tabulate rank frequencies over a set of rank tables."""
+def rank_histograms(tables: RankTables) -> RankHistograms:
+    """Tabulate rank frequencies over the translations of ``tables``."""
     if not tables:
         raise ValueError("no rank tables given")
-    books = tuple(sorted(tables[0].order_ranks))
-    k = len(books)
-    order_counts = {b: [0] * k for b in books}
-    structure_counts = {b: [0] * k for b in books}
-    joint = {b: [[0] * k for _ in range(k)] for b in books}
-    for t in tables:
-        if tuple(sorted(t.order_ranks)) != books:
-            raise ValueError("rank tables cover different book sets")
-        for b in books:
-            ro = t.order_ranks[b]
-            rs = t.structure_ranks[b]
-            order_counts[b][ro - 1] += 1
-            structure_counts[b][rs - 1] += 1
-            joint[b][ro - 1][rs - 1] += 1
+    k = len(tables.book_ids)
+    joint = np.zeros((k, k, k), dtype=np.int64)
+    books = np.broadcast_to(np.arange(k), tables.order_ranks.shape)
+    np.add.at(joint, (books, tables.order_ranks - 1, tables.structure_ranks - 1), 1)
     return RankHistograms(
-        book_ids=books,
+        book_ids=tables.book_ids,
         n_tables=len(tables),
-        order_counts={b: tuple(v) for b, v in order_counts.items()},
-        structure_counts={b: tuple(v) for b, v in structure_counts.items()},
-        joint_counts={b: tuple(tuple(r) for r in m) for b, m in joint.items()},
+        order_counts=dict(zip(tables.book_ids, map(tuple, joint.sum(axis=2).tolist()))),
+        structure_counts=dict(zip(tables.book_ids, map(tuple, joint.sum(axis=1).tolist()))),
+        joint_counts={b: tuple(map(tuple, m)) for b, m in zip(tables.book_ids, joint.tolist())},
     )
 
 
@@ -364,26 +351,15 @@ def write_corr_matrix_csv(matrix: CorrelationMatrix, fh: IO[str]) -> None:
         writer.writerow([label] + [format_float(float(v)) for v in row])
 
 
-def write_ranks_csv(
-    tables: Sequence[RankTable],
-    fh: IO[str],
-    excluded: Mapping[str, tuple[int, ...]] | None = None,
-) -> None:
+def write_ranks_csv(tables: RankTables, fh: IO[str]) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["translation_id", "book_id", "order_rank", "structure_rank", "ties"])
-    for t in tables:
-        for b in sorted(t.order_ranks):
-            writer.writerow(
-                [
-                    t.translation_id,
-                    str(b),
-                    str(t.order_ranks[b]),
-                    str(t.structure_ranks[b]),
-                    "1" if t.has_ties else "0",
-                ]
-            )
-    for tid in sorted(excluded or {}):
-        writer.writerow([tid, "", "", "", f"excluded: missing {list(excluded[tid])}"])
+    ranks = zip(tables.order_ranks.tolist(), tables.structure_ranks.tolist(), tables.ties.tolist())
+    for tid, (order_ranks, structure_ranks, ties) in zip(tables.translation_ids, ranks):
+        for b, ro, rs in zip(tables.book_ids, order_ranks, structure_ranks):
+            writer.writerow([tid, str(b), str(ro), str(rs), "1" if ties else "0"])
+    for tid in sorted(tables.excluded):
+        writer.writerow([tid, "", "", "", f"excluded: missing {list(tables.excluded[tid])}"])
 
 
 def write_rank_hist_csv(hist: RankHistograms, fh: IO[str]) -> None:

@@ -338,6 +338,22 @@ class TestStats:
         assert self._stats_with_row(tmp_path, caplog, row) == 1
         assert "duplicate of row 2" in caplog.text
 
+    def test_oversized_field_fatal(self, tmp_path, caplog):
+        # A quoted translation id of 200000 characters: more than the csv
+        # module reads in one field (131072).
+        row = '"' + "t" * 200000 + '",l,40,0,1000,2.5,2.6,2.8,0.1,0.3'
+        assert self._stats_with_row(tmp_path, caplog, row) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error == "cannot read results: results CSV row 5: field larger than field limit (131072)"
+
+    def test_repeated_book_ids_counted_once(self, tmp_path):
+        results = Path(__file__).parent / "data" / "golden" / "stats" / "results.csv"
+        for books in ("40,40,41", "40,41"):
+            assert main(["stats", str(results), "--books", books, "--out", str(tmp_path / books)]) == 0
+        for name in ("fits.csv", "corr_matrix.csv", "ranks.csv", "rank_hist.csv"):
+            repeated = (tmp_path / "40,40,41" / name).read_bytes()
+            assert repeated == (tmp_path / "40,41" / name).read_bytes(), name
+
 
 class TestOracleCheckCommand:
     def test_small_pass(self, capsys):

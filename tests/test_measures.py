@@ -18,8 +18,8 @@ from wordtradeoff import measures
 from wordtradeoff.corpus import Book, Verse, VerseRef, flatten
 from wordtradeoff.measures import (
     RESULT_COLUMNS,
-    AggregateMeasurement,
     BookMeasurement,
+    GroupMeans,
     MeasureConfig,
     ResultsTable,
     aggregate,
@@ -108,24 +108,29 @@ class TestMeasureBook:
             MeasureConfig(replicates=0)
 
 
+def assert_same_means(actual, expected):
+    """Equal group and book tuples, and equal cells (NaN where absent)."""
+    assert isinstance(actual, GroupMeans)
+    assert actual.groups == expected.groups
+    assert actual.book_ids == expected.book_ids
+    assert np.array_equal(actual.d_order, expected.d_order, equal_nan=True)
+    assert np.array_equal(actual.d_structure, expected.d_structure, equal_nan=True)
+
+
 class TestAggregate:
     def test_identity_for_single_measurement(self):
-        rows = aggregate([fake_measurement()], group_by="translation")
-        assert len(rows) == 1
-        agg = rows[0]
-        assert agg.group == "t"
-        assert agg.mean_d_order == pytest.approx(0.1)
-        assert agg.count == 1
+        means = aggregate([fake_measurement()], group_by="translation")
+        assert (means.groups, means.book_ids) == (("t",), (40,))
+        assert means.d_order[0, 0] == pytest.approx(0.1)
 
     def test_language_mean_of_two_translations(self):
         ms = [
             fake_measurement(tid="t1", lang="deu", d_order=0.2),
             fake_measurement(tid="t2", lang="deu", d_order=0.4),
         ]
-        rows = aggregate(ms, group_by="language")
-        assert len(rows) == 1
-        assert rows[0].mean_d_order == pytest.approx(0.3)
-        assert rows[0].count == 2
+        means = aggregate(ms, group_by="language")
+        assert means.d_order.shape == (1, 1)
+        assert means.d_order[0, 0] == pytest.approx(0.3)
 
     def test_replicates_folded_before_translations(self):
         # t1 has replicates (0.0, 0.2) -> mean 0.1; t2 has a single 0.5.
@@ -134,10 +139,10 @@ class TestAggregate:
             fake_measurement(tid="t1", lang="deu", rep=1, d_order=0.2),
             fake_measurement(tid="t2", lang="deu", rep=0, d_order=0.5),
         ]
-        rows = aggregate(ms, group_by="language")
-        assert rows[0].mean_d_order == pytest.approx((0.1 + 0.5) / 2)
+        means = aggregate(ms, group_by="language")
+        assert means.d_order[0, 0] == pytest.approx((0.1 + 0.5) / 2)
 
-    def test_count_and_means_per_grouping(self):
+    def test_groups_and_means_per_grouping(self):
         # deu: t1 replicates (0.1, 0.3), t2 replicates (0.5, 0.9, 0.7);
         # fra: t3 a single replicate.
         ms = [
@@ -148,27 +153,42 @@ class TestAggregate:
             fake_measurement(tid="t1", lang="deu", rep=1, d_order=0.3, d_structure=0.2),
             fake_measurement(tid="t2", lang="deu", rep=1, d_order=0.9, d_structure=0.2),
         ]
-        t1, t2, t3 = aggregate(ms, group_by="translation")
-        assert [t.group for t in (t1, t2, t3)] == ["t1", "t2", "t3"]
-        assert [t.count for t in (t1, t2, t3)] == [2, 3, 1]
+        per_translation = aggregate(ms, group_by="translation")
+        assert per_translation.groups == ("t1", "t2", "t3")
+        assert per_translation.d_order[:, 0] == pytest.approx([0.2, 0.7, 0.2])
 
-        deu, fra = aggregate(ms, group_by="language")
-        assert (deu.group, deu.count, fra.group, fra.count) == ("deu", 2, "fra", 1)
+        per_language = aggregate(ms, group_by="language")
+        assert per_language.groups == ("deu", "fra")
         # Over the translation means (0.2, 0.7) and (0.3, 0.2), not the replicates.
-        assert deu.mean_d_order == pytest.approx(0.45)
-        assert deu.mean_d_structure == pytest.approx(0.25)
+        assert per_language.d_order[0, 0] == pytest.approx(0.45)
+        assert per_language.d_structure[0, 0] == pytest.approx(0.25)
 
     def test_books_kept_separate(self):
         ms = [fake_measurement(book=b) for b in (40, 41, 42, 43, 44, 66)]
-        rows = aggregate(ms, group_by="language")
-        assert [r.book_id for r in rows] == [40, 41, 42, 43, 44, 66]
+        means = aggregate(ms, group_by="language")
+        assert means.book_ids == (40, 41, 42, 43, 44, 66)
+        assert means.d_order.shape == (1, 6)
 
     def test_input_order_irrelevant(self):
         ms = [
             fake_measurement(tid="t1", lang="deu", rep=r, d_order=0.1 * r)
             for r in range(3)
         ]
-        assert aggregate(ms, "language") == aggregate(list(reversed(ms)), "language")
+        assert_same_means(aggregate(ms, "language"), aggregate(list(reversed(ms)), "language"))
+
+    def test_cells_of_requested_books(self):
+        # t1 lacks book 41; book 99 is in no row.
+        ms = [
+            fake_measurement(tid="t1", book=40, d_order=0.1, d_structure=0.5),
+            fake_measurement(tid="t2", book=40, d_order=0.2, d_structure=0.6),
+            fake_measurement(tid="t2", book=41, d_order=0.3, d_structure=0.7),
+        ]
+        means = aggregate(ms, group_by="translation")
+        assert np.isnan(means.d_order[0, 1])
+        present, d_order, d_structure = means.cells([41, 99, 40])
+        assert present.tolist() == [[False, False, True], [True, False, True]]
+        assert d_order[present].tolist() == [0.1, 0.3, 0.2]
+        assert d_structure[present].tolist() == [0.5, 0.7, 0.6]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -246,8 +266,9 @@ class TestSerialization:
 
 
 def reference_aggregate(measurements, group_by):
-    """Row-object aggregation with ``statistics.fmean``, the definition
-    the columnar ``aggregate`` must reproduce bit for bit."""
+    """Row-object aggregation with ``statistics.fmean``, pivoted to groups
+    by books: the definition the columnar ``aggregate`` must reproduce bit
+    for bit."""
     per_translation = {}
     for m in measurements:
         _, d_order, d_structure = per_translation.setdefault(
@@ -263,12 +284,14 @@ def reference_aggregate(measurements, group_by):
         units = groups.setdefault((language if by_language else tid, book_id), ([], []))
         units[0].extend(d_order)
         units[1].extend(d_structure)
-    return [
-        AggregateMeasurement(
-            group, book_id, statistics.fmean(d_o), statistics.fmean(d_s), len(d_o)
+    group_ids = sorted({group for group, _ in groups})
+    book_ids = sorted({book_id for _, book_id in groups})
+    cells = np.full((2, len(group_ids), len(book_ids)), np.nan)
+    for (group, book_id), (d_o, d_s) in groups.items():
+        cells[:, group_ids.index(group), book_ids.index(book_id)] = (
+            statistics.fmean(d_o), statistics.fmean(d_s)
         )
-        for (group, book_id), (d_o, d_s) in sorted(groups.items())
-    ]
+    return GroupMeans(tuple(group_ids), tuple(book_ids), *cells)
 
 
 class TestAggregateBitEquality:
@@ -293,8 +316,8 @@ class TestAggregateBitEquality:
         rng.shuffle(ms)
         for group_by in ("translation", "language"):
             expected = reference_aggregate(ms, group_by)
-            assert aggregate(ms, group_by) == expected
-            assert aggregate(ResultsTable.from_measurements(ms), group_by) == expected
+            assert_same_means(aggregate(ms, group_by), expected)
+            assert_same_means(aggregate(ResultsTable.from_measurements(ms), group_by), expected)
 
 
 def reference_read(text):
@@ -308,51 +331,58 @@ def reference_read(text):
         )
     rows = []
     seen = {}
-    for line_no, rec in enumerate(reader, start=2):
-        if not rec:
-            continue
-        if len(rec) != len(RESULT_COLUMNS):
-            raise ValueError(f"results CSV row {line_no}: wrong field count")
-        try:
-            row = BookMeasurement(
-                translation_id=rec[0],
-                language=rec[1],
-                book_id=int(rec[2]),
-                replicate=int(rec[3]),
-                n_chars=int(rec[4]),
-                h_original=float(rec[5]),
-                h_order=float(rec[6]),
-                h_structure=float(rec[7]),
-                d_order=float(rec[8]),
-                d_structure=float(rec[9]),
-            )
-        except ValueError as exc:
-            raise ValueError(f"results CSV row {line_no}: {exc}") from None
-        values = (row.h_original, row.h_order, row.h_structure, row.d_order, row.d_structure)
-        if not all(math.isfinite(x) for x in values):
-            raise ValueError(f"results CSV row {line_no}: non-finite value")
-        if row.n_chars < 1:
-            raise ValueError(f"results CSV row {line_no}: N must be >= 1, got {row.n_chars}")
-        h0 = row.h_original
-        for name, d, h in (("d_order", row.d_order, row.h_order),
-                           ("d_structure", row.d_structure, row.h_structure)):
-            if abs(d - (h - h0)) > measures._ROUNDING_6G * (abs(d) + abs(h) + abs(h0)):
-                raise ValueError(
-                    f"results CSV row {line_no}: {name} = {d:.6g} but h_{name[2:]} - "
-                    f"h_original = {h - h0:.6g}"
+    line_no = 1
+    try:
+        for line_no, rec in enumerate(reader, start=2):
+            if not rec:
+                continue
+            if len(rec) != len(RESULT_COLUMNS):
+                raise ValueError(f"results CSV row {line_no}: wrong field count")
+            try:
+                row = BookMeasurement(
+                    translation_id=rec[0],
+                    language=rec[1],
+                    book_id=int(rec[2]),
+                    replicate=int(rec[3]),
+                    n_chars=int(rec[4]),
+                    h_original=float(rec[5]),
+                    h_order=float(rec[6]),
+                    h_structure=float(rec[7]),
+                    d_order=float(rec[8]),
+                    d_structure=float(rec[9]),
                 )
-        key = (row.translation_id, row.book_id, row.replicate)
-        if key in seen:
-            raise ValueError(
-                f"results CSV row {line_no}: duplicate of row {seen[key]} "
-                f"(translation {key[0]}, book {key[1]}, replicate {key[2]})"
-            )
-        seen[key] = line_no
-        rows.append(row)
+            except ValueError as exc:
+                raise ValueError(f"results CSV row {line_no}: {exc}") from None
+            values = (row.h_original, row.h_order, row.h_structure, row.d_order, row.d_structure)
+            if not all(math.isfinite(x) for x in values):
+                raise ValueError(f"results CSV row {line_no}: non-finite value")
+            if row.n_chars < 1:
+                raise ValueError(f"results CSV row {line_no}: N must be >= 1, got {row.n_chars}")
+            h0 = row.h_original
+            for name, d, h in (("d_order", row.d_order, row.h_order),
+                               ("d_structure", row.d_structure, row.h_structure)):
+                if abs(d - (h - h0)) > measures._ROUNDING_6G * (abs(d) + abs(h) + abs(h0)):
+                    raise ValueError(
+                        f"results CSV row {line_no}: {name} = {d:.6g} but h_{name[2:]} - "
+                        f"h_original = {h - h0:.6g}"
+                    )
+            key = (row.translation_id, row.book_id, row.replicate)
+            if key in seen:
+                raise ValueError(
+                    f"results CSV row {line_no}: duplicate of row {seen[key]} "
+                    f"(translation {key[0]}, book {key[1]}, replicate {key[2]})"
+                )
+            seen[key] = line_no
+            rows.append(row)
+    except csv.Error as exc:
+        raise ValueError(f"results CSV row {line_no + 1}: {exc}") from None
     return rows
 
 
-FAULTS = ("unparsable", "field_count", "non_finite", "nonpositive_n", "penalty_off", "duplicate")
+FAULTS = (
+    "unparsable", "field_count", "non_finite", "nonpositive_n", "penalty_off", "duplicate",
+    "oversized",
+)
 
 
 def corrupt(rng, records, fault, i):
@@ -371,6 +401,9 @@ def corrupt(rng, records, fault, i):
         rec[rng.randint(5, last)] = rng.choice(["nan", "inf", "-inf", "NaN"])
     elif fault == "nonpositive_n":
         rec[4] = str(-rng.randint(0, 5))
+    elif fault == "oversized":
+        # More characters than the csv module reads in one field.
+        rec[rng.randrange(len(rec))] = "x" * (csv.field_size_limit() + 1)
     elif fault == "penalty_off":
         column = min(rng.choice([8, 9]), last)
         try:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from wordtradeoff.measures import AggregateMeasurement
+from wordtradeoff.measures import GroupMeans
 from wordtradeoff.stats import (
     _average_ranks,
     BookFit,
@@ -35,13 +36,26 @@ Y_D2_10 = (3, 2, 1, 4, 6, 5)
 Y_D2_8 = (3, 1, 2, 5, 4, 6)
 
 
-def agg(group, book_id, d_order, d_structure, count=1):
-    return AggregateMeasurement(
-        group=group,
-        book_id=book_id,
-        mean_d_order=d_order,
-        mean_d_structure=d_structure,
-        count=count,
+def agg(group, book_id, d_order, d_structure):
+    """One cell of a group-by-book table."""
+    return group, book_id, d_order, d_structure
+
+
+def pivot(cells):
+    """The :class:`GroupMeans` of ``agg`` cells; NaN where a group lacks a book."""
+    groups = sorted({cell[0] for cell in cells})
+    book_ids = sorted({cell[1] for cell in cells})
+    values = np.full((2, len(groups), len(book_ids)), np.nan)
+    for group, book_id, d_order, d_structure in cells:
+        values[:, groups.index(group), book_ids.index(book_id)] = d_order, d_structure
+    return GroupMeans(tuple(groups), tuple(book_ids), *values)
+
+
+def rank_dicts(tables, t=0):
+    """Row ``t`` of ``tables`` as order and structure ranks keyed by book id."""
+    return (
+        dict(zip(tables.book_ids, tables.order_ranks[t].tolist())),
+        dict(zip(tables.book_ids, tables.structure_ranks[t].tolist())),
     )
 
 
@@ -223,31 +237,31 @@ class TestCorrelationMatrix:
         return rows
 
     def test_diagonal_is_exactly_one_and_symmetric(self):
-        m = correlation_matrix(self._rows())
+        m = correlation_matrix(pivot(self._rows()))
         assert np.array_equal(m.values, m.values.T)
         assert np.all(np.diag(m.values) == 1.0)
         assert np.all(np.abs(m.values) <= 1.0 + 1e-12)
 
     def test_labels_cover_books_times_dimensions(self):
-        m = correlation_matrix(self._rows(books=(40, 41, 42, 43, 44, 66)))
+        m = correlation_matrix(pivot(self._rows(books=(40, 41, 42, 43, 44, 66))))
         assert len(m.labels) == 12
         assert m.labels[0] == "d_order:40"
         assert m.labels[6] == "d_structure:40"
 
     def test_entry_lookup(self):
-        m = correlation_matrix(self._rows())
+        m = correlation_matrix(pivot(self._rows()))
         i = m.labels.index("d_order:40")
         assert m.values[i, i] == 1.0
 
     def test_incomplete_groups_dropped(self):
         rows = self._rows(n_groups=3)
         rows.append(agg("partial", 40, 0.5, 2.0))  # missing book 41
-        m = correlation_matrix(rows, book_ids=(40, 41))
+        m = correlation_matrix(pivot(rows), book_ids=(40, 41))
         assert len(m.labels) == 4
 
     def test_insufficient_groups(self):
         with pytest.raises(InsufficientDataError):
-            correlation_matrix([agg("only", 40, 0.5, 2.0)], book_ids=(40,))
+            correlation_matrix(pivot([agg("only", 40, 0.5, 2.0)]), book_ids=(40,))
 
 
 class TestRankBooks:
@@ -255,34 +269,36 @@ class TestRankBooks:
         # (Re, Jn, Mr, Mt, Lk, Ac) with d_order .5,.4,.3,.2,.15,.1
         values = {66: 0.5, 43: 0.4, 41: 0.3, 40: 0.2, 42: 0.15, 44: 0.1}
         rows = [agg("t1", b, v, 1.0 - v) for b, v in values.items()]
-        tables, excluded = rank_books(rows)
-        assert excluded == {}
-        t = tables[0]
-        assert t.order_ranks == {66: 1, 43: 2, 41: 3, 40: 4, 42: 5, 44: 6}
+        tables = rank_books(pivot(rows))
+        assert tables.excluded == {}
+        order_ranks, structure_ranks = rank_dicts(tables)
+        assert order_ranks == {66: 1, 43: 2, 41: 3, 40: 4, 42: 5, 44: 6}
         # structure values are reversed, so ranks invert
-        assert t.structure_ranks == {44: 1, 42: 2, 40: 3, 41: 4, 43: 5, 66: 6}
+        assert structure_ranks == {44: 1, 42: 2, 40: 3, 41: 4, 43: 5, 66: 6}
 
     def test_tie_broken_by_canonical_order_and_flagged(self):
         rows = [agg("t1", 41, 0.5, 0.1), agg("t1", 40, 0.5, 0.2)]
-        tables, _ = rank_books(rows)
-        assert tables[0].order_ranks == {40: 1, 41: 2}
-        assert tables[0].has_ties
+        tables = rank_books(pivot(rows))
+        assert rank_dicts(tables)[0] == {40: 1, 41: 2}
+        assert tables.ties[0]
 
     def test_missing_book_excludes_translation_with_report(self):
         rows = [agg("t1", 40, 0.5, 0.1), agg("t2", 40, 0.4, 0.2), agg("t2", 41, 0.3, 0.3)]
-        tables, excluded = rank_books(rows, book_ids=(40, 41))
-        assert [t.translation_id for t in tables] == ["t2"]
-        assert excluded == {"t1": (41,)}
+        tables = rank_books(pivot(rows), book_ids=(40, 41))
+        assert tables.translation_ids == ("t2",)
+        assert tables.excluded == {"t1": (41,)}
 
     def test_rank_value_consistency(self):
         rng = np.random.default_rng(8)
         values = {b: float(rng.uniform(0, 1)) for b in (40, 41, 42, 43, 44, 66)}
         rows = [agg("t", b, v, v) for b, v in values.items()]
-        (table,), _ = rank_books(rows)
+        tables = rank_books(pivot(rows))
+        assert len(tables) == 1
+        order_ranks, _ = rank_dicts(tables)
         for a in values:
             for b in values:
                 if values[a] > values[b]:
-                    assert table.order_ranks[a] < table.order_ranks[b]
+                    assert order_ranks[a] < order_ranks[b]
 
 
 class TestRankHistograms:
@@ -291,8 +307,7 @@ class TestRankHistograms:
         for tid, orders in specs.items():
             for b, d_order in orders.items():
                 rows.append(agg(tid, b, d_order, 1.0 - d_order))
-        tables, _ = rank_books(rows)
-        return tables
+        return rank_books(pivot(rows))
 
     def test_single_translation_all_mass_in_one_bin(self):
         tables = self._tables({"t1": {40: 0.3, 41: 0.2, 42: 0.1}})
@@ -317,8 +332,97 @@ class TestRankHistograms:
             assert joint.sum() == hist.n_tables
 
     def test_empty_rejected(self):
+        # Each translation lacks a book, so none is ranked.
+        tables = rank_books(pivot([agg("t1", 40, 0.1, 0.2), agg("t2", 41, 0.3, 0.4)]))
+        assert not tables
         with pytest.raises(ValueError):
-            rank_histograms([])
+            rank_histograms(tables)
+
+
+def reference_rank_desc(values):
+    """The dict ranking ``rank_books`` replaced: by (-value, book id)."""
+    items = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranks = {book: pos for pos, (book, _) in enumerate(items, start=1)}
+    return ranks, len(set(values.values())) < len(values)
+
+
+def reference_rank_books(cells, book_ids):
+    """The dict-of-dicts ``rank_books`` replaced: (translation, order ranks,
+    structure ranks, ties) per complete translation, and the excluded."""
+    books = sorted(book_ids)
+    by_translation = {}
+    for tid, book_id, d_order, d_structure in cells:
+        by_translation.setdefault(tid, {})[book_id] = (d_order, d_structure)
+    tables, excluded = [], {}
+    for tid in sorted(by_translation):
+        present = by_translation[tid]
+        missing = tuple(b for b in books if b not in present)
+        if missing:
+            excluded[tid] = missing
+            continue
+        order_ranks, t1 = reference_rank_desc({b: present[b][0] for b in books})
+        structure_ranks, t2 = reference_rank_desc({b: present[b][1] for b in books})
+        tables.append((tid, order_ranks, structure_ranks, t1 or t2))
+    return tables, excluded
+
+
+def reference_rank_histograms(tables):
+    """The nested loops ``rank_histograms`` replaced, over reference tables."""
+    books = tuple(sorted(tables[0][1]))
+    k = len(books)
+    order_counts = {b: [0] * k for b in books}
+    structure_counts = {b: [0] * k for b in books}
+    joint = {b: [[0] * k for _ in range(k)] for b in books}
+    for _, order_ranks, structure_ranks, _ in tables:
+        for b in books:
+            ro, rs = order_ranks[b], structure_ranks[b]
+            order_counts[b][ro - 1] += 1
+            structure_counts[b][rs - 1] += 1
+            joint[b][ro - 1][rs - 1] += 1
+    return (
+        books,
+        len(tables),
+        {b: tuple(v) for b, v in order_counts.items()},
+        {b: tuple(v) for b, v in structure_counts.items()},
+        {b: tuple(tuple(r) for r in m) for b, m in joint.items()},
+    )
+
+
+class TestRankReference:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equals_dict_reference(self, seed):
+        # 1-7 books, penalties drawn mostly from a few values (0.0 and -0.0
+        # among them) so that rows tie, translations missing books, and
+        # requested ids that are a subset or include a book no row has.
+        rng = random.Random(seed)
+        pool = rng.sample([1, 40, 41, 42, 43, 44, 66], rng.randint(1, 7))
+        shared = [0.0, -0.0, 0.1, -0.1, 0.25]
+
+        def value():
+            return rng.choice(shared) if rng.random() < 0.7 else rng.uniform(-1, 1)
+
+        cells = [agg("t0", b, value(), value()) for b in pool]
+        for t in range(1, rng.randint(1, 9)):
+            cells += [agg(f"t{t}", b, value(), value()) for b in pool if rng.random() < 0.85]
+        book_ids = None
+        if rng.random() < 0.5:
+            book_ids = rng.sample(pool, rng.randint(1, len(pool)))
+            if rng.random() < 0.2:
+                book_ids.append(99)
+
+        tables = rank_books(pivot(cells), book_ids)
+        expected, excluded = reference_rank_books(cells, book_ids or pool)
+        assert tables.excluded == excluded
+        assert tables.translation_ids == tuple(table[0] for table in expected)
+        for t, (_, order_ranks, structure_ranks, ties) in enumerate(expected):
+            assert rank_dicts(tables, t) == (order_ranks, structure_ranks)
+            assert bool(tables.ties[t]) == ties
+        if expected:
+            hist = rank_histograms(tables)
+            got = (hist.book_ids, hist.n_tables, hist.order_counts,
+                   hist.structure_counts, hist.joint_counts)
+            assert got == reference_rank_histograms(expected)
 
 
 class TestCsvWriters:
@@ -343,9 +447,9 @@ class TestCsvWriters:
 
     def test_ranks_csv_includes_exclusions(self):
         rows = [agg("t1", 40, 0.5, 0.1), agg("t1", 41, 0.4, 0.2)]
-        tables, excluded = rank_books(rows + [agg("t2", 40, 0.3, 0.3)], (40, 41))
+        tables = rank_books(pivot(rows + [agg("t2", 40, 0.3, 0.3)]), (40, 41))
         buf = io.StringIO()
-        write_ranks_csv(tables, buf, excluded)
+        write_ranks_csv(tables, buf)
         text = buf.getvalue()
         assert "t1,40,1,2,0" in text
         assert "excluded: missing [41]" in text
@@ -356,7 +460,7 @@ class TestCsvWriters:
             agg("t2", 40, 0.1, 0.2), agg("t2", 41, 0.9, 0.1),
             agg("t3", 40, 0.7, 0.2), agg("t3", 41, 0.1, 0.8),
         ]
-        tables, _ = rank_books(rows)
+        tables = rank_books(pivot(rows))
         buf = io.StringIO()
         write_rank_hist_csv(rank_histograms(tables), buf)
         lines = buf.getvalue().splitlines()
