@@ -21,7 +21,6 @@ from .corpus import (
     truncate_books,
 )
 from .entropy import (
-    EntropyEstimate,
     MatchLengths,
     entropy_rate,
     match_lengths,
@@ -73,7 +72,6 @@ __all__ = [
     "BookMeasurement",
     "CorpusFormatError",
     "CorrelationMatrix",
-    "EntropyEstimate",
     "GroupMeans",
     "InsufficientDataError",
     "MaskSpaceExhaustedError",

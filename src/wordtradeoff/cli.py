@@ -15,8 +15,8 @@ Subcommands:
 * ``synth``: emit synthetic corpora (toy languages or symbol streams)
   in the tsv corpus format.
 
-Exit codes: 0 success, 1 fatal configuration/input error, 2 completed
-with per-book errors (or a failed oracle check).
+Exit codes: 0 success, 1 fatal configuration, input or output error, 2
+completed with per-book errors (or a failed oracle check).
 """
 
 from __future__ import annotations
@@ -217,21 +217,29 @@ def main(argv: Sequence[str] | None = None) -> int:
     # The destinations of each command's options are the names its
     # ``cmd_*`` function (or ``RunConfig``) takes.
     settings = {key: value for key, value in vars(args).items() if key != "command"}
-    if args.command == "analyze":
-        return cmd_analyze(RunConfig(**settings | {"inputs": tuple(args.inputs)}))
-    if args.command == "stats":
-        return cmd_stats(**settings)
-    if args.command == "oracle-check":
-        if args.min_len > args.max_len:
-            parser.error("--min-len must not exceed --max-len")
-        if args.min_alpha > args.max_alpha:
-            parser.error("--alpha-min must not exceed --alpha-max")
-        return cmd_oracle_check(**settings)
-    return cmd_synth(args)
+    try:
+        if args.command == "analyze":
+            return cmd_analyze(RunConfig(**settings | {"inputs": tuple(args.inputs)}))
+        if args.command == "stats":
+            return cmd_stats(**settings)
+        if args.command == "oracle-check":
+            if args.min_len > args.max_len:
+                parser.error("--min-len must not exceed --max-len")
+            if args.min_alpha > args.max_alpha:
+                parser.error("--alpha-min must not exceed --alpha-max")
+            return cmd_oracle_check(**settings)
+        return cmd_synth(args)
+    except OSError as exc:
+        # Each command catches its input errors; this is an unwritable output.
+        logger.error("cannot write output: %s", exc)
+        return 1
 
 
 def cmd_analyze(config: RunConfig) -> int:
     """Run the full measurement pipeline for one configuration."""
+    # Made first, so an unusable --out fails before any unit is measured.
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         work, missing_report = _collect_books(config)
     except (OSError, CorpusFormatError, ValueError) as exc:
@@ -255,7 +263,7 @@ def cmd_analyze(config: RunConfig) -> int:
             exc,
         )
 
-    if config.workers <= 1:
+    if config.workers <= 1 or not units:
         for book, r in units:
             try:
                 rows.append(measure_replicate(book, r, config))
@@ -267,9 +275,10 @@ def cmd_analyze(config: RunConfig) -> int:
 
         # A worker that dies (say, an out-of-memory kill) breaks the pool:
         # submit raises, and every unit without a result gets BrokenProcessPool.
+        # The pool forks every worker at the first submit: no more than units.
         futures = []
         try:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            with ProcessPoolExecutor(max_workers=min(config.workers, len(units))) as pool:
                 for book, r in units:
                     futures.append(pool.submit(measure_replicate, book, r, config))
         except BrokenProcessPool:
@@ -292,8 +301,6 @@ def cmd_analyze(config: RunConfig) -> int:
                 len(units),
             )
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
     with open(results_path, "w", newline="", encoding="utf-8") as fh:
         write_results_csv(rows, fh)

@@ -12,16 +12,21 @@ Two input formats are supported:
 
 * ``pbc``: UTF-8 lines of the form ``IIIIIIII<TAB>text`` where the
   8-digit id encodes book (2 digits), chapter (3 digits) and verse
-  (3 digits). Lines starting with ``#`` are comments; ``# key: value``
-  comments are recorded as provenance metadata.
+  (3 digits). Lines starting with ``#`` are comments. A
+  ``# translation_id: ...`` comment sets the translation id and a
+  ``# language_code: ...`` (or ``# closest ISO 639-3: ...`` and similar)
+  comment the language; every other comment is ignored.
 * ``tsv``: UTF-8 lines of the form ``book_id<TAB>chapter<TAB>verse<TAB>text``
   with the same comment convention.
+
+Lines end at ``\n``, ``\r\n`` or ``\r`` only. Any other Unicode line or
+paragraph separator inside a verse is whitespace, like a tab.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, Union
 
@@ -56,7 +61,7 @@ FORMATS = ("pbc", "tsv")
 #: Where :func:`truncate_books` may cut a book.
 TRUNCATIONS = ("token", "char")
 
-#: Provenance keys (normalized) that may carry the ISO 639-3 language code.
+#: Comment keys (normalized) that may carry the ISO 639-3 language code.
 _LANGUAGE_KEYS = (
     "closest iso 639-3",
     "iso 639-3",
@@ -70,10 +75,7 @@ class CorpusFormatError(ValueError):
     """Raised for malformed or inconsistent corpus input."""
 
     def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
 @dataclass(frozen=True, order=True)
@@ -128,12 +130,11 @@ class Book:
 
 @dataclass(frozen=True)
 class Translation:
-    """All books of one translation plus provenance metadata."""
+    """All books of one translation."""
 
     translation_id: str
     language: str
     books: Mapping[int, Book]
-    provenance: Mapping[str, str] = field(default_factory=dict)
 
 
 def flatten(book: Book) -> str:
@@ -157,9 +158,10 @@ def parse_corpus(
     object; the content must be valid UTF-8. ``fmt`` selects the line
     format, one of :data:`FORMATS`. Verses are sorted by reference
     within each book. Data lines whose text is empty (untranslated
-    verses) are skipped and counted in the provenance entry
-    ``skipped_empty_verses``. A ``# translation_id: ...`` comment sets
-    the translation id; the default is the file name's stem.
+    verses) are skipped, and one warning gives their count. A
+    ``# translation_id: ...`` comment sets the translation id; the
+    default is the file name's stem, and a ``# language_code: ...`` (or
+    similar) comment sets the language; other comments are ignored.
     """
     data, default_id = _read_source(source)
     try:
@@ -172,19 +174,22 @@ def parse_corpus(
         raise ValueError(f"unknown corpus format {fmt!r} (expected one of {FORMATS})")
     parse_line = _parse_pbc_line if fmt == "pbc" else _parse_tsv_line
 
-    provenance: dict[str, str] = {}
+    comments: dict[str, str] = {}
     by_book: dict[int, list[Verse]] = {}
     seen: dict[VerseRef, int] = {}
     skipped_empty = 0
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # str.splitlines would also break at \x0b, \x0c, \x1c-\x1e, \x85,
+    # U+2028 and U+2029, which the body's whitespace split turns into spaces.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if not stripped:
             continue
         if stripped.startswith("#"):
             kv = _parse_comment(stripped)
             if kv is not None:
-                provenance.setdefault(kv[0], kv[1])
+                comments.setdefault(kv[0], kv[1])
             continue
         ref, body = parse_line(raw, line_no)
         if lowercase:
@@ -204,11 +209,10 @@ def parse_corpus(
     if not seen:
         raise CorpusFormatError("no verses found in input")
     if skipped_empty:
-        provenance["skipped_empty_verses"] = str(skipped_empty)
         logger.warning("skipped %d verses with empty text", skipped_empty)
 
-    tid = provenance.get("translation_id") or default_id or "unknown"
-    lang = _language_from_provenance(provenance) or "und"
+    tid = comments.get("translation_id") or default_id or "unknown"
+    lang = _language_from_comments(comments) or "und"
 
     books = {
         book_id: Book(
@@ -219,7 +223,7 @@ def parse_corpus(
         )
         for book_id, verses in sorted(by_book.items())
     }
-    return Translation(translation_id=tid, language=lang, books=books, provenance=provenance)
+    return Translation(translation_id=tid, language=lang, books=books)
 
 
 def select_books(
@@ -318,9 +322,9 @@ def _parse_comment(line: str) -> tuple[str, str] | None:
     return key.strip().lower(), value.strip()
 
 
-def _language_from_provenance(provenance: Mapping[str, str]) -> str | None:
+def _language_from_comments(comments: Mapping[str, str]) -> str | None:
     for key in _LANGUAGE_KEYS:
-        value = provenance.get(key)
+        value = comments.get(key)
         if value:
             return value
     return None

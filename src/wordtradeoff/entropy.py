@@ -12,9 +12,9 @@ The entropy rate in bits per character is estimated as
 
     h = [ (1/N) * sum_{i=1..N} l_i / log2(i+1) ]^{-1}
 
-Long matches indicate redundancy and drive the estimate down. There is
-no cap on how far back a match may reach, so long-range repetition is
-fully credited.
+and :func:`entropy_rate` returns it as a float. Long matches indicate
+redundancy and drive the estimate down. There is no cap on how far back
+a match may reach, so long-range repetition is fully credited.
 
 The estimate converges almost surely to the true rate h (Kontoyiannis,
 Algoet, Suhov & Wyner 1998, IEEE Trans. IT 44(3)), but it is biased at
@@ -39,9 +39,10 @@ called through ``ctypes``). The same library holds the seeded draws of
 it for both. The first call in a process compiles it with the C compiler
 Python was built with (``sysconfig`` ``CC``, else ``cc``) into the
 package's ``__pycache__/`` under a name derived from the source and the
-compiler command; later calls and later processes load that file. Where
-no compiler is found, or compiling or loading fails, one warning says
-why and the same algorithms run in pure Python with the same output: the
+compiler command; later calls and later processes load that file. It
+raises ValueError past ``_C_MAX_N`` (about 715M) characters. Where no
+compiler is found, or compiling or loading fails, one warning says why
+and the same algorithms run in pure Python with the same output: the
 match lengths 10-30x slower. :func:`kernel_name` reports which one a
 process uses.
 """
@@ -70,8 +71,7 @@ logger = logging.getLogger(__name__)
 _KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 _KERNEL_CFLAGS = ("-O2", "-shared", "-fPIC")
 #: Longest input the compiled kernel takes: its state and edge indices
-#: (at most 2n + 2 and 3n + 3) are int32. Longer inputs use the Python
-#: automaton.
+#: (at most 2n + 2 and 3n + 3) are int32. Longer inputs raise ValueError.
 _C_MAX_N = (2**31 - 1 - 3) // 3
 
 
@@ -99,15 +99,6 @@ class MatchLengths:
     @property
     def n(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class EntropyEstimate:
-    """Entropy-rate estimate in bits per character."""
-
-    h_bpc: float
-    n_chars: int
-    sum_term: float
 
 
 def _check_nonempty(s: str) -> None:
@@ -153,7 +144,7 @@ def match_lengths(s: str) -> MatchLengths:
     """
     _check_nonempty(s)
     library = load_library()
-    if library is None or len(s) > _C_MAX_N:
+    if library is None:
         return MatchLengths(_automaton_lengths(s))
     return MatchLengths(_compiled_lengths(library, s))
 
@@ -310,13 +301,12 @@ def _automaton_lengths(s: str) -> list[int]:
     return out
 
 
-def entropy_rate(ml: MatchLengths) -> EntropyEstimate:
-    """Turn a match-length array into a bits-per-character estimate."""
+def entropy_rate(ml: MatchLengths) -> float:
+    """The entropy-rate estimate, in bits per character, of a match-length array."""
     n = ml.n
     values = np.asarray(ml.values, dtype=np.float64)
     denom = np.log2(np.arange(2, n + 2, dtype=np.float64))
-    sum_term = float(np.sum(values / denom))
-    return EntropyEstimate(h_bpc=n / sum_term, n_chars=n, sum_term=sum_term)
+    return n / float(np.sum(values / denom))
 
 
 @dataclass(frozen=True)

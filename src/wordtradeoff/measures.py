@@ -31,10 +31,10 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -109,7 +109,6 @@ class BookMeasurement:
     h_structure: float
     d_order: float
     d_structure: float
-    seeds: Mapping[str, int] = field(default_factory=dict)
 
     @property
     def has_negative_penalty(self) -> bool:
@@ -209,7 +208,7 @@ def measure_replicate(book: Book, replicate: int, config: MeasureConfig) -> Book
 
     base = shuffle_verses(book, seeds["verse_shuffle"]) if config.verse_shuffle else book
     text = flatten(base)
-    h_original = entropy_rate(match_lengths(text)).h_bpc
+    h_original = entropy_rate(match_lengths(text))
 
     # Both variants are built from the one token list of the original.
     tokens = text.split(" ")
@@ -218,14 +217,14 @@ def measure_replicate(book: Book, replicate: int, config: MeasureConfig) -> Book
     else:
         counts = [v.text.count(" ") + 1 for v in base.verses]
     order_text = destroy_word_order(tokens, counts, seeds["order_shuffle"])
-    h_order = entropy_rate(match_lengths(order_text)).h_bpc
+    h_order = entropy_rate(match_lengths(order_text))
 
     # The word types hold every character of the text except the space
     # between tokens, which is never a mask character.
     types = dict.fromkeys(tokens)
     table = build_mask_table(types, "".join(types), seeds["mask_draw"])
     masked_text = mask_word_structure(tokens, table)
-    h_structure = entropy_rate(match_lengths(masked_text)).h_bpc
+    h_structure = entropy_rate(match_lengths(masked_text))
 
     result = BookMeasurement(
         translation_id=book.translation_id,
@@ -238,7 +237,6 @@ def measure_replicate(book: Book, replicate: int, config: MeasureConfig) -> Book
         h_structure=h_structure,
         d_order=h_order - h_original,
         d_structure=h_structure - h_original,
-        seeds=seeds,
     )
     if result.has_negative_penalty:
         logger.warning(

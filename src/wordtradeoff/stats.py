@@ -143,7 +143,6 @@ class RegressionFit:
     beta0: float
     beta1: float
     r_squared: float
-    residuals: tuple[float, ...]
     n_points: int
 
 
@@ -187,7 +186,6 @@ def fit_reciprocal(points: Sequence[tuple[float, float]]) -> RegressionFit:
         beta0=beta0,
         beta1=beta1,
         r_squared=r_squared,
-        residuals=tuple(float(r) for r in residuals),
         n_points=n,
     )
 

@@ -211,15 +211,14 @@ def _stream(seed: int) -> Xorshift64Star:
 class MaskTable:
     """Word-type to mask assignment for one book.
 
-    Masks have the length of their type, are pairwise distinct, and are
-    drawn from the book's alphabet minus whitespace and control
-    characters. Types of length 1 carry no internal structure and are
-    absent.
+    ``table`` maps each word type to its mask. Masks have the length of
+    their type, are pairwise distinct, and are drawn from the book's
+    alphabet minus whitespace and control characters. Types of length 1
+    carry no internal structure and are absent. The table alone is kept:
+    the seed it was drawn with is ``derive_seed`` of the unit's key.
     """
 
     table: Mapping[str, str]
-    mask_alphabet: tuple[str, ...]
-    seed: int
 
 
 def shuffle_verses(book: Book, seed: int) -> Book:
@@ -290,7 +289,7 @@ def build_mask_table(types: Iterable[str], alphabet: Iterable[str], seed: int) -
                 break
         used.add(mask)
         table[word] = mask
-    return MaskTable(table=table, mask_alphabet=tuple(alpha), seed=seed)
+    return MaskTable(table=table)
 
 
 def mask_word_structure(tokens: Sequence[str], table: MaskTable) -> str:

@@ -117,7 +117,7 @@ def test_criterion_2_estimator_convergence():
     for name, source in sources.items():
         medians = {
             n: statistics.median(
-                entropy_rate(match_lengths(generate(source, n, seed=seed).chars)).h_bpc
+                entropy_rate(match_lengths(generate(source, n, seed=seed).chars))
                 for seed in range(n_seeds)
             )
             for n in sizes

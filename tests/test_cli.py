@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -18,9 +19,11 @@ from wordtradeoff.corpus import Book, Verse, VerseRef, parse_corpus
 from wordtradeoff.entropy import kernel_name
 from wordtradeoff.measures import (
     RESULT_COLUMNS,
+    BookMeasurement,
     MeasureConfig,
     measure_replicate,
     read_results_csv,
+    write_results_csv,
 )
 
 
@@ -160,7 +163,9 @@ class TestAnalyze:
         assert manifest["missing_books"] == {"toy1": [42]}
 
     def test_unreadable_input_fatal(self, tmp_path):
-        config = RunConfig(inputs=(str(tmp_path / "nope.tsv"),), fmt="tsv")
+        config = RunConfig(
+            inputs=(str(tmp_path / "nope.tsv"),), fmt="tsv", out_dir=str(tmp_path / "out")
+        )
         assert cmd_analyze(config) == 1
 
     def test_per_book_error_isolated(self, tmp_path, monkeypatch):
@@ -214,6 +219,80 @@ class TestAnalyze:
         assert not (out_dir / "results.csv").exists()
         assert f"inputs {paths[0]} and {paths[1]} both have translation id 'x'" in caplog.text
         assert "# translation_id:" in caplog.text
+
+
+def _assert_one_output_error(code, capsys, caplog) -> None:
+    assert code == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith("cannot write output: ")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    def test_analyze_fails_before_parsing_or_measuring(self, tmp_path, monkeypatch, capsys, caplog):
+        corpus = tmp_path / "c.tsv"
+        write_two_book_corpus(corpus)
+        out = tmp_path / "out"
+        out.write_text("a file, not a directory\n")
+        calls = []
+        monkeypatch.setattr(cli, "parse_corpus", lambda *args, **kw: calls.append("parse"))
+        monkeypatch.setattr(cli, "measure_replicate", lambda *args: calls.append("measure"))
+        code = main(["analyze", str(corpus), "--format", "tsv", "--books", "40,41",
+                     "--out", str(out)])
+        _assert_one_output_error(code, capsys, caplog)
+        assert calls == []
+
+    def test_stats(self, tmp_path, capsys, caplog):
+        rows = [
+            BookMeasurement("t1", "l1", 40, 0, 100, 2.0, 2.5, 2.25, 0.5, 0.25),
+            BookMeasurement("t2", "l2", 40, 0, 100, 2.0, 2.25, 2.5, 0.25, 0.5),
+        ]
+        results = tmp_path / "results.csv"
+        with open(results, "w", newline="", encoding="utf-8") as fh:
+            write_results_csv(rows, fh)
+        out = tmp_path / "out"
+        out.write_text("a file, not a directory\n")
+        code = main(["stats", str(results), "--out", str(out)])
+        _assert_one_output_error(code, capsys, caplog)
+
+    def test_synth(self, tmp_path, capsys, caplog):
+        parent = tmp_path / "parent"
+        parent.write_text("a file, not a directory\n")
+        code = main(["synth", "toy", "--mode", "affixal", "--out", str(parent / "toy.tsv")])
+        _assert_one_output_error(code, capsys, caplog)
+
+
+@pytest.mark.parametrize("books,code,rows,pools", [("40,41", 0, 2, [2]), ("42", 1, 0, [])])
+def test_pool_has_no_more_workers_than_units(tmp_path, monkeypatch, books, code, rows, pools):
+    # A stand-in pool that records its size and runs each unit in-process.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    corpus = tmp_path / "c.tsv"
+    write_two_book_corpus(corpus)
+    out = tmp_path / "out"
+    argv = ["analyze", str(corpus), "--format", "tsv", "--books", books,
+            "--replicates", "1", "--workers", "8", "--out", str(out)]
+    assert main(argv) == code
+    assert sizes == pools
+    assert len(read_results_csv(out / "results.csv")) == rows
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["workers"] == 8
 
 
 class TestStats:
@@ -537,3 +616,12 @@ def test_import_leaves_synth_and_pool_modules_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+def test_every_exported_name_resolves():
+    import wordtradeoff
+
+    assert [name for name in wordtradeoff.__all__ if not hasattr(wordtradeoff, name)] == []
+    namespace: dict = {}
+    exec("from wordtradeoff import *", namespace)
+    assert set(wordtradeoff.__all__) <= set(namespace)

@@ -36,6 +36,9 @@ TSV_SAMPLE = b"""# language_code: eng
 41\t1\t1\tthe beginning of the gospel
 """
 
+#: The characters besides \n and \r at which str.splitlines breaks a line.
+NOT_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
 
 def make_book(texts, book_id=40, tid="t", lang="und"):
     verses = tuple(
@@ -56,9 +59,8 @@ class TestParse:
         assert tr.books[40].verses[0].ref == VerseRef(40, 1, 1)
         assert tr.books[40].verses[0].text == "the book of the generation"
 
-    def test_comment_recorded_in_provenance(self):
+    def test_comment_sets_language(self):
         tr = parse_corpus(PBC_SAMPLE, "pbc")
-        assert tr.provenance["language_name"] == "German"
         assert tr.language == "deu"
 
     def test_language_from_tsv_comment(self):
@@ -92,11 +94,12 @@ class TestParse:
         with pytest.raises(ValueError, match="unknown corpus format"):
             parse_corpus(PBC_SAMPLE, "xml")
 
-    def test_empty_verse_text_skipped_and_counted(self):
+    def test_empty_verse_text_skipped_and_counted(self, caplog):
         data = b"40001001\tsome text\n40001002\t\n"
         tr = parse_corpus(data, "pbc")
         assert len(tr.books[40].verses) == 1
-        assert tr.provenance["skipped_empty_verses"] == "1"
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["skipped 1 verses with empty text"]
 
     def test_whitespace_normalized_inside_verse(self):
         data = b"40001001\t  doubled  spaces\tand tabs \n"
@@ -116,6 +119,24 @@ class TestParse:
     def test_binary_stream_source(self):
         tr = parse_corpus(io.BytesIO(b"# translation_id: x\n" + TSV_SAMPLE), "tsv")
         assert tr.translation_id == "x"
+
+    @pytest.mark.parametrize("fmt,ref", [("pbc", "40001001"), ("tsv", "40\t1\t1")])
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=ascii)
+    def test_other_separators_inside_a_verse_are_spaces(self, fmt, ref, char):
+        tr = parse_corpus(f"{ref}\tfoo{char}bar\n".encode(), fmt)
+        assert [v.text for v in tr.books[40].verses] == ["foo bar"]
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=ascii)
+    def test_error_line_number_counts_only_line_breaks(self, char):
+        bad = f"40001001\tfoo{char}bar\nnot-a-line\n".encode()
+        with pytest.raises(CorpusFormatError, match="^line 2: .*'not-a-line'"):
+            parse_corpus(bad, "pbc")
+
+    def test_crlf_and_cr_end_lines(self):
+        data = b"40001001\ta\r\n40001002\tb\r40001003\tc\n"
+        assert [v.text for v in parse_corpus(data, "pbc").books[40].verses] == ["a", "b", "c"]
+        with pytest.raises(CorpusFormatError, match="^line 3: .*'not-a-line'"):
+            parse_corpus(b"40001001\ta\r\n40001002\tb\rnot-a-line\n", "pbc")
 
 
 class TestFlatten:

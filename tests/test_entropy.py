@@ -273,7 +273,7 @@ class TestKernels:
         built = [p.name for p in (package / "__pycache__").glob("_kernels*")]
         assert len(built) == 1 and built[0].endswith(".so")
 
-    def test_inputs_beyond_compiled_limit_use_python(self, monkeypatch):
+    def test_inputs_beyond_compiled_limit_raise(self, monkeypatch):
         library = entropy.load_library()
         if library is None:
             pytest.skip("compiled kernel unavailable")
@@ -282,26 +282,27 @@ class TestKernels:
             entropy._compiled_lengths(library, "abab")
         with pytest.raises(ValueError):
             entropy._compiled_lengths(library, "")
-        assert match_lengths("abab").values.tolist() == [1, 1, 3, 2]
+        with pytest.raises(ValueError, match="compiled kernel takes 1..3 chars, got 4"):
+            match_lengths("abab")
+        assert match_lengths("aba").values.tolist() == [1, 1, 2]
 
 
 class TestEntropyRate:
     def test_single_char_is_one_bpc(self):
-        assert entropy_rate(match_lengths("a")).h_bpc == pytest.approx(1.0)
+        assert entropy_rate(match_lengths("a")) == pytest.approx(1.0)
 
     def test_aaaa_value(self):
         # sum = 1/log2(2) + 2/log2(3) + 3/log2(4) + 2/log2(5)
         expected_sum = 1.0 + 2 / math.log2(3) + 1.5 + 2 / math.log2(5)
-        est = entropy_rate(match_lengths("aaaa"))
-        assert est.sum_term == pytest.approx(expected_sum, abs=1e-12)
-        assert est.h_bpc == pytest.approx(4 / expected_sum, abs=1e-12)
-        assert est.h_bpc == pytest.approx(0.8652, abs=5e-5)
+        h = entropy_rate(match_lengths("aaaa"))
+        assert h == pytest.approx(4 / expected_sum, abs=1e-12)
+        assert h == pytest.approx(0.8652, abs=5e-5)
 
     def test_distinct_characters_closed_form(self):
         s = "abcdefghij"
         n = len(s)
         expected = n / sum(1 / math.log2(i + 1) for i in range(1, n + 1))
-        assert entropy_rate(match_lengths(s)).h_bpc == pytest.approx(expected, abs=1e-12)
+        assert entropy_rate(match_lengths(s)) == pytest.approx(expected, abs=1e-12)
 
     def test_match_lengths_validation(self):
         with pytest.raises(ValueError):

@@ -209,7 +209,7 @@ class TestFitReciprocal:
         xs = rng.uniform(0.3, 1.5, size=40)
         ys = 1.0 + 0.5 / xs + rng.normal(0, 0.1, size=40)
         fit = fit_reciprocal(list(zip(xs, ys)))
-        res = np.asarray(fit.residuals)
+        res = ys - (fit.beta0 + fit.beta1 / xs)
         assert float(res.sum()) == pytest.approx(0.0, abs=1e-9)
         assert float(res @ (1.0 / xs)) == pytest.approx(0.0, abs=1e-9)
 
