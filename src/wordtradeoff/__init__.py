@@ -36,6 +36,7 @@ from .measures import (
     measure_book,
     measure_replicate,
     read_results_csv,
+    write_results_csv,
 )
 from .stats import (
     CorrelationMatrix,
@@ -111,4 +112,5 @@ __all__ = [
     "shuffle_verses",
     "spearman",
     "truncate_books",
+    "write_results_csv",
 ]

@@ -30,6 +30,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
+import numpy as np
+
 from . import __version__
 from .corpus import (
     DEFAULT_BOOK_IDS,
@@ -47,7 +49,9 @@ from .entropy import kernel_name, run_oracle_check
 from .measures import (
     GROUP_KEYS,
     ORDER_SCOPES,
+    BookMeasurement,
     MeasureConfig,
+    ResultsTable,
     aggregate,
     measure_replicate,
     read_results_csv,
@@ -55,7 +59,6 @@ from .measures import (
 )
 from .stats import (
     BookFit,
-    InsufficientDataError,
     correlation_matrix,
     fit_reciprocal,
     rank_books,
@@ -187,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy = sy_sub.add_parser("toy", help="toy positional/affixal language")
     p_toy.add_argument("--mode", choices=("positional", "affixal"), required=True)
     p_toy.add_argument("--sentences", type=_count_arg(1), default=500)
-    p_toy.add_argument("--seed", type=int, default=0, help="message-stream seed")
-    p_toy.add_argument("--vocab-seed", type=int, default=None, help="default: --seed")
+    p_toy.add_argument("--seed", type=_count_arg(0), default=0, help="message-stream seed")
+    p_toy.add_argument("--vocab-seed", type=_count_arg(0), default=None, help="default: --seed")
     p_toy.add_argument("--out", default="-", help="output file or - for stdout")
 
     p_strm = sy_sub.add_parser("stream", help="iid or first-order Markov symbol stream")
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="semicolon-separated rows of comma-separated probabilities",
     )
     p_strm.add_argument("--n", type=_count_arg(1), default=100_000)
-    p_strm.add_argument("--seed", type=int, default=0)
+    p_strm.add_argument("--seed", type=_count_arg(0), default=0)
     p_strm.add_argument(
         "--chunk", type=_count_arg(1), default=60, help="characters per verse line"
     )
@@ -250,25 +253,9 @@ def cmd_analyze(config: RunConfig) -> int:
     # forked workers inherit it and the manifest names what ran.
     kernel = kernel_name()
     units = [(book, r) for book in work for r in range(config.replicates)]
-    rows = []
-    errors: list[tuple[str, int, int, str]] = []  # in the order of ERROR_KEYS
-
-    def record_error(book: Book, replicate: int, exc: Exception) -> None:
-        errors.append((book.translation_id, book.book_id, replicate, str(exc)))
-        logger.error(
-            "measurement failed for %s book %d replicate %d: %s",
-            book.translation_id,
-            book.book_id,
-            replicate,
-            exc,
-        )
-
+    lost: list[tuple[Book, int]] = []  # units whose worker process died
     if config.workers <= 1 or not units:
-        for book, r in units:
-            try:
-                rows.append(measure_replicate(book, r, config))
-            except Exception as exc:
-                record_error(book, r, exc)
+        outcomes = ((unit, _measure_unit(*unit, config)) for unit in units)
     else:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
@@ -279,31 +266,39 @@ def cmd_analyze(config: RunConfig) -> int:
         futures = []
         try:
             with ProcessPoolExecutor(max_workers=min(config.workers, len(units))) as pool:
-                for book, r in units:
-                    futures.append(pool.submit(measure_replicate, book, r, config))
+                for unit in units:
+                    futures.append(pool.submit(_measure_unit, *unit, config))
         except BrokenProcessPool:
             pass
         lost = units[len(futures) :]
+        outcomes = []
         for unit, future in zip(units, futures):
             try:
-                rows.append(future.result())
+                outcomes.append((unit, future.result()))
             except BrokenProcessPool:
                 lost.append(unit)
-            except Exception as exc:
-                record_error(*unit, exc)
-        died = "not measured: its worker process died"
-        errors += [(b.translation_id, b.book_id, r, died) for b, r in lost]
-        if lost:
-            logger.error(
-                "a worker process died; %d of %d units were not measured (listed under "
-                "errors in manifest.json): rerun with fewer --workers and check free memory",
-                len(lost),
-                len(units),
-            )
+
+    rows = []
+    errors: list[tuple[str, int, int, str]] = []  # in the order of ERROR_KEYS
+    for (book, r), outcome in outcomes:
+        if isinstance(outcome, BookMeasurement):
+            rows.append(outcome)
+            continue
+        errors.append((book.translation_id, book.book_id, r, outcome))
+        logger.error("measurement failed for %s book %d replicate %d: %s", *errors[-1])
+    died = "not measured: its worker process died"
+    errors += [(b.translation_id, b.book_id, r, died) for b, r in lost]
+    if lost:
+        logger.error(
+            "a worker process died; %d of %d units were not measured (listed under "
+            "errors in manifest.json): rerun with fewer --workers and check free memory",
+            len(lost),
+            len(units),
+        )
 
     results_path = out_dir / "results.csv"
     with open(results_path, "w", newline="", encoding="utf-8") as fh:
-        write_results_csv(rows, fh)
+        write_results_csv(ResultsTable.from_measurements(rows), fh)
 
     manifest = {
         "tool": "wordtradeoff",
@@ -326,6 +321,16 @@ def cmd_analyze(config: RunConfig) -> int:
         logger.error("no valid books selected from any input")
         return 1
     return 2 if errors else 0
+
+
+def _measure_unit(book: Book, replicate: int, config: MeasureConfig) -> BookMeasurement | str:
+    """One unit's row, or its error's message: no exception crosses from a pool
+    worker, where one that pickle cannot rebuild would break the whole pool."""
+    # A global looked up per call, so a replaced ``cli.measure_replicate`` runs.
+    try:
+        return measure_replicate(book, replicate, config)
+    except Exception as exc:
+        return str(exc)
 
 
 def _collect_books(config: RunConfig) -> tuple[list[Book], dict[str, list[int]]]:
@@ -380,18 +385,19 @@ def cmd_stats(
 
     # Rank tables need translation aggregates; under translation grouping those are ``grouped``.
     by_key = {key: aggregate(results, group_by=key) for key in {group_by, "translation"}}
+    if books:
+        by_key = {key: means.select(sorted(set(books))) for key, means in by_key.items()}
     grouped, per_translation = by_key[group_by], by_key["translation"]
-    selected = sorted(set(books)) if books else list(grouped.book_ids)
 
     fits: list[BookFit] = []
-    present, d_order, d_structure = grouped.cells(selected)
-    for j, book_id in enumerate(selected):
-        x, y = d_order[present[:, j], j], d_structure[present[:, j], j]
+    for book_id, x, y in zip(grouped.book_ids, grouped.d_order.T, grouped.d_structure.T):
+        present = ~np.isnan(x)
+        x, y = x[present], y[present]
         if len(x) < 2:
             logger.warning("book %d: fewer than 2 groups, no fit", book_id)
             continue
         try:
-            fit = fit_reciprocal(list(zip(x, y)))
+            fit = fit_reciprocal(x, y)
             r_s = spearman(x, y)
         except ValueError as exc:
             logger.warning("book %d: %s; skipped", book_id, exc)
@@ -401,14 +407,14 @@ def cmd_stats(
         write_fits_csv(fits, fh)
 
     try:
-        matrix = correlation_matrix(grouped, selected)
-    except (InsufficientDataError, ValueError) as exc:
-        logger.warning("correlation matrix skipped: %s", exc)
+        matrix = correlation_matrix(grouped)
+    except ValueError as exc:
+        _skip(out / "corr_matrix.csv", f"correlation matrix skipped: {exc}")
     else:
         with open(out / "corr_matrix.csv", "w", newline="", encoding="utf-8") as fh:
             write_corr_matrix_csv(matrix, fh)
 
-    tables = rank_books(per_translation, selected)
+    tables = rank_books(per_translation)
     with open(out / "ranks.csv", "w", newline="", encoding="utf-8") as fh:
         write_ranks_csv(tables, fh)
     if tables:
@@ -424,10 +430,20 @@ def cmd_stats(
                 ", ".join(tied[:5]),
             )
     else:
-        logger.warning("no translation has all books %s; rank histograms skipped", selected)
+        selected = list(per_translation.book_ids)
+        _skip(out / "rank_hist.csv", f"no translation has all books {selected}; "
+              "rank histograms skipped")
 
     logger.info("stats written to %s", out)
     return 0
+
+
+def _skip(path: Path, reason: str) -> None:
+    """Log why ``path`` is not written, and remove an earlier run's copy of it."""
+    if path.exists():
+        reason += f"; removed the {path.name} an earlier run left"
+    path.unlink(missing_ok=True)
+    logger.warning("%s", reason)
 
 
 def cmd_oracle_check(

@@ -16,11 +16,11 @@ that dimension of regularity. Replicates vary only the derived seeds.
 Estimation noise can push a penalty slightly below zero on short books;
 values are reported as computed, with a warning.
 
-``write_results_csv`` writes one row per :class:`BookMeasurement`.
-``read_results_csv`` reads the table back as a :class:`ResultsTable` of
-columns, and ``aggregate`` averages it per translation or language into
-one :class:`GroupMeans` table of groups by books, which every statistic
-of the ``stats`` command indexes.
+Results take one form, the :class:`ResultsTable` of columns:
+``write_results_csv`` writes one, ``read_results_csv`` reads it back, and
+``aggregate`` averages it per translation or language into one
+:class:`GroupMeans` table of groups by books. ``stats`` selects its books
+from that table once, and every statistic indexes the selection.
 """
 
 from __future__ import annotations
@@ -114,20 +114,6 @@ class BookMeasurement:
     def has_negative_penalty(self) -> bool:
         return self.d_order < 0 or self.d_structure < 0
 
-    def csv_row(self) -> list[str]:
-        return [
-            self.translation_id,
-            self.language,
-            str(self.book_id),
-            str(self.replicate),
-            str(self.n_chars),
-            format_float(self.h_original),
-            format_float(self.h_order),
-            format_float(self.h_structure),
-            format_float(self.d_order),
-            format_float(self.d_structure),
-        ]
-
 
 @dataclass(frozen=True, eq=False)
 class ResultsTable:
@@ -170,8 +156,8 @@ class GroupMeans:
 
     Cell ``[g, b]`` of the float64 arrays ``d_order`` and ``d_structure``
     holds group ``groups[g]`` on book ``book_ids[b]``; it is NaN where the
-    group has no row for that book. ``groups`` are sorted and ``book_ids``
-    ascend.
+    group has no row for that book. ``groups`` are sorted; ``aggregate``
+    gives ``book_ids`` ascending, ``select`` in the order asked for.
     """
 
     groups: tuple[str, ...]
@@ -179,16 +165,15 @@ class GroupMeans:
     d_order: np.ndarray
     d_structure: np.ndarray
 
-    def cells(self, book_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The columns of ``book_ids``, in the order given: which cells are
-        present, and both penalties. An id the table lacks becomes a column
-        that no group has."""
+    def select(self, book_ids: Sequence[int]) -> GroupMeans:
+        """The table of the columns of ``book_ids``, in the order given. An
+        id the table lacks becomes a column that no group has (all NaN)."""
         position = {book_id: j for j, book_id in enumerate(self.book_ids)}
         columns = [position.get(book_id, len(position)) for book_id in book_ids]
         absent = np.full((len(self.groups), 1), np.nan)
         d_order = np.hstack((self.d_order, absent))[:, columns]
         d_structure = np.hstack((self.d_structure, absent))[:, columns]
-        return ~np.isnan(d_order), d_order, d_structure
+        return GroupMeans(self.groups, tuple(book_ids), d_order, d_structure)
 
 
 def measure_replicate(book: Book, replicate: int, config: MeasureConfig) -> BookMeasurement:
@@ -258,9 +243,7 @@ def measure_book(book: Book, config: MeasureConfig | None = None) -> list[BookMe
     return [measure_replicate(book, r, config) for r in range(config.replicates)]
 
 
-def aggregate(
-    results: ResultsTable | Sequence[BookMeasurement], group_by: str = "language"
-) -> GroupMeans:
+def aggregate(results: ResultsTable, group_by: str = "language") -> GroupMeans:
     """Average penalties per group and book.
 
     Replicate variability is folded in first: replicates are averaged
@@ -268,8 +251,6 @@ def aggregate(
     are then averaged (unweighted) per language. Each mean is
     ``math.fsum(units) / len(units)``, as ``statistics.fmean`` computes it.
     """
-    if not isinstance(results, ResultsTable):
-        results = ResultsTable.from_measurements(results)
     if not len(results):
         raise ValueError("no measurements to aggregate")
     if group_by not in GROUP_KEYS:
@@ -320,18 +301,19 @@ def _means(values: list[float], bounds: np.ndarray) -> list[float]:
     return [math.fsum(values[a:b]) / (b - a) for a, b in zip(edges, edges[1:])]
 
 
-def sort_measurements(measurements: Iterable[BookMeasurement]) -> list[BookMeasurement]:
-    """Deterministic merge order, independent of execution schedule."""
-    return sorted(
-        measurements, key=lambda m: (m.translation_id, m.book_id, m.replicate)
-    )
-
-
-def write_results_csv(measurements: Sequence[BookMeasurement], fh: IO[str]) -> None:
+def write_results_csv(table: ResultsTable, fh: IO[str]) -> None:
+    """Write ``table`` sorted by (translation, book, replicate), so the
+    bytes do not depend on the order the rows were measured in; the
+    inverse of ``read_results_csv``."""
+    order = _runs(_codes(table.translation_id), table.book_id, table.replicate)[0]
+    columns = [getattr(table, f.name) for f in fields(ResultsTable)]
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(RESULT_COLUMNS)
-    for m in sort_measurements(measurements):
-        writer.writerow(m.csv_row())
+    writer.writerows(zip(
+        *([column[i] for i in order.tolist()] for column in columns[:2]),
+        *(column[order].tolist() for column in columns[2:5]),
+        *(map(format_float, column[order].tolist()) for column in columns[5:]),
+    ))
 
 
 #: Rows converted at a time: large enough that per-chunk work is negligible,

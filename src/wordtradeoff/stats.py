@@ -9,7 +9,8 @@ kind of information substitutes for the other. Across books within one
 translation, rank tables (rank 1 = largest penalty) and their histograms
 show whether the book-level pattern recurs between translations. Both
 index the one table of mean penalties by group and book that
-``measures.aggregate`` returns (:class:`~wordtradeoff.measures.GroupMeans`).
+``measures.aggregate`` returns (:class:`~wordtradeoff.measures.GroupMeans`),
+over all of its books (``GroupMeans.select`` keeps fewer); NaN marks an absent cell.
 
 :func:`exact_perm_test` compares two small vectors (such as the rank
 vectors of a translation's books) by an exact permutation test whose
@@ -146,19 +147,21 @@ class RegressionFit:
     n_points: int
 
 
-def fit_reciprocal(points: Sequence[tuple[float, float]]) -> RegressionFit:
-    """Fit the reciprocal trade-off model by exact linear least squares.
+def fit_reciprocal(x: Sequence[float], y: Sequence[float]) -> RegressionFit:
+    """Fit the reciprocal trade-off model y = beta0 + beta1 / x by exact
+    linear least squares.
 
     The model is linear in u = 1/x, so the normal equations are solved in
     closed form. Points with x = 0 are rejected with a diagnostic rather
     than silently dropped.
     """
-    pts = list(points)
-    n = len(pts)
+    xs = np.asarray(x, dtype=np.float64)
+    ys = np.asarray(y, dtype=np.float64)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError("inputs must be equal-length vectors")
+    n = len(xs)
     if n < 2:
         raise ValueError("not enough points for the fit")
-    xs = np.asarray([p[0] for p in pts], dtype=np.float64)
-    ys = np.asarray([p[1] for p in pts], dtype=np.float64)
     zero_idx = np.nonzero(xs == 0.0)[0]
     if zero_idx.size:
         raise ValueError(
@@ -198,24 +201,20 @@ class CorrelationMatrix:
     values: np.ndarray  # shape (len(labels), len(labels))
 
 
-def correlation_matrix(
-    means: GroupMeans, book_ids: Sequence[int] | None = None
-) -> CorrelationMatrix:
+def correlation_matrix(means: GroupMeans) -> CorrelationMatrix:
     """Cross-book rank correlation of both penalties over groups.
 
-    Columns are d_order and d_structure of each book, rows the groups of
-    ``means``. Only groups with every requested book are used, and at
-    least two such groups are required.
+    Columns are d_order and d_structure of each book of ``means``, rows
+    its groups. Only groups with every book are used, and at least two
+    such groups are required.
     """
-    books = sorted(set(book_ids)) if book_ids else list(means.book_ids)
-    present, d_order, d_structure = means.cells(books)
-    complete = present.all(axis=1)
+    complete = ~np.isnan(means.d_order).any(axis=1)
     if (n_complete := int(complete.sum())) < 2:
         raise InsufficientDataError(
-            f"need >= 2 groups with all books {books}; have {n_complete}"
+            f"need >= 2 groups with all books {list(means.book_ids)}; have {n_complete}"
         )
-    columns = np.hstack((d_order[complete], d_structure[complete])).T
-    labels = [f"{dim}:{b}" for dim in ("d_order", "d_structure") for b in books]
+    columns = np.hstack((means.d_order[complete], means.d_structure[complete])).T
+    labels = [f"{dim}:{b}" for dim in ("d_order", "d_structure") for b in means.book_ids]
     m = len(labels)
     values = np.eye(m)
     for i in range(m):
@@ -255,21 +254,22 @@ def _rank_desc(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(order, axis=1) + 1, (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
 
 
-def rank_books(means: GroupMeans, book_ids: Sequence[int] | None = None) -> RankTables:
-    """Rank books within each translation by both penalties.
+def rank_books(means: GroupMeans) -> RankTables:
+    """Rank the books of ``means`` within each translation by both penalties.
 
     ``means`` must be translation-level aggregates. Ties are broken by
-    ascending book id and marked in ``ties``. Translations missing any
-    requested book are excluded and reported rather than silently dropped.
+    column order (ascending book id, as ``aggregate`` gives the columns)
+    and marked in ``ties``. Translations missing any book are excluded
+    and reported rather than silently dropped.
     """
-    books = sorted(set(book_ids)) if book_ids else list(means.book_ids)
-    present, d_order, d_structure = means.cells(books)
+    books = means.book_ids
+    present = ~np.isnan(means.d_order)
     complete = present.all(axis=1)
-    order_ranks, order_ties = _rank_desc(d_order[complete])
-    structure_ranks, structure_ties = _rank_desc(d_structure[complete])
+    order_ranks, order_ties = _rank_desc(means.d_order[complete])
+    structure_ranks, structure_ties = _rank_desc(means.d_structure[complete])
     return RankTables(
         translation_ids=tuple(compress(means.groups, complete.tolist())),
-        book_ids=tuple(books),
+        book_ids=books,
         order_ranks=order_ranks,
         structure_ranks=structure_ranks,
         ties=order_ties | structure_ties,
@@ -281,23 +281,16 @@ def rank_books(means: GroupMeans, book_ids: Sequence[int] | None = None) -> Rank
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankHistograms:
-    """Marginal and bivariate rank frequencies across translations.
-
-    Counts are exact; ``n_tables`` is the denominator. The bivariate
-    table for a book is indexed [order_rank - 1][structure_rank - 1],
-    and its row and column sums reproduce the marginals.
-    """
+    """Rank frequencies across translations: ``joint[b, ro - 1, rs - 1]``
+    counts those that rank book ``book_ids[b]`` ``ro`` by order and ``rs``
+    by structure penalty. Its sums over either rank axis are the marginals;
+    ``n_tables`` is the denominator."""
 
     book_ids: tuple[int, ...]
     n_tables: int
-    order_counts: Mapping[int, tuple[int, ...]]
-    structure_counts: Mapping[int, tuple[int, ...]]
-    joint_counts: Mapping[int, tuple[tuple[int, ...], ...]]
-
-    def percent(self, count: int) -> float:
-        return 100.0 * count / self.n_tables
+    joint: np.ndarray
 
 
 def rank_histograms(tables: RankTables) -> RankHistograms:
@@ -308,13 +301,7 @@ def rank_histograms(tables: RankTables) -> RankHistograms:
     joint = np.zeros((k, k, k), dtype=np.int64)
     books = np.broadcast_to(np.arange(k), tables.order_ranks.shape)
     np.add.at(joint, (books, tables.order_ranks - 1, tables.structure_ranks - 1), 1)
-    return RankHistograms(
-        book_ids=tables.book_ids,
-        n_tables=len(tables),
-        order_counts=dict(zip(tables.book_ids, map(tuple, joint.sum(axis=2).tolist()))),
-        structure_counts=dict(zip(tables.book_ids, map(tuple, joint.sum(axis=1).tolist()))),
-        joint_counts={b: tuple(map(tuple, m)) for b, m in zip(tables.book_ids, joint.tolist())},
-    )
+    return RankHistograms(book_ids=tables.book_ids, n_tables=len(tables), joint=joint)
 
 
 @dataclass(frozen=True)
@@ -378,15 +365,15 @@ def write_rank_hist_csv(hist: RankHistograms, fh: IO[str]) -> None:
                 str(count),
                 str(hist.n_tables),
                 f"{frac.numerator}/{frac.denominator}",
-                format_float(hist.percent(count)),
+                format_float(100.0 * count / hist.n_tables),
             ]
         )
 
-    for b in hist.book_ids:
-        for rank, count in enumerate(hist.order_counts[b], start=1):
+    for b, joint in zip(hist.book_ids, hist.joint):
+        for rank, count in enumerate(joint.sum(axis=1).tolist(), start=1):
             emit(b, "order", str(rank), "", count)
-        for rank, count in enumerate(hist.structure_counts[b], start=1):
+        for rank, count in enumerate(joint.sum(axis=0).tolist(), start=1):
             emit(b, "structure", "", str(rank), count)
-        for ro, row in enumerate(hist.joint_counts[b], start=1):
+        for ro, row in enumerate(joint.tolist(), start=1):
             for rs, count in enumerate(row, start=1):
                 emit(b, "joint", str(ro), str(rs), count)

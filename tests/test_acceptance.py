@@ -32,7 +32,13 @@ from conftest import random_book
 from wordtradeoff.cli import RunConfig, cmd_analyze
 from wordtradeoff.corpus import flatten, parse_corpus, select_books, truncate_books
 from wordtradeoff.entropy import entropy_rate, match_lengths, match_lengths_naive, run_oracle_check
-from wordtradeoff.measures import MeasureConfig, aggregate, measure_book, read_results_csv
+from wordtradeoff.measures import (
+    MeasureConfig,
+    ResultsTable,
+    aggregate,
+    measure_book,
+    read_results_csv,
+)
 from wordtradeoff.stats import exact_perm_test, fit_reciprocal, spearman
 from wordtradeoff.testkit import (
     generate,
@@ -224,7 +230,7 @@ def test_criterion_4_exact_permutation_p_values():
 
 def test_criterion_5_reciprocal_fit_recovery():
     xs = np.linspace(0.25, 1.25, 12)
-    exact = fit_reciprocal([(float(x), 2.0 + 3.0 / x) for x in xs])
+    exact = fit_reciprocal(xs, 2.0 + 3.0 / xs)
     exact_ok = (
         abs(exact.beta0 - 2.0) <= 1e-9
         and abs(exact.beta1 - 3.0) <= 1e-9
@@ -237,7 +243,7 @@ def test_criterion_5_reciprocal_fit_recovery():
         rng = np.random.default_rng(seed)
         x = rng.uniform(0.25, 1.25, size=50)
         y = beta0 + beta1 / x + rng.normal(0.0, 0.05, size=50)
-        fit = fit_reciprocal(list(zip(x, y)))
+        fit = fit_reciprocal(x, y)
         if (
             abs(fit.beta0 - beta0) <= 0.1 * beta0
             and abs(fit.beta1 - beta1) <= 0.1 * beta1
@@ -337,13 +343,14 @@ def test_criterion_8_full_corpus_tradeoff():
             measurements.extend(measure_book(book, cfg))
 
     assert eligible >= 2, "need at least two translations with all six books"
-    per_language = aggregate(measurements, group_by="language")
-    present, d_order, d_structure = per_language.cells(book_ids)
+    per_language = aggregate(ResultsTable.from_measurements(measurements), group_by="language")
+    selected = per_language.select(book_ids)
     failures = []
-    for j, book_id in enumerate(book_ids):
-        x, y = d_order[present[:, j], j], d_structure[present[:, j], j]
+    for book_id, x, y in zip(book_ids, selected.d_order.T, selected.d_structure.T):
+        present = ~np.isnan(x)
+        x, y = x[present], y[present]
         r_s = spearman(x, y)
-        fit = fit_reciprocal(list(zip(x, y)))
+        fit = fit_reciprocal(x, y)
         if not (r_s <= -0.6 and fit.r_squared >= 0.5):
             failures.append(f"book {book_id}: r_s={r_s:.3f}, R2={fit.r_squared:.3f}")
     report(

@@ -21,6 +21,7 @@ from wordtradeoff.measures import (
     RESULT_COLUMNS,
     BookMeasurement,
     MeasureConfig,
+    ResultsTable,
     measure_replicate,
     read_results_csv,
     write_results_csv,
@@ -96,6 +97,9 @@ BAD_COUNTS = [
     ["synth", "stream", "--kind", "iid", "--chunk", "0"],
     ["synth", "stream", "--kind", "iid", "--chunk", "-5"],
     ["synth", "toy", "--mode", "positional", "--sentences", "0"],
+    ["synth", "toy", "--mode", "positional", "--seed", "-1"],
+    ["synth", "toy", "--mode", "positional", "--vocab-seed", "-1"],
+    ["synth", "stream", "--kind", "iid", "--seed", "-1"],
 ]
 
 
@@ -249,7 +253,7 @@ class TestUnwritableOutput:
         ]
         results = tmp_path / "results.csv"
         with open(results, "w", newline="", encoding="utf-8") as fh:
-            write_results_csv(rows, fh)
+            write_results_csv(ResultsTable.from_measurements(rows), fh)
         out = tmp_path / "out"
         out.write_text("a file, not a directory\n")
         code = main(["stats", str(results), "--out", str(out)])
@@ -343,6 +347,22 @@ class TestStats:
         assert code == 0
         assert (out_dir / "ranks.csv").exists()
         assert not (out_dir / "corr_matrix.csv").exists()
+
+    def test_rerun_removes_skipped_outputs(self, tmp_path, caplog):
+        # The second run skips corr_matrix.csv and rank_hist.csv (no group
+        # has book 99); the first run's copies must not stay beside its files.
+        table = Path(__file__).parent / "data" / "golden" / "stats"
+        argv = ["stats", str(table / "results.csv"), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert (tmp_path / "corr_matrix.csv").exists() and (tmp_path / "rank_hist.csv").exists()
+        assert main(argv + ["--books", "40,99"]) == 0
+        expected = table / "expected" / "books-40-99"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fits.csv", "ranks.csv"]
+        for name in ("fits.csv", "ranks.csv"):
+            assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
+        removed = [r.getMessage() for r in caplog.records
+                   if r.levelname == "WARNING" and "an earlier run left" in r.getMessage()]
+        assert len(removed) == 2
 
     def test_tied_rank_tables_warned(self, tmp_path, caplog):
         # In the pbc golden corpus the Han translation's structure
@@ -576,6 +596,31 @@ def test_dead_worker_exits_2_and_writes_what_finished(tmp_path, monkeypatch, cap
     assert all("worker process died" in e["error"] for e in errors)
     measured = set(zip(rows.book_id.tolist(), rows.replicate.tolist()))
     assert not measured & {(e["book_id"], e["replicate"]) for e in errors}
+
+
+def test_unpicklable_error_reported_alike_at_any_worker_count(tmp_path):
+    # Book 1's two word types need 2 distinct masks over a 1-character mask
+    # alphabet, so measuring it raises an error that pickle cannot rebuild
+    # from its args; book 2 measures. Each worker count writes the same rows
+    # and the same per-unit errors.
+    lines = ["# language: toy"]
+    lines += [f"1\t1\t{v}\ta\x01 \x01a" for v in range(1, 30)]
+    lines += [f"2\t1\t{v}\tthe quick brown fox jumps over the lazy dog {v}" for v in range(1, 30)]
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        argv = ["analyze", str(corpus), "--format", "tsv", "--books", "1,2", "--truncate", "off",
+                "--replicates", "2", "--workers", str(workers), "--out", str(out)]
+        assert main(argv) == 2
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        outputs.append(((out / "results.csv").read_bytes(), manifest["errors"]))
+    assert outputs[0] == outputs[1]
+    results, errors = outputs[0]
+    assert len(results.splitlines()) == 3
+    assert [(e["book_id"], e["replicate"]) for e in errors] == [(1, 0), (1, 1)]
+    assert all(e["error"].startswith("cannot assign 2 distinct masks") for e in errors)
 
 
 class TestParser:

@@ -7,6 +7,7 @@ import io
 import math
 import random
 import statistics
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,10 +27,16 @@ from wordtradeoff.measures import (
     format_float,
     measure_book,
     read_results_csv,
-    sort_measurements,
     write_results_csv,
 )
 from wordtradeoff.transforms import SeedSpec, derive_seed
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+#: The results.csv of every analyze golden run.
+GOLDEN_RESULTS = sorted(
+    [*GOLDEN.glob("expected/*/results.csv"), *GOLDEN.glob("pbc/expected/*/results.csv")]
+)
 
 
 def book_from_texts(texts, book_id=40, tid="t1", lang="deu"):
@@ -124,7 +131,7 @@ def assert_same_means(actual, expected):
 
 class TestAggregate:
     def test_identity_for_single_measurement(self):
-        means = aggregate([fake_measurement()], group_by="translation")
+        means = aggregate(ResultsTable.from_measurements([fake_measurement()]), "translation")
         assert (means.groups, means.book_ids) == (("t",), (40,))
         assert means.d_order[0, 0] == pytest.approx(0.1)
 
@@ -133,7 +140,7 @@ class TestAggregate:
             fake_measurement(tid="t1", lang="deu", d_order=0.2),
             fake_measurement(tid="t2", lang="deu", d_order=0.4),
         ]
-        means = aggregate(ms, group_by="language")
+        means = aggregate(ResultsTable.from_measurements(ms), group_by="language")
         assert means.d_order.shape == (1, 1)
         assert means.d_order[0, 0] == pytest.approx(0.3)
 
@@ -144,7 +151,7 @@ class TestAggregate:
             fake_measurement(tid="t1", lang="deu", rep=1, d_order=0.2),
             fake_measurement(tid="t2", lang="deu", rep=0, d_order=0.5),
         ]
-        means = aggregate(ms, group_by="language")
+        means = aggregate(ResultsTable.from_measurements(ms), group_by="language")
         assert means.d_order[0, 0] == pytest.approx((0.1 + 0.5) / 2)
 
     def test_groups_and_means_per_grouping(self):
@@ -158,11 +165,11 @@ class TestAggregate:
             fake_measurement(tid="t1", lang="deu", rep=1, d_order=0.3, d_structure=0.2),
             fake_measurement(tid="t2", lang="deu", rep=1, d_order=0.9, d_structure=0.2),
         ]
-        per_translation = aggregate(ms, group_by="translation")
+        per_translation = aggregate(ResultsTable.from_measurements(ms), group_by="translation")
         assert per_translation.groups == ("t1", "t2", "t3")
         assert per_translation.d_order[:, 0] == pytest.approx([0.2, 0.7, 0.2])
 
-        per_language = aggregate(ms, group_by="language")
+        per_language = aggregate(ResultsTable.from_measurements(ms), group_by="language")
         assert per_language.groups == ("deu", "fra")
         # Over the translation means (0.2, 0.7) and (0.3, 0.2), not the replicates.
         assert per_language.d_order[0, 0] == pytest.approx(0.45)
@@ -170,7 +177,7 @@ class TestAggregate:
 
     def test_books_kept_separate(self):
         ms = [fake_measurement(book=b) for b in (40, 41, 42, 43, 44, 66)]
-        means = aggregate(ms, group_by="language")
+        means = aggregate(ResultsTable.from_measurements(ms), group_by="language")
         assert means.book_ids == (40, 41, 42, 43, 44, 66)
         assert means.d_order.shape == (1, 6)
 
@@ -179,7 +186,10 @@ class TestAggregate:
             fake_measurement(tid="t1", lang="deu", rep=r, d_order=0.1 * r)
             for r in range(3)
         ]
-        assert_same_means(aggregate(ms, "language"), aggregate(list(reversed(ms)), "language"))
+        assert_same_means(
+            aggregate(ResultsTable.from_measurements(ms), "language"),
+            aggregate(ResultsTable.from_measurements(reversed(ms)), "language"),
+        )
 
     def test_cells_of_requested_books(self):
         # t1 lacks book 41; book 99 is in no row.
@@ -188,20 +198,23 @@ class TestAggregate:
             fake_measurement(tid="t2", book=40, d_order=0.2, d_structure=0.6),
             fake_measurement(tid="t2", book=41, d_order=0.3, d_structure=0.7),
         ]
-        means = aggregate(ms, group_by="translation")
+        means = aggregate(ResultsTable.from_measurements(ms), group_by="translation")
         assert np.isnan(means.d_order[0, 1])
-        present, d_order, d_structure = means.cells([41, 99, 40])
+        selected = means.select([41, 99, 40])
+        assert (selected.groups, selected.book_ids) == (("t1", "t2"), (41, 99, 40))
+        present = ~np.isnan(selected.d_order)
         assert present.tolist() == [[False, False, True], [True, False, True]]
-        assert d_order[present].tolist() == [0.1, 0.3, 0.2]
-        assert d_structure[present].tolist() == [0.5, 0.7, 0.6]
+        assert np.array_equal(~np.isnan(selected.d_structure), present)
+        assert selected.d_order[present].tolist() == [0.1, 0.3, 0.2]
+        assert selected.d_structure[present].tolist() == [0.5, 0.7, 0.6]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([], "language")
+            aggregate(ResultsTable.from_measurements([]), "language")
 
     def test_unknown_grouping_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([fake_measurement()], "continent")
+            aggregate(ResultsTable.from_measurements([fake_measurement()]), "continent")
 
 
 class TestSerialization:
@@ -211,7 +224,7 @@ class TestSerialization:
             fake_measurement(tid="t1", rep=0, d_order=1 / 3),
         ]
         buf = io.StringIO()
-        write_results_csv(ms, buf)
+        write_results_csv(ResultsTable.from_measurements(ms), buf)
         text = buf.getvalue()
         assert text.splitlines()[0] == ",".join(RESULT_COLUMNS)
         back = read_results_csv(io.StringIO(text))
@@ -239,7 +252,7 @@ class TestSerialization:
                 d_order=d_order, d_structure=d_structure,
             ))
         buf = io.StringIO()
-        write_results_csv(ms, buf)
+        write_results_csv(ResultsTable.from_measurements(ms), buf)
         assert len(read_results_csv(io.StringIO(buf.getvalue()))) == 3000
 
     def test_integer_beyond_int64_rejected(self):
@@ -258,12 +271,21 @@ class TestSerialization:
             fake_measurement(tid="a", book=66, rep=0),
             fake_measurement(tid="b", book=41, rep=0),
         ]
-        ordered = sort_measurements(ms)
-        assert [(m.translation_id, m.book_id, m.replicate) for m in ordered] == [
+        buf = io.StringIO()
+        write_results_csv(ResultsTable.from_measurements(ms), buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
+        assert [(tid, int(book), int(rep)) for tid, _, book, rep, *_ in rows] == [
             ("a", 66, 0),
             ("b", 41, 0),
             ("b", 41, 1),
         ]
+
+    @pytest.mark.parametrize("path", GOLDEN_RESULTS, ids=lambda p: str(p.relative_to(GOLDEN)))
+    def test_golden_results_round_trip(self, path):
+        # The writer is the reader's inverse on every results.csv that analyze wrote.
+        buf = io.StringIO()
+        write_results_csv(read_results_csv(path), buf)
+        assert buf.getvalue().encode("utf-8") == path.read_bytes()
 
     def test_negative_penalty_flag(self):
         assert fake_measurement(d_order=-0.01).has_negative_penalty
@@ -321,7 +343,6 @@ class TestAggregateBitEquality:
         rng.shuffle(ms)
         for group_by in ("translation", "language"):
             expected = reference_aggregate(ms, group_by)
-            assert_same_means(aggregate(ms, group_by), expected)
             assert_same_means(aggregate(ResultsTable.from_measurements(ms), group_by), expected)
 
 
@@ -472,7 +493,7 @@ class TestReadErrors:
             for t in range(40) for book in (40, 66) for rep in range(3)
         ]
         buf = io.StringIO()
-        write_results_csv(ms, buf)
+        write_results_csv(ResultsTable.from_measurements(ms), buf)
         text = buf.getvalue().replace("\n", "\n\n", 7)  # blank records, then 240 rows
         expected = read_outcome(reference_read, text)
         with mock.patch.object(measures, "_CHUNK_ROWS", 16):

@@ -198,8 +198,7 @@ class TestExactPermTest:
 class TestFitReciprocal:
     def test_exact_recovery(self):
         xs = [0.2, 0.4, 0.5, 0.8, 1.0, 1.6]
-        points = [(x, 2.0 + 3.0 / x) for x in xs]
-        fit = fit_reciprocal(points)
+        fit = fit_reciprocal(xs, [2.0 + 3.0 / x for x in xs])
         assert fit.beta0 == pytest.approx(2.0, abs=1e-9)
         assert fit.beta1 == pytest.approx(3.0, abs=1e-9)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -208,22 +207,22 @@ class TestFitReciprocal:
         rng = np.random.default_rng(0)
         xs = rng.uniform(0.3, 1.5, size=40)
         ys = 1.0 + 0.5 / xs + rng.normal(0, 0.1, size=40)
-        fit = fit_reciprocal(list(zip(xs, ys)))
+        fit = fit_reciprocal(xs, ys)
         res = ys - (fit.beta0 + fit.beta1 / xs)
         assert float(res.sum()) == pytest.approx(0.0, abs=1e-9)
         assert float(res @ (1.0 / xs)) == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_d_order_rejected_with_diagnostic(self):
         with pytest.raises(ValueError, match="index\\(es\\) \\[1\\]"):
-            fit_reciprocal([(0.5, 1.0), (0.0, 2.0), (1.0, 3.0)])
+            fit_reciprocal([0.5, 0.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            fit_reciprocal([(1.0, 1.0)])
+            fit_reciprocal([1.0], [1.0])
 
     def test_identical_regressors_rejected(self):
         with pytest.raises(ValueError, match="identical"):
-            fit_reciprocal([(2.0, 1.0), (2.0, 3.0)])
+            fit_reciprocal([2.0, 2.0], [1.0, 3.0])
 
 
 class TestCorrelationMatrix:
@@ -256,12 +255,12 @@ class TestCorrelationMatrix:
     def test_incomplete_groups_dropped(self):
         rows = self._rows(n_groups=3)
         rows.append(agg("partial", 40, 0.5, 2.0))  # missing book 41
-        m = correlation_matrix(pivot(rows), book_ids=(40, 41))
+        m = correlation_matrix(pivot(rows).select((40, 41)))
         assert len(m.labels) == 4
 
     def test_insufficient_groups(self):
         with pytest.raises(InsufficientDataError):
-            correlation_matrix(pivot([agg("only", 40, 0.5, 2.0)]), book_ids=(40,))
+            correlation_matrix(pivot([agg("only", 40, 0.5, 2.0)]).select((40,)))
 
 
 class TestRankBooks:
@@ -284,7 +283,7 @@ class TestRankBooks:
 
     def test_missing_book_excludes_translation_with_report(self):
         rows = [agg("t1", 40, 0.5, 0.1), agg("t2", 40, 0.4, 0.2), agg("t2", 41, 0.3, 0.3)]
-        tables = rank_books(pivot(rows), book_ids=(40, 41))
+        tables = rank_books(pivot(rows).select((40, 41)))
         assert tables.translation_ids == ("t2",)
         assert tables.excluded == {"t1": (41,)}
 
@@ -313,8 +312,10 @@ class TestRankHistograms:
         tables = self._tables({"t1": {40: 0.3, 41: 0.2, 42: 0.1}})
         hist = rank_histograms(tables)
         assert hist.n_tables == 1
-        assert hist.order_counts[40] == (1, 0, 0)
-        assert hist.percent(1) == 100.0
+        assert hist.joint.sum(axis=2)[0].tolist() == [1, 0, 0]
+        buf = io.StringIO()
+        write_rank_hist_csv(hist, buf)
+        assert "40,order,1,,1,1,1/1,100" in buf.getvalue().splitlines()
 
     def test_bivariate_margins_match(self):
         tables = self._tables(
@@ -325,11 +326,12 @@ class TestRankHistograms:
             }
         )
         hist = rank_histograms(tables)
-        for b in hist.book_ids:
-            joint = np.asarray(hist.joint_counts[b])
-            assert tuple(joint.sum(axis=1)) == hist.order_counts[b]
-            assert tuple(joint.sum(axis=0)) == hist.structure_counts[b]
-            assert joint.sum() == hist.n_tables
+        # Each structure penalty is 1 - d_order, so its rank is k + 1 - the order rank.
+        anti_diagonal = np.fliplr(np.eye(3, dtype=int))
+        assert np.array_equal(hist.joint, np.broadcast_to(anti_diagonal, (3, 3, 3)))
+        assert hist.joint.sum(axis=2).tolist() == [[1, 1, 1]] * 3
+        assert hist.joint.sum(axis=1).tolist() == [[1, 1, 1]] * 3
+        assert hist.joint.sum(axis=(1, 2)).tolist() == [hist.n_tables] * 3
 
     def test_empty_rejected(self):
         # Each translation lacks a book, so none is ranked.
@@ -411,7 +413,10 @@ class TestRankReference:
             if rng.random() < 0.2:
                 book_ids.append(99)
 
-        tables = rank_books(pivot(cells), book_ids)
+        means = pivot(cells)
+        if book_ids:
+            means = means.select(sorted(book_ids))
+        tables = rank_books(means)
         expected, excluded = reference_rank_books(cells, book_ids or pool)
         assert tables.excluded == excluded
         assert tables.translation_ids == tuple(table[0] for table in expected)
@@ -420,14 +425,18 @@ class TestRankReference:
             assert bool(tables.ties[t]) == ties
         if expected:
             hist = rank_histograms(tables)
-            got = (hist.book_ids, hist.n_tables, hist.order_counts,
-                   hist.structure_counts, hist.joint_counts)
+            books = hist.book_ids
+            got = (books, hist.n_tables,
+                   dict(zip(books, map(tuple, hist.joint.sum(axis=2).tolist()))),
+                   dict(zip(books, map(tuple, hist.joint.sum(axis=1).tolist()))),
+                   {b: tuple(map(tuple, m)) for b, m in zip(books, hist.joint.tolist())})
             assert got == reference_rank_histograms(expected)
 
 
 class TestCsvWriters:
     def test_fits_csv(self):
-        fit = fit_reciprocal([(x, 2 + 3 / x) for x in (0.5, 1.0, 2.0)])
+        xs = (0.5, 1.0, 2.0)
+        fit = fit_reciprocal(xs, [2 + 3 / x for x in xs])
         buf = io.StringIO()
         write_fits_csv([BookFit(book_id=40, fit=fit, r_s=-0.9)], buf)
         lines = buf.getvalue().splitlines()
@@ -447,7 +456,7 @@ class TestCsvWriters:
 
     def test_ranks_csv_includes_exclusions(self):
         rows = [agg("t1", 40, 0.5, 0.1), agg("t1", 41, 0.4, 0.2)]
-        tables = rank_books(pivot(rows + [agg("t2", 40, 0.3, 0.3)]), (40, 41))
+        tables = rank_books(pivot(rows + [agg("t2", 40, 0.3, 0.3)]).select((40, 41)))
         buf = io.StringIO()
         write_ranks_csv(tables, buf)
         text = buf.getvalue()
