@@ -7,7 +7,12 @@ Subcommands:
   ``manifest.json`` recording the configuration, input digests and the
   match-length kernel that ran (``"c"`` or ``"python"``).
   Reruns with the same configuration and inputs produce byte-identical
-  outputs, regardless of the worker count.
+  outputs, regardless of the worker count. Each task parses one input,
+  selects and truncates its books and measures a contiguous part of its
+  (book, replicate) units; the parent lists the units from the
+  configuration alone and never holds a book. An input is one task when
+  there are at least as many inputs as workers, and is otherwise split
+  into as many tasks as keep every worker busy, each parsing it again.
 * ``stats``: read a results table and write the statistical outputs
   (``fits.csv``, ``corr_matrix.csv``, ``ranks.csv``, ``rank_hist.csv``).
 * ``oracle-check``: randomized equivalence check of the fast and naive
@@ -26,6 +31,7 @@ import hashlib
 import json
 import logging
 import sys
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Sequence
@@ -243,57 +249,59 @@ def cmd_analyze(config: RunConfig) -> int:
     # Made first, so an unusable --out fails before any unit is measured.
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        work, missing_report = _collect_books(config)
-    except (OSError, CorpusFormatError, ValueError) as exc:
-        logger.error("%s", exc)
-        return 1
-
     # Build or load the compiled kernel before any worker starts, so
     # forked workers inherit it and the manifest names what ran.
     kernel = kernel_name()
-    units = [(book, r) for book in work for r in range(config.replicates)]
-    lost: list[tuple[Book, int]] = []  # units whose worker process died
-    if config.workers <= 1 or not units:
-        outcomes = ((unit, _measure_unit(*unit, config)) for unit in units)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
 
-        # A worker that dies (say, an out-of-memory kill) breaks the pool:
-        # submit raises, and every unit without a result gets BrokenProcessPool.
-        # The pool forks every worker at the first submit: no more than units.
-        futures = []
-        try:
-            with ProcessPoolExecutor(max_workers=min(config.workers, len(units))) as pool:
-                for unit in units:
-                    futures.append(pool.submit(_measure_unit, *unit, config))
-        except BrokenProcessPool:
-            pass
-        lost = units[len(futures) :]
-        outcomes = []
-        for unit, future in zip(units, futures):
-            try:
-                outcomes.append((unit, future.result()))
-            except BrokenProcessPool:
-                lost.append(unit)
+    # The units come from the configuration alone, book-major. Each input's
+    # list is cut into as many contiguous parts as keep every worker busy.
+    units = [(book, r) for book in sorted(set(config.books)) for r in range(config.replicates)]
+    per_input = max(1, min(len(units), -(-config.workers // max(1, len(config.inputs)))))
+    parts = [units[i * len(units) // per_input : (i + 1) * len(units) // per_input]
+             for i in range(per_input)]
+    tasks = [(path, part) for path in config.inputs for part in parts]
 
-    rows = []
+    rows: list[BookMeasurement] = []
     errors: list[tuple[str, int, int, str]] = []  # in the order of ERROR_KEYS
-    for (book, r), outcome in outcomes:
-        if isinstance(outcome, BookMeasurement):
-            rows.append(outcome)
-            continue
-        errors.append((book.translation_id, book.book_id, r, outcome))
-        logger.error("measurement failed for %s book %d replicate %d: %s", *errors[-1])
-    died = "not measured: its worker process died"
-    errors += [(b.translation_id, b.book_id, r, died) for b, r in lost]
+    lost = 0  # units whose worker process died
+    digests: dict[str, str] = {}
+    missing_report: dict[str, list[int]] = {}
+    path_by_id: dict[str, str] = {}
+    with closing(_outcomes(tasks, config)) as outcomes:
+        for index, ((path, part), outcome) in enumerate(zip(tasks, outcomes)):
+            died = outcome is None
+            if died:
+                # Parse the input here only to name the units the task had.
+                outcome = _measure_input(path, part, config, measure=False)
+            if isinstance(outcome, str):
+                logger.error("%s", outcome)
+                return 1
+            tid = outcome.translation_id
+            if index % per_input == 0:  # the first task of its input
+                if tid in path_by_id:
+                    logger.error(
+                        "inputs %s and %s both have translation id %r; "
+                        "give each a distinct '# translation_id: ...' comment",
+                        path_by_id[tid], path, tid,
+                    )
+                    return 1
+                path_by_id[tid] = path
+                digests[path] = outcome.sha256
+                if outcome.missing:
+                    missing_report[tid] = outcome.missing
+            rows += outcome.rows
+            for error in outcome.errors:
+                errors.append((tid, *error))
+                if died:
+                    lost += 1
+                else:
+                    logger.error("measurement failed for %s book %d replicate %d: %s", *errors[-1])
     if lost:
         logger.error(
             "a worker process died; %d of %d units were not measured (listed under "
             "errors in manifest.json): rerun with fewer --workers and check free memory",
-            len(lost),
-            len(units),
+            lost,
+            len(rows) + len(errors),
         )
 
     results_path = out_dir / "results.csv"
@@ -304,10 +312,7 @@ def cmd_analyze(config: RunConfig) -> int:
         "tool": "wordtradeoff",
         "version": __version__,
         "config": asdict(config),
-        "inputs": {
-            path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
-            for path in config.inputs
-        },
+        "inputs": digests,
         "missing_books": missing_report,
         "errors": [dict(zip(ERROR_KEYS, error)) for error in sorted(errors)],
         "rows_written": len(rows),
@@ -317,10 +322,57 @@ def cmd_analyze(config: RunConfig) -> int:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     logger.info("wrote %d rows to %s", len(rows), results_path)
-    if not work:
+    if not rows and not errors:
         logger.error("no valid books selected from any input")
         return 1
     return 2 if errors else 0
+
+
+#: A unit's manifest error when the worker process measuring it died.
+_DIED = "not measured: its worker process died"
+
+
+@dataclass(frozen=True)
+class _InputOutcome:
+    """What a task reports of its input's units. No ``Book`` crosses back."""
+
+    translation_id: str
+    sha256: str
+    missing: list[int]  # requested ids the input lacks, sorted
+    rows: list[BookMeasurement]
+    errors: list[tuple[int, int, str]]  # (book_id, replicate, message)
+
+
+def _outcomes(tasks: list[tuple[str, list[tuple[int, int]]]], config: RunConfig):
+    """Each task's outcome in task order: None for a task lost with its worker process."""
+    if config.workers <= 1 or not tasks:
+        for task in tasks:
+            yield _measure_input(*task, config)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # A worker that dies (say, an out-of-memory kill) breaks the pool:
+    # submit raises, and every task without a result gets BrokenProcessPool.
+    # The pool forks every worker at the first submit: no more than tasks.
+    futures = []
+    with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
+        try:
+            try:
+                for task in tasks:
+                    futures.append(pool.submit(_measure_input, *task, config))
+            except BrokenProcessPool:
+                pass
+            for future in futures:
+                try:
+                    yield future.result()
+                except BrokenProcessPool:
+                    yield None
+        finally:
+            # Closed early on a fatal input error: start no further task.
+            for future in futures:
+                future.cancel()
+    yield from (None for _ in tasks[len(futures) :])
 
 
 def _measure_unit(book: Book, replicate: int, config: MeasureConfig) -> BookMeasurement | str:
@@ -333,35 +385,41 @@ def _measure_unit(book: Book, replicate: int, config: MeasureConfig) -> BookMeas
         return str(exc)
 
 
-def _collect_books(config: RunConfig) -> tuple[list[Book], dict[str, list[int]]]:
-    """Parse inputs, select and (optionally) truncate the requested books.
+def _measure_input(
+    path: str, units: list[tuple[int, int]], config: RunConfig, measure: bool = True
+) -> _InputOutcome | str:
+    """Parse one input, select and (optionally) truncate the requested books,
+    and measure those of ``units`` the input has. An input error comes back as
+    its message, like a unit's. With ``measure`` false, each of those units
+    gets the error of a unit whose worker process died."""
+    try:
+        books, tid, missing = _select_books(path, config)
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except (OSError, CorpusFormatError, ValueError) as exc:
+        return str(exc)
+    rows, errors = [], []
+    for book_id, r in units:
+        if book_id in books:
+            outcome = _measure_unit(books[book_id], r, config) if measure else _DIED
+            if isinstance(outcome, BookMeasurement):
+                rows.append(outcome)
+            else:
+                errors.append((book_id, r, outcome))
+    return _InputOutcome(tid, digest, sorted(missing), rows, errors)
 
-    Raises ValueError when two inputs carry the same translation id, since
-    their rows would share (translation, book, replicate) keys.
-    """
-    work: list[Book] = []
-    missing_report: dict[str, list[int]] = {}
-    path_by_id: dict[str, str] = {}
-    for path in config.inputs:
-        translation = parse_corpus(Path(path), config.fmt, lowercase=config.lowercase)
-        tid = translation.translation_id
-        if tid in path_by_id:
-            raise ValueError(
-                f"inputs {path_by_id[tid]} and {path} both have translation id {tid!r}; "
-                "give each a distinct '# translation_id: ...' comment"
-            )
-        path_by_id[tid] = path
-        found, missing = select_books(translation, config.books)
-        if missing:
-            missing_report[tid] = sorted(missing)
-        if not found:
-            continue
-        if config.truncate != "off" and len(found) >= 2:
-            found = truncate_books(found, config.truncate)
-        elif config.truncate != "off":
-            logger.info("translation %s has a single selected book; nothing to truncate", tid)
-        work.extend(found)
-    return work, missing_report
+
+def _select_books(path: str, config: RunConfig) -> tuple[dict[int, Book], str, set[int]]:
+    """The input's selected books by id, its translation id and the missing ids."""
+    # parse_corpus and truncate_books are globals looked up per call, like
+    # measure_replicate, so a replaced one runs.
+    translation = parse_corpus(Path(path), config.fmt, lowercase=config.lowercase)
+    tid = translation.translation_id
+    found, missing = select_books(translation, config.books)
+    if config.truncate != "off" and len(found) >= 2:
+        found = truncate_books(found, config.truncate)
+    elif config.truncate != "off" and found:
+        logger.info("translation %s has a single selected book; nothing to truncate", tid)
+    return {book.book_id: book for book in found}, tid, missing
 
 
 def cmd_stats(

@@ -208,10 +208,9 @@ def parse_corpus(
 
     if not seen:
         raise CorpusFormatError("no verses found in input")
-    if skipped_empty:
-        logger.warning("skipped %d verses with empty text", skipped_empty)
-
     tid = comments.get("translation_id") or default_id or "unknown"
+    if skipped_empty:
+        logger.warning("translation %s: skipped %d verses with empty text", tid, skipped_empty)
     lang = _language_from_comments(comments) or "und"
 
     books = {

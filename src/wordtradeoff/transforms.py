@@ -61,6 +61,10 @@ class MaskSpaceExhaustedError(ValueError):
             f"{alphabet_size}-character mask alphabet"
         )
 
+    def __reduce__(self):
+        # Pickle would rebuild the error from ``args``, which hold only the message.
+        return type(self), (self.length, self.types, self.alphabet_size)
+
 
 @dataclass(frozen=True)
 class SeedSpec:

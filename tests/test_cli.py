@@ -266,7 +266,9 @@ class TestUnwritableOutput:
         _assert_one_output_error(code, capsys, caplog)
 
 
-@pytest.mark.parametrize("books,code,rows,pools", [("40,41", 0, 2, [2]), ("42", 1, 0, [])])
+# The parent lists the units before it reads any input, so a book that
+# the input lacks still gets its one task, in a pool of one.
+@pytest.mark.parametrize("books,code,rows,pools", [("40,41", 0, 2, [2]), ("42", 1, 0, [1])])
 def test_pool_has_no_more_workers_than_units(tmp_path, monkeypatch, books, code, rows, pools):
     # A stand-in pool that records its size and runs each unit in-process.
     sizes = []
@@ -598,16 +600,21 @@ def test_dead_worker_exits_2_and_writes_what_finished(tmp_path, monkeypatch, cap
     assert not measured & {(e["book_id"], e["replicate"]) for e in errors}
 
 
-def test_unpicklable_error_reported_alike_at_any_worker_count(tmp_path):
-    # Book 1's two word types need 2 distinct masks over a 1-character mask
-    # alphabet, so measuring it raises an error that pickle cannot rebuild
-    # from its args; book 2 measures. Each worker count writes the same rows
-    # and the same per-unit errors.
+def write_unmaskable_corpus(path: Path) -> None:
+    """Book 1's two word types need 2 distinct masks over a 1-character mask
+    alphabet, so measuring it raises MaskSpaceExhaustedError; book 2 measures."""
     lines = ["# language: toy"]
     lines += [f"1\t1\t{v}\ta\x01 \x01a" for v in range(1, 30)]
     lines += [f"2\t1\t{v}\tthe quick brown fox jumps over the lazy dog {v}" for v in range(1, 30)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_unpicklable_error_reported_alike_at_any_worker_count(tmp_path):
+    # Measuring book 1 raises MaskSpaceExhaustedError, which pickle once
+    # could not rebuild; book 2 measures. Each worker count writes the same
+    # rows and the same per-unit errors.
     corpus = tmp_path / "c.tsv"
-    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_unmaskable_corpus(corpus)
     outputs = []
     for workers in (1, 2):
         out = tmp_path / f"out{workers}"
@@ -621,6 +628,87 @@ def test_unpicklable_error_reported_alike_at_any_worker_count(tmp_path):
     assert len(results.splitlines()) == 3
     assert [(e["book_id"], e["replicate"]) for e in errors] == [(1, 0), (1, 1)]
     assert all(e["error"].startswith("cannot assign 2 distinct masks") for e in errors)
+
+
+def test_outputs_identical_at_1_2_and_3_workers(tmp_path):
+    # Two inputs, so 3 workers split each input's six units over two tasks.
+    # Input a lacks book 40 and cannot measure book 1; input b has only 40.
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    write_unmaskable_corpus(a)
+    write_two_book_corpus(b)
+    out = tmp_path / "out"
+    outputs = {}
+    for workers in (1, 2, 3):
+        argv = ["analyze", str(a), str(b), "--format", "tsv", "--books", "1,2,40",
+                "--replicates", "2", "--workers", str(workers), "--out", str(out)]
+        assert main(argv) == 2
+        # The manifest records the worker count in its config; nothing else differs.
+        manifest = (out / "manifest.json").read_text(encoding="utf-8")
+        assert manifest.count(f'"workers": {workers}\n') == 1
+        outputs[workers] = (
+            (out / "results.csv").read_bytes(),
+            manifest.replace(f'"workers": {workers}\n', '"workers": 0\n'),
+        )
+    assert outputs[1] == outputs[2] == outputs[3]
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["missing_books"] == {"a": [40], "b": [1, 2]}
+    assert [(e["translation_id"], e["book_id"], e["replicate"]) for e in manifest["errors"]] == [
+        ("a", 1, 0), ("a", 1, 1)
+    ]
+    assert manifest["rows_written"] == 4
+    assert set(manifest["inputs"]) == {str(a), str(b)}
+
+
+@pytest.mark.parametrize("second", ["corrupt", "same-id"])
+def test_bad_second_input_fatal_alike_at_1_and_2_workers(tmp_path, caplog, second):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first, other = tmp_path / "a" / "x.tsv", tmp_path / "b" / "x.tsv"
+    write_two_book_corpus(first)
+    if second == "corrupt":
+        other.write_bytes(b"40\t1\t1\tnot \xff\xfe utf-8\n")
+    else:
+        write_two_book_corpus(other)
+    messages = []
+    for workers in (1, 2):
+        caplog.clear()
+        out = tmp_path / f"out{workers}"
+        argv = ["analyze", str(first), str(other), "--format", "tsv", "--books", "40,41",
+                "--workers", str(workers), "--out", str(out)]
+        assert main(argv) == 1
+        assert sorted(out.iterdir()) == []
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        messages.append(error)
+    assert messages[0] == messages[1]
+    expected = "not valid UTF-8" if second == "corrupt" else "both have translation id 'x'"
+    assert expected in messages[0]
+
+
+def test_parent_memory_does_not_grow_with_input_count(tmp_path):
+    # Each input is one book of 2000 short verses, about 0.7 MB once parsed.
+    # The tasks parse the inputs, so the parent's own peak RSS is the same
+    # for 50 inputs as for 5.
+    paths = []
+    for i in range(50):
+        paths.append(tmp_path / f"in{i:02d}.tsv")
+        lines = [f"1\t1\t{v}\tka{v % 7} lo{i}" for v in range(1, 2001)]
+        paths[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    probe = (
+        "import resource, sys; from wordtradeoff.cli import main; code = main(sys.argv[1:]); "
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    peak_mb = {}
+    for count in (5, 50):
+        argv = ["analyze", *map(str, paths[:count]), "--format", "tsv", "--books", "1",
+                "--replicates", "1", "--truncate", "off", "--workers", "2",
+                "--out", str(tmp_path / f"out{count}")]
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        code, peak_kb = done.stdout.split()
+        assert code == "0", done.stderr
+        peak_mb[count] = int(peak_kb) / 1024
+    assert peak_mb[50] - peak_mb[5] < 8, peak_mb
 
 
 class TestParser:

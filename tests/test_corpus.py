@@ -99,7 +99,7 @@ class TestParse:
         tr = parse_corpus(data, "pbc")
         assert len(tr.books[40].verses) == 1
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert warnings == ["skipped 1 verses with empty text"]
+        assert warnings == ["translation unknown: skipped 1 verses with empty text"]
 
     def test_whitespace_normalized_inside_verse(self):
         data = b"40001001\t  doubled  spaces\tand tabs \n"

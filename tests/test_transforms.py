@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from collections import Counter
 
@@ -330,6 +331,16 @@ class TestMaskTable:
             build_mask_table(types, set("abcd"), seed=0)
         assert err.value.length == 2
         assert err.value.types == 17
+
+    def test_exhaustion_error_survives_pickle(self):
+        # A library caller's process pool sends the error back by pickle.
+        error = MaskSpaceExhaustedError(2, 2, 1)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is MaskSpaceExhaustedError
+        assert str(copy) == str(error) == (
+            "cannot assign 2 distinct masks of length 2 over a 1-character mask alphabet"
+        )
+        assert (copy.length, copy.types, copy.alphabet_size) == (2, 2, 1)
 
     def test_space_excluded_from_mask_alphabet(self):
         # 16 length-2 types over 4 usable characters take all 16 masks, so
