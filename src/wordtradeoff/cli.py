@@ -8,17 +8,18 @@ Subcommands:
   match-length kernel that ran (``"c"`` or ``"python"``).
   Reruns with the same configuration and inputs produce byte-identical
   outputs, regardless of the worker count. Each task parses one input,
-  selects and truncates its books and measures a contiguous part of its
-  (book, replicate) units; the parent lists the units from the
-  configuration alone and never holds a book. An input is one task when
-  there are at least as many inputs as workers, and is otherwise split
-  into as many tasks as keep every worker busy, each parsing it again.
+  reading it once, selects and truncates its books and measures a
+  contiguous part of its (book, replicate) units; the parent lists the
+  units from the configuration alone and never holds a book. An input is
+  one task when there are at least as many inputs as workers, and is
+  otherwise split into as many tasks as keep every worker busy, each
+  parsing it again.
 * ``stats``: read a results table and write the statistical outputs
   (``fits.csv``, ``corr_matrix.csv``, ``ranks.csv``, ``rank_hist.csv``).
 * ``oracle-check``: randomized equivalence check of the fast and naive
   match-length implementations.
-* ``synth``: emit synthetic corpora (toy languages or symbol streams)
-  in the tsv corpus format.
+* ``synth toy``, ``synth stream``: emit a synthetic corpus (a toy
+  language or a symbol stream) in the tsv corpus format.
 
 Exit codes: 0 success, 1 fatal configuration, input or output error, 2
 completed with per-book errors (or a failed oracle check).
@@ -27,14 +28,13 @@ completed with per-book errors (or a failed oracle check).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import sys
 from contextlib import closing
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,10 +43,7 @@ from .corpus import (
     DEFAULT_BOOK_IDS,
     FORMATS,
     TRUNCATIONS,
-    Book,
     CorpusFormatError,
-    Verse,
-    VerseRef,
     parse_corpus,
     select_books,
     truncate_books,
@@ -225,7 +222,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # The destinations of each command's options are the names its
     # ``cmd_*`` function (or ``RunConfig``) takes.
-    settings = {key: value for key, value in vars(args).items() if key != "command"}
+    settings = {k: v for k, v in vars(args).items() if k not in ("command", "generator")}
     try:
         if args.command == "analyze":
             return cmd_analyze(RunConfig(**settings | {"inputs": tuple(args.inputs)}))
@@ -237,7 +234,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.min_alpha > args.max_alpha:
                 parser.error("--alpha-min must not exceed --alpha-max")
             return cmd_oracle_check(**settings)
-        return cmd_synth(args)
+        if args.generator == "toy":
+            return cmd_synth_toy(**settings)
+        return cmd_synth_stream(**settings)
     except OSError as exc:
         # Each command catches its input errors; this is an unwritable output.
         logger.error("cannot write output: %s", exc)
@@ -259,16 +258,16 @@ def cmd_analyze(config: RunConfig) -> int:
     per_input = max(1, min(len(units), -(-config.workers // max(1, len(config.inputs)))))
     parts = [units[i * len(units) // per_input : (i + 1) * len(units) // per_input]
              for i in range(per_input)]
-    tasks = [(path, part) for path in config.inputs for part in parts]
+    tasks = [(index, path, part) for index, path in enumerate(config.inputs) for part in parts]
 
     rows: list[BookMeasurement] = []
     errors: list[tuple[str, int, int, str]] = []  # in the order of ERROR_KEYS
     lost = 0  # units whose worker process died
     digests: dict[str, str] = {}
     missing_report: dict[str, list[int]] = {}
-    path_by_id: dict[str, str] = {}
+    input_of: dict[str, int] = {}  # translation id -> index of the first input with it
     with closing(_outcomes(tasks, config)) as outcomes:
-        for index, ((path, part), outcome) in enumerate(zip(tasks, outcomes)):
+        for (index, path, part), outcome in zip(tasks, outcomes):
             died = outcome is None
             if died:
                 # Parse the input here only to name the units the task had.
@@ -277,18 +276,18 @@ def cmd_analyze(config: RunConfig) -> int:
                 logger.error("%s", outcome)
                 return 1
             tid = outcome.translation_id
-            if index % per_input == 0:  # the first task of its input
-                if tid in path_by_id:
-                    logger.error(
-                        "inputs %s and %s both have translation id %r; "
-                        "give each a distinct '# translation_id: ...' comment",
-                        path_by_id[tid], path, tid,
-                    )
-                    return 1
-                path_by_id[tid] = path
-                digests[path] = outcome.sha256
-                if outcome.missing:
-                    missing_report[tid] = outcome.missing
+            first = input_of.setdefault(tid, index)
+            if first != index:
+                logger.error(
+                    "inputs %s and %s both have translation id %r; "
+                    "give each a distinct '# translation_id: ...' comment",
+                    config.inputs[first], path, tid,
+                )
+                return 1
+            # Every task of an input reports the same digest and missing books.
+            digests[path] = outcome.sha256
+            if outcome.missing:
+                missing_report[tid] = outcome.missing
             rows += outcome.rows
             for error in outcome.errors:
                 errors.append((tid, *error))
@@ -343,11 +342,11 @@ class _InputOutcome:
     errors: list[tuple[int, int, str]]  # (book_id, replicate, message)
 
 
-def _outcomes(tasks: list[tuple[str, list[tuple[int, int]]]], config: RunConfig):
+def _outcomes(tasks: list[tuple[int, str, list[tuple[int, int]]]], config: RunConfig):
     """Each task's outcome in task order: None for a task lost with its worker process."""
     if config.workers <= 1 or not tasks:
-        for task in tasks:
-            yield _measure_input(*task, config)
+        for _, path, units in tasks:
+            yield _measure_input(path, units, config)
         return
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -359,8 +358,8 @@ def _outcomes(tasks: list[tuple[str, list[tuple[int, int]]]], config: RunConfig)
     with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
         try:
             try:
-                for task in tasks:
-                    futures.append(pool.submit(_measure_input, *task, config))
+                for _, path, units in tasks:
+                    futures.append(pool.submit(_measure_input, path, units, config))
             except BrokenProcessPool:
                 pass
             for future in futures:
@@ -375,51 +374,38 @@ def _outcomes(tasks: list[tuple[str, list[tuple[int, int]]]], config: RunConfig)
     yield from (None for _ in tasks[len(futures) :])
 
 
-def _measure_unit(book: Book, replicate: int, config: MeasureConfig) -> BookMeasurement | str:
-    """One unit's row, or its error's message: no exception crosses from a pool
-    worker, where one that pickle cannot rebuild would break the whole pool."""
-    # A global looked up per call, so a replaced ``cli.measure_replicate`` runs.
-    try:
-        return measure_replicate(book, replicate, config)
-    except Exception as exc:
-        return str(exc)
-
-
 def _measure_input(
     path: str, units: list[tuple[int, int]], config: RunConfig, measure: bool = True
 ) -> _InputOutcome | str:
     """Parse one input, select and (optionally) truncate the requested books,
-    and measure those of ``units`` the input has. An input error comes back as
-    its message, like a unit's. With ``measure`` false, each of those units
-    gets the error of a unit whose worker process died."""
+    and measure those of ``units`` the input has. An input error and each
+    unit's error come back as their messages: no exception crosses from a pool
+    worker, where one that pickle cannot rebuild would break the whole pool.
+    With ``measure`` false, each of those units gets the error of a unit whose
+    worker process died."""
+    # parse_corpus, truncate_books and measure_replicate are globals looked
+    # up per call, so a replaced one runs.
     try:
-        books, tid, missing = _select_books(path, config)
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        translation = parse_corpus(Path(path), config.fmt, lowercase=config.lowercase)
+        tid = translation.translation_id
+        found, missing = select_books(translation, config.books)
+        if config.truncate != "off" and len(found) >= 2:
+            found = truncate_books(found, config.truncate)
+        elif config.truncate != "off" and found:
+            logger.info("translation %s has a single selected book; nothing to truncate", tid)
     except (OSError, CorpusFormatError, ValueError) as exc:
         return str(exc)
+    books = {book.book_id: book for book in found}
     rows, errors = [], []
     for book_id, r in units:
-        if book_id in books:
-            outcome = _measure_unit(books[book_id], r, config) if measure else _DIED
-            if isinstance(outcome, BookMeasurement):
-                rows.append(outcome)
-            else:
-                errors.append((book_id, r, outcome))
-    return _InputOutcome(tid, digest, sorted(missing), rows, errors)
-
-
-def _select_books(path: str, config: RunConfig) -> tuple[dict[int, Book], str, set[int]]:
-    """The input's selected books by id, its translation id and the missing ids."""
-    # parse_corpus and truncate_books are globals looked up per call, like
-    # measure_replicate, so a replaced one runs.
-    translation = parse_corpus(Path(path), config.fmt, lowercase=config.lowercase)
-    tid = translation.translation_id
-    found, missing = select_books(translation, config.books)
-    if config.truncate != "off" and len(found) >= 2:
-        found = truncate_books(found, config.truncate)
-    elif config.truncate != "off" and found:
-        logger.info("translation %s has a single selected book; nothing to truncate", tid)
-    return {book.book_id: book for book in found}, tid, missing
+        if book_id in books and not measure:
+            errors.append((book_id, r, _DIED))
+        elif book_id in books:
+            try:
+                rows.append(measure_replicate(books[book_id], r, config))
+            except Exception as exc:
+                errors.append((book_id, r, str(exc)))
+    return _InputOutcome(tid, translation.sha256, sorted(missing), rows, errors)
 
 
 def cmd_stats(
@@ -529,74 +515,61 @@ def cmd_oracle_check(
     return 2
 
 
-def _write_tsv_corpus(book: Book, header: list[str], fh: IO[str]) -> None:
-    for line in header:
-        fh.write(f"# {line}\n")
-    for verse in book.verses:
-        fh.write(f"{verse.ref.book_id}\t{verse.ref.chapter}\t{verse.ref.verse}\t{verse.text}\n")
+def cmd_synth_toy(
+    mode: str, sentences: int, seed: int, vocab_seed: int | None, out: str
+) -> int:
+    from .testkit import render_toy_corpus, toy_language_pair
 
-
-def cmd_synth(args: argparse.Namespace) -> int:
-    from .testkit import generate, render_toy_corpus, toy_language_pair
-
-    if args.generator == "toy":
-        vocab_seed = args.seed if args.vocab_seed is None else args.vocab_seed
-        positional, affixal = toy_language_pair(vocab_seed)
-        spec = positional if args.mode == "positional" else affixal
-        book = render_toy_corpus(spec, args.sentences, args.seed)
-        header = [
-            f"generator: toy mode={args.mode} sentences={args.sentences} "
-            f"seed={args.seed} vocab_seed={vocab_seed}",
-            f"language: toy_{args.mode}",
-        ]
-    else:
-        try:
-            source = _stream_source(args)
-            seq = generate(source, args.n, args.seed)
-        except ValueError as exc:
-            logger.error("%s", exc)
-            return 1
-        verses = [
-            seq.chars[i : i + args.chunk] for i in range(0, len(seq.chars), args.chunk)
-        ]
-        book = Book(
-            book_id=1,
-            verses=tuple(
-                Verse(VerseRef(1, 1, i), text) for i, text in enumerate(verses, start=1)
-            ),
-            translation_id=f"synth_{args.kind}_{args.seed}",
-            language=f"synth_{args.kind}",
-        )
-        header = [
-            f"generator: stream kind={args.kind} n={args.n} seed={args.seed} "
-            f"h_true={source.h_true:.6f}",
-            f"language: synth_{args.kind}",
-        ]
-
-    if args.out == "-":
-        _write_tsv_corpus(book, header, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write_tsv_corpus(book, header, fh)
-        logger.info("wrote %d verses to %s", len(book.verses), args.out)
-    return 0
-
-
-def _stream_source(args: argparse.Namespace):
-    from .testkit import iid_source, markov_source
-
-    if args.kind == "iid":
-        if args.probs:
-            probs = [float(p) for p in args.probs.split(",")]
-        else:
-            probs = [1.0 / args.k] * args.k
-        return iid_source(probs)
-    if not args.transition:
-        raise ValueError("markov1 needs --transition")
-    rows = [
-        [float(p) for p in row.split(",")] for row in args.transition.split(";")
+    vocab_seed = seed if vocab_seed is None else vocab_seed
+    positional, affixal = toy_language_pair(vocab_seed)
+    book = render_toy_corpus(positional if mode == "positional" else affixal, sentences, seed)
+    header = [
+        f"generator: toy mode={mode} sentences={sentences} seed={seed} vocab_seed={vocab_seed}",
+        f"language: toy_{mode}",
     ]
-    return markov_source(rows)
+    lines = [f"{v.ref.book_id}\t{v.ref.chapter}\t{v.ref.verse}\t{v.text}" for v in book.verses]
+    return _write_tsv(out, header, lines)
+
+
+def cmd_synth_stream(
+    kind: str, k: int, probs: str | None, transition: str | None, n: int, seed: int, chunk: int,
+    out: str,
+) -> int:
+    from .testkit import generate, iid_source, markov_source
+
+    try:
+        if kind == "iid":
+            source = iid_source([float(p) for p in probs.split(",")] if probs else [1.0 / k] * k)
+        elif transition:
+            source = markov_source(
+                [[float(p) for p in row.split(",")] for row in transition.split(";")]
+            )
+        else:
+            raise ValueError("markov1 needs --transition")
+        chars = generate(source, n, seed).chars
+    except ValueError as exc:
+        logger.error("%s", exc)
+        return 1
+    header = [
+        f"generator: stream kind={kind} n={n} seed={seed} h_true={source.h_true:.6f}",
+        f"language: synth_{kind}",
+    ]
+    # Book 1, chapter 1, one verse of ``chunk`` characters per line.
+    starts = range(0, len(chars), chunk)
+    lines = [f"1\t1\t{i}\t{chars[j : j + chunk]}" for i, j in enumerate(starts, start=1)]
+    return _write_tsv(out, header, lines)
+
+
+def _write_tsv(out: str, header: list[str], lines: list[str]) -> int:
+    """Write ``# `` header lines, then the verse lines, to ``out`` or to stdout for ``-``."""
+    text = "".join(f"# {line}\n" for line in header) + "".join(f"{line}\n" for line in lines)
+    if out == "-":
+        sys.stdout.write(text)
+        return 0
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    logger.info("wrote %d verses to %s", len(lines), out)
+    return 0
 
 
 if __name__ == "__main__":

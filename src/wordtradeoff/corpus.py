@@ -25,6 +25,7 @@ paragraph separator inside a verse is whitespace, like a tab.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -130,11 +131,12 @@ class Book:
 
 @dataclass(frozen=True)
 class Translation:
-    """All books of one translation."""
+    """All books of one translation, and the sha256 hex digest of its input bytes."""
 
     translation_id: str
     language: str
     books: Mapping[int, Book]
+    sha256: str
 
 
 def flatten(book: Book) -> str:
@@ -222,7 +224,7 @@ def parse_corpus(
         )
         for book_id, verses in sorted(by_book.items())
     }
-    return Translation(translation_id=tid, language=lang, books=books)
+    return Translation(tid, lang, books, hashlib.sha256(data).hexdigest())
 
 
 def select_books(

@@ -30,11 +30,10 @@ import logging
 import math
 import sys
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import compress, islice
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -350,26 +349,22 @@ def read_results_csv(source: str | Path | IO[str]) -> ResultsTable:
             f"results CSV schema mismatch: expected columns {','.join(RESULT_COLUMNS)}"
         )
     columns = [[], [], *(array("q") for _ in range(3)), *(array("d") for _ in range(5))]
-    blanks: list[int] = []  # for each blank record, the number of rows before it
-
-    def row_no(i: int) -> int:
-        """The CSV record number of row ``i``; the header is record 1."""
-        return i + 2 + bisect_right(blanks, i)
-
+    row_nos = array("q")  # each row's CSV record number, beside the columns
+    start = 2  # the number of the next record; the header is record 1
     unreadable = None  # the error of the first row that does not read or convert
     while unreadable is None:
-        done = len(columns[0])
-        chunk: list[list[str]] = []  # keeps the records read before a csv.Error
+        rows: list[list[str]] = []  # keeps the records read before a csv.Error
         try:
-            chunk.extend(islice(reader, _CHUNK_ROWS))
+            rows.extend(islice(reader, _CHUNK_ROWS))
         except csv.Error as exc:
-            unreadable = f"results CSV row {done + len(blanks) + len(chunk) + 2}: {exc}"
-        if not chunk:
+            unreadable = f"results CSV row {start + len(rows)}: {exc}"
+        if not rows:
             break
-        rows = list(filter(None, chunk))
-        if len(rows) < len(chunk):
-            blank_at = (p for p, rec in enumerate(chunk) if not rec)
-            blanks += [done + p - k for k, p in enumerate(blank_at)]
+        nos = range(start, start + len(rows))
+        start += len(rows)
+        if not all(rows):  # drop the blank records
+            kept = list(map(bool, rows))
+            rows, nos = list(compress(rows, kept)), list(compress(nos, kept))
         try:
             converted = _convert(rows)
         except (ValueError, OverflowError):
@@ -377,13 +372,14 @@ def read_results_csv(source: str | Path | IO[str]) -> ResultsTable:
                 try:
                     _convert([rec])
                 except (ValueError, OverflowError) as exc:
-                    unreadable = f"results CSV row {row_no(done + bad)}: {exc}"
+                    unreadable = f"results CSV row {nos[bad]}: {exc}"
                     break
-            converted = _convert(rows[:bad])
+            nos, converted = nos[:bad], _convert(rows[:bad])
+        row_nos.extend(nos)
         for column, values in zip(columns, converted):
             column.extend(values)
     table = _table(columns)
-    _check_rows(table, row_no)
+    _check_rows(table, row_nos)
     if unreadable is not None:
         raise ValueError(unreadable)
     return table
@@ -401,9 +397,10 @@ def _convert(rows: list[list[str]]) -> list:
     ]
 
 
-def _check_rows(table: ResultsTable, row_no: Callable[[int], int]) -> None:
+def _check_rows(table: ResultsTable, row_nos: Sequence[int]) -> None:
     """Raise ValueError naming the first row that fails a value check or
-    repeats an earlier row's key, and the first check it fails."""
+    repeats an earlier row's key, and the first check it fails. ``row_nos``
+    holds each row's CSV record number."""
     if not len(table):
         return
     h0 = table.h_original
@@ -435,7 +432,7 @@ def _check_rows(table: ResultsTable, row_no: Callable[[int], int]) -> None:
         fault = f"{penalty} = {d:.6g} but {h_name} - h_original = {h - h0:.6g}"
     else:
         fault = (
-            f"duplicate of row {row_no(int(first_of_key[i]))} (translation "
+            f"duplicate of row {row_nos[int(first_of_key[i])]} (translation "
             f"{table.translation_id[i]}, book {table.book_id[i]}, replicate {table.replicate[i]})"
         )
-    raise ValueError(f"results CSV row {row_no(i)}: {fault}")
+    raise ValueError(f"results CSV row {row_nos[i]}: {fault}")

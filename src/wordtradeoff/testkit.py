@@ -55,7 +55,8 @@ class SyntheticSource:
 
 
 def _check_distribution(p: np.ndarray, what: str) -> None:
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-12:
+    # ``p >= 0`` is False for NaN, and an infinite entry makes the sum miss 1.
+    if not np.all(p >= 0) or abs(float(p.sum()) - 1.0) > 1e-12:
         raise ValueError(f"{what} is not a probability distribution: {p}")
 
 

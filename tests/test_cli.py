@@ -8,6 +8,8 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -78,6 +80,19 @@ class TestSynth:
     def test_markov_stream_requires_transition(self, tmp_path, capsys):
         code = main(["synth", "stream", "--kind", "markov1", "--out", "-"])
         assert code == 1
+
+    def test_nan_transition_rejected_at_once(self, capsys, caplog):
+        # A NaN row once passed the distribution check, and the stationary
+        # distribution then ran its million iterations before failing.
+        start = time.monotonic()
+        code = main(["synth", "stream", "--kind", "markov1", "--transition", "nan,1;0.5,0.5",
+                     "--n", "10"])
+        assert time.monotonic() - start < 5
+        assert code == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert "transition row is not a probability distribution" in error
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
 
 
 #: Count flags out of range or out of order, each a configuration error.
@@ -223,6 +238,35 @@ class TestAnalyze:
         assert not (out_dir / "results.csv").exists()
         assert f"inputs {paths[0]} and {paths[1]} both have translation id 'x'" in caplog.text
         assert "# translation_id:" in caplog.text
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_same_path_twice_is_a_duplicate(self, tmp_path, caplog, workers):
+        # At 3 workers each input is split in two tasks: the second task of
+        # the first input is not a duplicate, the first of the second is.
+        path = tmp_path / "x.tsv"
+        write_two_book_corpus(path)
+        argv = ["analyze", str(path), str(path), "--format", "tsv", "--books", "40",
+                "--workers", str(workers), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error.startswith(f"inputs {path} and {path} both have translation id 'x'")
+
+    def test_each_input_read_once(self, tmp_path, monkeypatch):
+        paths = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
+        for path in paths:
+            write_two_book_corpus(path)
+        reads = Counter()
+        real = Path.read_bytes
+
+        def counted(self):
+            reads[str(self)] += 1
+            return real(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        argv = ["analyze", *map(str, paths), "--format", "tsv", "--books", "40,41",
+                "--replicates", "1", "--workers", "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert {str(path): reads[str(path)] for path in paths} == dict.fromkeys(map(str, paths), 1)
 
 
 def _assert_one_output_error(code, capsys, caplog) -> None:
@@ -542,15 +586,31 @@ class TestRunConfig:
         monkeypatch.setattr(
             cli, "cmd_oracle_check", lambda **kw: calls.setdefault("oracle-check", kw) and 0
         )
+        monkeypatch.setattr(
+            cli, "cmd_synth_toy", lambda **kw: calls.setdefault("synth toy", kw) and 0
+        )
+        monkeypatch.setattr(
+            cli, "cmd_synth_stream", lambda **kw: calls.setdefault("synth stream", kw) and 0
+        )
         assert main(["stats", "r.csv", "--books", "40,41", "--group-by", "translation",
                      "--out", "elsewhere"]) == 0
         assert main(["oracle-check", "--count", "3", "--min-len", "2", "--max-len", "9",
                      "--alpha-min", "4", "--alpha-max", "5", "--seed", "7"]) == 0
+        assert main(["synth", "toy", "--mode", "affixal", "--sentences", "7", "--seed", "2",
+                     "--vocab-seed", "5", "--out", "t.tsv"]) == 0
+        assert main(["synth", "stream", "--kind", "markov1", "--k", "3", "--probs", "0.5,0.5",
+                     "--transition", "0.9,0.1;0.2,0.8", "--n", "80", "--seed", "4",
+                     "--chunk", "9", "--out", "s.tsv"]) == 0
         assert calls == {
             "stats": {"results_path": "r.csv", "books": (40, 41), "group_by": "translation",
                       "out_dir": "elsewhere"},
             "oracle-check": {"count": 3, "min_len": 2, "max_len": 9, "min_alpha": 4,
                              "max_alpha": 5, "seed": 7},
+            "synth toy": {"mode": "affixal", "sentences": 7, "seed": 2, "vocab_seed": 5,
+                          "out": "t.tsv"},
+            "synth stream": {"kind": "markov1", "k": 3, "probs": "0.5,0.5",
+                             "transition": "0.9,0.1;0.2,0.8", "n": 80, "seed": 4, "chunk": 9,
+                             "out": "s.tsv"},
         }
 
 

@@ -242,7 +242,7 @@ class TestTruncate:
 class TestSelect:
     def _translation(self, ids):
         books = {i: make_book([f"text of {i}"], book_id=i) for i in ids}
-        return Translation("t", "und", books)
+        return Translation("t", "und", books, "")
 
     def test_all_present(self):
         tr = self._translation(DEFAULT_BOOK_IDS)

@@ -83,6 +83,13 @@ class TestSources:
         with pytest.raises(ValueError):
             markov_source([[0.9, 0.2], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        with pytest.raises(ValueError, match="is not a probability distribution"):
+            iid_source([bad, 1.0])
+        with pytest.raises(ValueError, match="is not a probability distribution"):
+            markov_source([[bad, 1.0], [0.5, 0.5]])
+
     def test_empirical_frequencies_converge(self):
         seq = generate(uniform_iid(4), 100_000, seed=11)
         counts = Counter(seq.chars)
