@@ -5,14 +5,16 @@
  * package as the reference, and must give the same output on every input.
  *
  * match_lengths: match lengths l_1..l_N of a code-point sequence, computed
- * with a suffix automaton (Blumer et al. 1985), as entropy.py's automaton.
- * Each state records the end position of its first occurrence (fpos,
- * 1-indexed). One matching-statistics scan then extends the current
- * match only through states whose first occurrence ends before the
- * current position, which keeps every match inside the preceding text.
+ * in one pass while a suffix automaton (Blumer et al. 1985) of the text
+ * grows, as entropy.py's automaton. Before s[i] is added, the automaton
+ * holds exactly the substrings of s[0..i-1], so a match read in it cannot
+ * overlap position i, and no occurrence positions are needed. After s[i]
+ * is added, the match drops s[i] by suffix links. If adding s[i] split the
+ * match state, its suffix link is now the clone, and that walk moves the
+ * match there when its shortened length falls in the clone's range.
  *
  * Layout: a state holds its first INLINE_EDGES transitions in its own
- * 32-byte struct, so the common lookup touches one cache line; further
+ * 28-byte struct, so the common lookup reads no other memory; further
  * transitions go to a per-state singly linked list in one flat edge array.
  * Most states have one or two transitions (1.6 on average for an iid
  * 4-symbol stream). An automaton over n symbols has at most 2n - 1 states
@@ -33,7 +35,6 @@
 typedef struct {
     int32_t len;  /* length of the longest string in the state */
     int32_t link; /* suffix link, -1 at the root */
-    int32_t fpos; /* end position of the first occurrence, 1-indexed */
     int32_t head; /* first overflow edge, -1 if none */
     uint32_t c[INLINE_EDGES];
     int32_t to[INLINE_EDGES]; /* -1 marks an unused slot */
@@ -48,11 +49,10 @@ typedef struct {
 /* Largest n whose state and edge indices fit in int32. */
 #define MAX_N ((INT32_MAX - 3) / 3)
 
-static void init_state(state_t *x, int32_t len, int32_t link, int32_t fpos)
+static void init_state(state_t *x, int32_t len, int32_t link)
 {
     x->len = len;
     x->link = link;
-    x->fpos = fpos;
     x->head = -1;
     for (int k = 0; k < INLINE_EDGES; k++)
         x->to[k] = -1;
@@ -105,12 +105,22 @@ int match_lengths(const uint32_t *s, int64_t n, int32_t *out)
         return 1;
     }
 
-    int32_t n_states = 1, n_edges = 0, last = 0;
-    init_state(&st[0], 0, -1, 0);
+    /* (v, match): the state and length of the match of position i. */
+    int32_t n_states = 1, n_edges = 0, last = 0, v = 0, match = 0;
+    init_state(&st[0], 0, -1);
     for (int32_t i = 0; i < n; i++) {
+        while (match < n - i) {
+            int32_t *t = find_edge(st, ed, v, s[i + match]);
+            if (t == NULL)
+                break;
+            v = *t;
+            match++;
+        }
+        out[i] = match + 1;
+
         uint32_t c = s[i];
         int32_t cur = n_states++;
-        init_state(&st[cur], st[last].len + 1, -1, i + 1);
+        init_state(&st[cur], st[last].len + 1, -1);
         int32_t p = last;
         int32_t *t = NULL;
         while (p != -1 && (t = find_edge(st, ed, p, c)) == NULL) {
@@ -124,8 +134,8 @@ int match_lengths(const uint32_t *s, int64_t n, int32_t *out)
             if (st[p].len + 1 == st[q].len) {
                 st[cur].link = q;
             } else {
-                /* The clone takes q's link, fpos and inline transitions;
-                 * its overflow transitions are copied into new edges. */
+                /* The clone takes q's link and inline transitions; its
+                 * overflow transitions are copied into new edges. */
                 int32_t clone = n_states++;
                 st[clone] = st[q];
                 st[clone].len = st[p].len + 1;
@@ -142,19 +152,8 @@ int match_lengths(const uint32_t *s, int64_t n, int32_t *out)
             }
         }
         last = cur;
-    }
 
-    int32_t v = 0, match = 0;
-    for (int32_t i = 1; i <= n; i++) {
-        int32_t limit = (int32_t)n - i + 1;
-        while (match < limit) {
-            int32_t *t = find_edge(st, ed, v, s[i + match - 1]);
-            if (t == NULL || st[*t].fpos > i - 1)
-                break;
-            v = *t;
-            match++;
-        }
-        out[i - 1] = match + 1;
+        /* Drop s[i]; if v was just split, its suffix link is the clone. */
         if (match > 0) {
             match--;
             while (v && st[st[v].link].len >= match)

@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_strm = sy_sub.add_parser("stream", help="iid or first-order Markov symbol stream")
     p_strm.add_argument("--kind", choices=("iid", "markov1"), required=True)
-    p_strm.add_argument("--k", type=_count_arg(1), default=4, help="alphabet size (iid)")
+    p_strm.add_argument("--k", type=_count_arg(1), help="alphabet size (iid; default 4)")
     p_strm.add_argument("--probs", default=None, help="comma-separated iid probabilities")
     p_strm.add_argument(
         "--transition",
@@ -532,13 +532,23 @@ def cmd_synth_toy(
 
 
 def cmd_synth_stream(
-    kind: str, k: int, probs: str | None, transition: str | None, n: int, seed: int, chunk: int,
-    out: str,
+    kind: str, k: int | None, probs: str | None, transition: str | None, n: int, seed: int,
+    chunk: int, out: str,
 ) -> int:
     from .testkit import generate, iid_source, markov_source
 
+    for flag, setting, unread in (
+        ("--k", "--kind markov1", kind == "markov1" and k is not None),
+        ("--k", "--probs", kind == "iid" and k is not None and bool(probs)),
+        ("--probs", "--kind markov1", kind == "markov1" and probs is not None),
+        ("--transition", "--kind iid", kind == "iid" and transition is not None),
+    ):
+        if unread:
+            logger.error("synth stream: %s has no effect with %s; drop it", flag, setting)
+            return 1
     try:
         if kind == "iid":
+            k = 4 if k is None else k
             source = iid_source([float(p) for p in probs.split(",")] if probs else [1.0 / k] * k)
         elif transition:
             source = markov_source(

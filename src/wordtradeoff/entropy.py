@@ -27,11 +27,14 @@ bits) the median estimate over 20 seeds is 1.818 bits at N = 10^6,
 9.1% low.
 
 Two algorithms are provided: a quadratic-time reference
-(:func:`match_lengths_naive`, the oracle) and a subquadratic one
-(:func:`match_lengths`) based on a suffix automaton annotated with first
-occurrence positions, walked with matching-statistics bookkeeping. They
-agree exactly on every input; :func:`run_oracle_check` randomizes that
-comparison.
+(:func:`match_lengths_naive`, the oracle) and a near-linear one
+(:func:`match_lengths`) that reads each l_i while a suffix automaton of
+the text grows. Before c_i is added, the automaton holds exactly the
+substrings of c_1..c_{i-1}, so a match read in it cannot overlap
+position i. A clone split off the match state needs no special case: the
+state's suffix link is then the clone, which the walk that drops c_i from
+the match follows. They agree exactly on every input;
+:func:`run_oracle_check` randomizes that comparison.
 
 The automaton runs as compiled C (``_kernels.c``, no Python headers,
 called through ``ctypes``). The same library holds the seeded draws of
@@ -130,14 +133,11 @@ def match_lengths_naive(s: str) -> MatchLengths:
 def match_lengths(s: str) -> MatchLengths:
     """Fast match-length computation; output equals the naive version.
 
-    Builds a suffix automaton of the whole sequence where each state
-    carries the end position of its first occurrence, then scans the
-    sequence once keeping (state, length) matching statistics. A
-    candidate extension is accepted only if its first occurrence ends
-    before the current position, which restricts matches to the
-    preceding text exactly as the definition requires. Work is near
-    linear in N (amortized over suffix-link walks) regardless of how
-    long the matches get.
+    Reads l_i in one pass: the (state, length) match of position i is
+    extended in the suffix automaton of c_1..c_{i-1}, then c_i is added
+    to the automaton and dropped from the front of the match by suffix
+    links (see the module docstring). Work is near linear in N (amortized
+    over suffix-link walks) regardless of how long the matches get.
 
     Runs the compiled kernel when this process could build it, else the
     Python automaton; both give the same values.
@@ -242,23 +242,30 @@ def _compiled_lengths(library: ctypes.CDLL, s: str) -> np.ndarray:
 
 
 def _automaton_lengths(s: str) -> list[int]:
-    """The suffix-automaton algorithm of :func:`match_lengths` in Python."""
+    """The one-pass suffix-automaton algorithm of :func:`match_lengths` in Python."""
     n = len(s)
 
-    # Automaton arrays: transitions, suffix link, longest length per
-    # state, and 1-indexed end position of the first occurrence.
+    # Transitions, suffix link and longest length per state; (v, match) is
+    # the state of s[i:i+match] in the automaton of s[:i].
     nxt: list[dict[str, int]] = [{}]
     link = [-1]
     length = [0]
-    fpos = [0]
-    last = 0
+    last = v = match = 0
+    out = [0] * n
     for i in range(n):
+        while match < n - i:
+            q = nxt[v].get(s[i + match])
+            if q is None:
+                break
+            v = q
+            match += 1
+        out[i] = match + 1
+
         c = s[i]
         cur = len(nxt)
         nxt.append({})
         length.append(length[last] + 1)
         link.append(-1)
-        fpos.append(i + 1)
         p = last
         while p != -1 and c not in nxt[p]:
             nxt[p][c] = cur
@@ -274,7 +281,6 @@ def _automaton_lengths(s: str) -> list[int]:
                 nxt.append(dict(nxt[q]))
                 length.append(length[p] + 1)
                 link.append(link[q])
-                fpos.append(fpos[q])
                 while p != -1 and nxt[p].get(c) == q:
                     nxt[p][c] = clone
                     p = link[p]
@@ -282,18 +288,7 @@ def _automaton_lengths(s: str) -> list[int]:
                 link[cur] = clone
         last = cur
 
-    out = [0] * n
-    v = 0
-    match = 0
-    for i in range(1, n + 1):
-        limit = n - i + 1
-        while match < limit:
-            q = nxt[v].get(s[i + match - 1])
-            if q is None or fpos[q] > i - 1:
-                break
-            v = q
-            match += 1
-        out[i - 1] = match + 1
+        # Drop s[i]; if v was just split, its suffix link is the clone.
         if match > 0:
             match -= 1
             while v and length[link[v]] >= match:

@@ -94,6 +94,32 @@ class TestSynth:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "flags, unread",
+        [
+            (["--kind", "iid", "--k", "3", "--probs", "0.5,0.5"], "--k"),
+            (["--kind", "markov1", "--k", "3", "--transition", "0.9,0.1;0.1,0.9"], "--k"),
+            (["--kind", "markov1", "--probs", "0.5,0.5", "--transition", "0.9,0.1;0.1,0.9"],
+             "--probs"),
+            (["--kind", "iid", "--transition", "0.9,0.1;0.1,0.9"], "--transition"),
+        ],
+        ids=["k-with-probs", "k-with-markov1", "probs-with-markov1", "transition-with-iid"],
+    )
+    def test_unread_stream_flag_exits_1_naming_it(self, flags, unread, capsys, caplog):
+        # Each of these once wrote a stream that silently ignored the flag.
+        assert main(["synth", "stream", *flags, "--n", "20"]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error.startswith(f"synth stream: {unread} has no effect with")
+        assert capsys.readouterr().out == ""
+
+    def test_stream_k_defaults_to_4(self, capsys):
+        assert main(["synth", "stream", "--kind", "iid", "--n", "60", "--seed", "3"]) == 0
+        default = capsys.readouterr().out
+        assert main(["synth", "stream", "--kind", "iid", "--k", "4", "--n", "60",
+                     "--seed", "3"]) == 0
+        assert capsys.readouterr().out == default
+        assert "h_true=2.000000" in default
+
 
 #: Count flags out of range or out of order, each a configuration error.
 BAD_COUNTS = [

@@ -10,6 +10,7 @@ import json
 import logging
 import math
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_golden import CORPORA, GOLDEN
-from wordtradeoff import cli, entropy
+from wordtradeoff import cli, entropy, measures
 from wordtradeoff.entropy import (
     MatchLengths,
     entropy_rate,
@@ -31,7 +32,8 @@ from wordtradeoff.entropy import (
     match_lengths_naive,
     run_oracle_check,
 )
-from wordtradeoff.testkit import generate, uniform_iid
+from wordtradeoff.measures import MeasureConfig, measure_replicate
+from wordtradeoff.testkit import generate, render_toy_corpus, toy_language_pair, uniform_iid
 
 random_texts = st.text(
     alphabet=st.sampled_from("abcdefå"), min_size=1, max_size=120
@@ -56,6 +58,76 @@ def fibonacci_word(n: int) -> str:
     while len(b) < n:
         a, b = b, b + a
     return b[:n]
+
+
+def reference_two_pass_lengths(s: str) -> list[int]:
+    """The two-pass automaton the kernels replaced, kept as a second oracle.
+
+    It builds the automaton of the whole text with each state's first end
+    position (1-indexed), then scans the text once, accepting a transition
+    only when its first occurrence ends before the current position.
+    """
+    n = len(s)
+    nxt: list[dict[str, int]] = [{}]
+    link = [-1]
+    length = [0]
+    fpos = [0]
+    last = 0
+    for i in range(n):
+        c = s[i]
+        cur = len(nxt)
+        nxt.append({})
+        length.append(length[last] + 1)
+        link.append(-1)
+        fpos.append(i + 1)
+        p = last
+        while p != -1 and c not in nxt[p]:
+            nxt[p][c] = cur
+            p = link[p]
+        if p == -1:
+            link[cur] = 0
+        else:
+            q = nxt[p][c]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = len(nxt)
+                nxt.append(dict(nxt[q]))
+                length.append(length[p] + 1)
+                link.append(link[q])
+                fpos.append(fpos[q])
+                while p != -1 and nxt[p].get(c) == q:
+                    nxt[p][c] = clone
+                    p = link[p]
+                link[q] = clone
+                link[cur] = clone
+        last = cur
+
+    out = [0] * n
+    v = 0
+    match = 0
+    for i in range(1, n + 1):
+        while match < n - i + 1:
+            q = nxt[v].get(s[i + match - 1])
+            if q is None or fpos[q] > i - 1:
+                break
+            v = q
+            match += 1
+        out[i - 1] = match + 1
+        if match > 0:
+            match -= 1
+            while v and length[link[v]] >= match:
+                v = link[v]
+    return out
+
+
+def runs_text(n: int, seed: int) -> str:
+    """Runs of one symbol, 1 to 5000 long, over three symbols."""
+    rng = random.Random(seed)
+    chars: list[str] = []
+    while len(chars) < n:
+        chars += rng.choice("abé") * rng.randint(1, 5000)
+    return "".join(chars[:n])
 
 
 class TestMatchLengthFixtures:
@@ -185,6 +257,67 @@ class TestOracleEquivalence:
                 assert kernel(s).values[0] == 1, name
 
 
+class TestTwoPassReference:
+    """Both kernels against the two-pass algorithm, past the naive oracle's reach.
+
+    ``TestKernels.test_compiled_equals_python_beyond_naive_cap`` checks the
+    same on 10^5-char iid, Fibonacci, run and Unicode inputs.
+    """
+
+    @pytest.mark.parametrize("mode", ["positional", "affixal"])
+    def test_toy_replicate_texts(self, mode, monkeypatch):
+        # The three texts measure_replicate sends to the kernel: the
+        # original, its order variant and its structure variant.
+        positional, affixal = toy_language_pair(0)
+        spec = positional if mode == "positional" else affixal
+        book = render_toy_corpus(spec, 1500, seed=0)
+        texts: list[str] = []
+        monkeypatch.setattr(measures, "match_lengths", lambda s: texts.append(s) or match_lengths(s))
+        measure_replicate(book, 0, MeasureConfig())
+        assert len(texts) == 3 and min(map(len, texts)) > 40_000
+        for s in texts:
+            expected = reference_two_pass_lengths(s)
+            for name, kernel in KERNELS:
+                assert kernel(s).values.tolist() == expected, name
+
+    @given(st.one_of(random_texts, unicode_texts))
+    @settings(max_examples=200, deadline=None)
+    def test_random_strings(self, s):
+        expected = reference_two_pass_lengths(s)
+        for name, kernel in KERNELS:
+            assert kernel(s).values.tolist() == expected, name
+
+
+#: Reads cases from stdin, each an int64 n and n uint32 code points, and
+#: writes each case's n int32 match lengths to stdout. Buffers are sized
+#: exactly, so AddressSanitizer sees any read or write past either end.
+SANITIZER_DRIVER = r"""
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+int match_lengths(const uint32_t *s, int64_t n, int32_t *out);
+
+int main(void)
+{
+    int64_t n;
+    while (fread(&n, sizeof n, 1, stdin) == 1) {
+        uint32_t *s = malloc((size_t)n * sizeof *s);
+        int32_t *out = malloc((size_t)n * sizeof *out);
+        if (s == NULL || out == NULL || fread(s, sizeof *s, (size_t)n, stdin) != (size_t)n)
+            return 3;
+        int rc = match_lengths(s, n, out);
+        if (rc != 0)
+            return 10 + rc;
+        fwrite(out, sizeof *out, (size_t)n, stdout);
+        free(s);
+        free(out);
+    }
+    return 0;
+}
+"""
+
+
 class TestKernels:
     def test_compiled_kernel_builds_where_a_compiler_exists(self):
         cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
@@ -203,17 +336,62 @@ class TestKernels:
         )
         assert result.returncode == 0, result.stderr
 
-    @pytest.mark.parametrize("source", ["iid-k4", "fibonacci", "unicode-iid"])
+    @pytest.mark.parametrize("source", ["iid-k4", "fibonacci", "runs", "unicode-iid"])
     def test_compiled_equals_python_beyond_naive_cap(self, source):
         n = 100_000
         if source == "iid-k4":
             s = generate(uniform_iid(4), n, seed=5).chars
         elif source == "fibonacci":
             s = fibonacci_word(n)
+        elif source == "runs":
+            s = runs_text(n, seed=2)
         else:
             symbols = ["a", "é", "😀", "\ud800"]
             s = "".join(symbols[i] for i in np.random.default_rng(9).integers(0, 4, n))
-        assert np.array_equal(match_lengths(s).values, python_automaton(s).values)
+        # The two-pass algorithm is a second oracle where the naive one is too slow.
+        expected = reference_two_pass_lengths(s)
+        for name, kernel in KERNELS:
+            assert kernel(s).values.tolist() == expected, name
+
+    def test_kernel_is_clean_under_address_and_undefined_sanitizers(self, tmp_path):
+        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+        if shutil.which(cc[0]) is None:
+            pytest.skip(f"no C compiler {cc[0]!r}")
+        flags = ["-O1", "-g", "-fno-omit-frame-pointer",
+                 "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+        probe = tmp_path / "probe.c"
+        probe.write_text("int main(void) { return 0; }\n")
+        linked = subprocess.run([*cc, *flags, "-o", str(tmp_path / "probe"), str(probe)],
+                                capture_output=True, timeout=300)
+        if linked.returncode != 0:
+            pytest.skip(f"{cc[0]} cannot link the address and undefined sanitizers")
+        driver = tmp_path / "driver.c"
+        driver.write_text(SANITIZER_DRIVER)
+        exe = tmp_path / "driver"
+        build = subprocess.run(
+            [*cc, *flags, "-Wall", "-Wextra", "-Werror", "-o", str(exe), str(driver),
+             str(entropy._KERNEL_SOURCE)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert build.returncode == 0, build.stderr
+
+        rng = random.Random(11)
+        cases = [entropy._oracle_case(rng, 1, 400, rng.randint(2, 30)) for _ in range(300)]
+        cases += [fibonacci_word(100_000), runs_text(100_000, seed=3), "a", "\ud800"]
+        stdin = b"".join(
+            np.int64(len(s)).tobytes() + s.encode("utf-32-le", "surrogatepass") for s in cases
+        )
+        # AddressSanitizer checks for leaks at exit by default on Linux.
+        env = dict(os.environ, UBSAN_OPTIONS="print_stacktrace=1")
+        run = subprocess.run([str(exe)], input=stdin, capture_output=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr.decode(errors="replace")[-3000:]
+        assert run.stderr == b""
+        got = np.frombuffer(run.stdout, dtype=np.int32)
+        assert got.size == sum(map(len, cases))
+        offset = 0
+        for s in cases:
+            assert got[offset : offset + len(s)].tolist() == entropy._automaton_lengths(s), s[:40]
+            offset += len(s)
 
     def test_load_failure_falls_back_with_one_warning(self, monkeypatch, caplog, tmp_path):
         def no_compiler():
