@@ -262,7 +262,6 @@ def cmd_analyze(config: RunConfig) -> int:
 
     rows: list[BookMeasurement] = []
     errors: list[tuple[str, int, int, str]] = []  # in the order of ERROR_KEYS
-    lost = 0  # units whose worker process died
     digests: dict[str, str] = {}
     missing_report: dict[str, list[int]] = {}
     input_of: dict[str, int] = {}  # translation id -> index of the first input with it
@@ -270,8 +269,8 @@ def cmd_analyze(config: RunConfig) -> int:
         for (index, path, part), outcome in zip(tasks, outcomes):
             died = outcome is None
             if died:
-                # Parse the input here only to name the units the task had.
-                outcome = _measure_input(path, part, config, measure=False)
+                # Parse the input here only for its id, digest and missing books.
+                outcome = _measure_input(path, [], config)
             if isinstance(outcome, str):
                 logger.error("%s", outcome)
                 return 1
@@ -291,10 +290,10 @@ def cmd_analyze(config: RunConfig) -> int:
             rows += outcome.rows
             for error in outcome.errors:
                 errors.append((tid, *error))
-                if died:
-                    lost += 1
-                else:
-                    logger.error("measurement failed for %s book %d replicate %d: %s", *errors[-1])
+                logger.error("measurement failed for %s book %d replicate %d: %s", *errors[-1])
+            if died:  # the task lost its units on every book the input has
+                errors += [(tid, b, r, _DIED) for b, r in part if b not in outcome.missing]
+    lost = sum(error[-1] == _DIED for error in errors)
     if lost:
         logger.error(
             "a worker process died; %d of %d units were not measured (listed under "
@@ -375,14 +374,12 @@ def _outcomes(tasks: list[tuple[int, str, list[tuple[int, int]]]], config: RunCo
 
 
 def _measure_input(
-    path: str, units: list[tuple[int, int]], config: RunConfig, measure: bool = True
+    path: str, units: list[tuple[int, int]], config: RunConfig
 ) -> _InputOutcome | str:
     """Parse one input, select and (optionally) truncate the requested books,
     and measure those of ``units`` the input has. An input error and each
     unit's error come back as their messages: no exception crosses from a pool
-    worker, where one that pickle cannot rebuild would break the whole pool.
-    With ``measure`` false, each of those units gets the error of a unit whose
-    worker process died."""
+    worker, where one that pickle cannot rebuild would break the whole pool."""
     # parse_corpus, truncate_books and measure_replicate are globals looked
     # up per call, so a replaced one runs.
     try:
@@ -398,9 +395,7 @@ def _measure_input(
     books = {book.book_id: book for book in found}
     rows, errors = [], []
     for book_id, r in units:
-        if book_id in books and not measure:
-            errors.append((book_id, r, _DIED))
-        elif book_id in books:
+        if book_id in books:
             try:
                 rows.append(measure_replicate(books[book_id], r, config))
             except Exception as exc:
@@ -535,7 +530,7 @@ def cmd_synth_stream(
     kind: str, k: int | None, probs: str | None, transition: str | None, n: int, seed: int,
     chunk: int, out: str,
 ) -> int:
-    from .testkit import generate, iid_source, markov_source
+    from .testkit import generate, iid_source, markov_source, uniform_iid
 
     for flag, setting, unread in (
         ("--k", "--kind markov1", kind == "markov1" and k is not None),
@@ -547,9 +542,10 @@ def cmd_synth_stream(
             logger.error("synth stream: %s has no effect with %s; drop it", flag, setting)
             return 1
     try:
-        if kind == "iid":
-            k = 4 if k is None else k
-            source = iid_source([float(p) for p in probs.split(",")] if probs else [1.0 / k] * k)
+        if kind == "iid" and probs:
+            source = iid_source([float(p) for p in probs.split(",")])
+        elif kind == "iid":
+            source = uniform_iid(4 if k is None else k)
         elif transition:
             source = markov_source(
                 [[float(p) for p in row.split(",")] for row in transition.split(";")]

@@ -19,6 +19,9 @@ Two input formats are supported:
 * ``tsv``: UTF-8 lines of the form ``book_id<TAB>chapter<TAB>verse<TAB>text``
   with the same comment convention.
 
+In both, id fields are ASCII digits (whitespace around a field is allowed)
+and book, chapter and verse are at least 1.
+
 Lines end at ``\n``, ``\r\n`` or ``\r`` only. Any other Unicode line or
 paragraph separator inside a verse is whitespace, like a tab.
 """
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, Union
@@ -59,6 +63,14 @@ DEFAULT_BOOK_IDS: tuple[int, ...] = (40, 41, 42, 43, 44, 66)
 #: Corpus line formats (see the module docstring).
 FORMATS = ("pbc", "tsv")
 
+#: Each format's data line: its shape as error messages name it, the number
+#: of tab-separated id fields before the text, and the digit count of a
+#: single id holding book, chapter and verse (0: one field each).
+_SHAPES = {
+    "pbc": ("<8-digit id><TAB>text", 1, 8),
+    "tsv": ("book<TAB>chapter<TAB>verse<TAB>text", 3, 0),
+}
+
 #: Where :func:`truncate_books` may cut a book.
 TRUNCATIONS = ("token", "char")
 
@@ -79,7 +91,7 @@ class CorpusFormatError(ValueError):
         super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class VerseRef:
     """Canonical verse address; ordering is (book, chapter, verse)."""
 
@@ -95,7 +107,7 @@ class VerseRef:
         return f"{self.book_id}:{self.chapter}:{self.verse}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verse:
     """One verse of pre-tokenized text (tokens separated by single spaces)."""
 
@@ -174,10 +186,9 @@ def parse_corpus(
     fmt = fmt.lower()
     if fmt not in FORMATS:
         raise ValueError(f"unknown corpus format {fmt!r} (expected one of {FORMATS})")
-    parse_line = _parse_pbc_line if fmt == "pbc" else _parse_tsv_line
 
     comments: dict[str, str] = {}
-    by_book: dict[int, list[Verse]] = {}
+    by_book: defaultdict[int, list[Verse]] = defaultdict(list)
     seen: dict[VerseRef, int] = {}
     skipped_empty = 0
 
@@ -193,20 +204,19 @@ def parse_corpus(
             if kv is not None:
                 comments.setdefault(kv[0], kv[1])
             continue
-        ref, body = parse_line(raw, line_no)
+        ref, body = _parse_line(raw, line_no, fmt)
         if lowercase:
             body = body.lower()
         body = " ".join(body.split())
         if not body:
             skipped_empty += 1
             continue
-        if ref in seen:
+        first = seen.setdefault(ref, line_no)
+        if first != line_no:
             raise CorpusFormatError(
-                f"duplicate verse reference {ref} (first seen at line {seen[ref]})",
-                line_no,
+                f"duplicate verse reference {ref} (first seen at line {first})", line_no
             )
-        seen[ref] = line_no
-        by_book.setdefault(ref.book_id, []).append(Verse(ref, body))
+        by_book[ref.book_id].append(Verse(ref, body))
 
     if not seen:
         raise CorpusFormatError("no verses found in input")
@@ -218,7 +228,7 @@ def parse_corpus(
     books = {
         book_id: Book(
             book_id=book_id,
-            verses=tuple(sorted(verses, key=lambda v: v.ref)),
+            verses=tuple(sorted(verses, key=lambda v: (v.ref.chapter, v.ref.verse))),
             translation_id=tid,
             language=lang,
         )
@@ -252,8 +262,9 @@ def truncate_books(
 
     The shortest book is returned unchanged. With ``granularity="token"``
     the cut is placed at the last token boundary not exceeding the target
-    length, so no token is ever split; with ``granularity="char"`` the
-    cut is exact (a trailing separator space is dropped). Books are
+    length, so no token is split unless a book's first token alone exceeds
+    it; with ``granularity="char"`` the cut is exact (a trailing separator
+    space is dropped). Books are
     truncated in their given verse order, so any randomization should be
     applied afterwards.
     """
@@ -272,36 +283,20 @@ def truncate_books(
 
 def _truncate_book(book: Book, target: int, granularity: str) -> Book:
     flat = flatten(book)
-    if granularity == "token":
-        cut = _last_token_boundary(flat, target)
-        if cut == 0:
-            # Degenerate corpus: the first token alone exceeds the target.
-            cut = target
-    else:
-        cut = target
-    kept = flat[:cut].rstrip(" ")
+    cut = flat.rfind(" ", 0, target + 1) if granularity == "token" else -1
+    # No space at or before the target (the first token alone exceeds it), or
+    # a char cut: cut at the target. A trailing separator space is dropped.
+    kept = flat[: target if cut < 0 else cut].rstrip(" ")
 
     new_verses: list[Verse] = []
     offset = 0
     for verse in book.verses:
-        if offset >= len(kept):
+        piece = kept[offset : offset + len(verse.text)]
+        if not piece:
             break
-        end = offset + len(verse.text)
-        piece = kept[offset : min(end, len(kept))].rstrip(" ")
-        if piece:
-            new_verses.append(verse if piece == verse.text else Verse(verse.ref, piece))
-        offset = end + 1
+        new_verses.append(verse if piece == verse.text else Verse(verse.ref, piece))
+        offset += len(verse.text) + 1
     return replace(book, verses=tuple(new_verses))
-
-
-def _last_token_boundary(flat: str, target: int) -> int:
-    """Largest prefix length <= target that ends exactly at a token end."""
-    if target >= len(flat):
-        return len(flat)
-    if flat[target] == " ":
-        return target
-    idx = flat.rfind(" ", 0, target)
-    return idx if idx > 0 else 0
 
 
 def _read_source(
@@ -331,29 +326,24 @@ def _language_from_comments(comments: Mapping[str, str]) -> str | None:
     return None
 
 
-def _parse_pbc_line(line: str, line_no: int) -> tuple[VerseRef, str]:
-    ident, sep, body = line.partition("\t")
-    ident = ident.strip()
-    if not sep or len(ident) != 8 or not ident.isdigit():
-        raise CorpusFormatError(
-            f"expected '<8-digit id><TAB>text', got {line[:50]!r}", line_no
-        )
+def _parse_line(line: str, line_no: int, fmt: str) -> tuple[VerseRef, str]:
+    """Split a data line into its verse reference and its text."""
+    shape, n_ids, width = _SHAPES[fmt]
+    fields = line.split("\t", n_ids)
+    if width:  # one id field: book (2 digits), chapter (3) and verse (3)
+        ident = fields[0].strip()
+        fields[:1] = (ident[:2], ident[2:5], ident[5:]) if len(ident) == width else ()
+    # A line short of fields gets empty ids, which the check rejects; so does
+    # whitespace inside a fixed-width id, which leaves it short of digits.
+    book, chapter, verse, body = fields if len(fields) == 4 else ("",) * 4
+    book, chapter, verse = book.strip(), chapter.strip(), verse.strip()
+    digits = book + chapter + verse
+    if not (book and chapter and verse and digits.isascii() and digits.isdigit()) or (
+        width and len(digits) != width
+    ):
+        raise CorpusFormatError(f"expected '{shape}', got {line[:50]!r}", line_no)
     try:
-        ref = VerseRef(int(ident[:2]), int(ident[2:5]), int(ident[5:8]))
+        ref = VerseRef(int(book), int(chapter), int(verse))
     except ValueError as exc:
         raise CorpusFormatError(str(exc), line_no) from None
     return ref, body
-
-
-def _parse_tsv_line(line: str, line_no: int) -> tuple[VerseRef, str]:
-    parts = line.split("\t", 3)
-    if len(parts) != 4:
-        raise CorpusFormatError(
-            f"expected 'book<TAB>chapter<TAB>verse<TAB>text', got {line[:50]!r}",
-            line_no,
-        )
-    try:
-        ref = VerseRef(int(parts[0]), int(parts[1]), int(parts[2]))
-    except ValueError as exc:
-        raise CorpusFormatError(str(exc), line_no) from None
-    return ref, parts[3]

@@ -309,13 +309,12 @@ class OracleReport:
     """Outcome of a randomized fast-vs-naive comparison."""
 
     cases: int
-    failures: int
-    counterexample: str | None
+    counterexample: str | None  # the shrunk first mismatch, if any
     elapsed_s: float
 
     @property
     def passed(self) -> bool:
-        return self.failures == 0
+        return self.counterexample is None
 
 
 #: Symbols every oracle alphabet may take besides ASCII letters: two- and
@@ -375,22 +374,14 @@ def run_oracle_check(
     """
     rng = random.Random(seed)
     started = time.monotonic()
+    counterexample = None
     for _ in range(count):
         s = _oracle_case(rng, min_len, max_len, rng.randint(min_alpha, max_alpha))
         if not np.array_equal(fast_fn(s).values, naive_fn(s).values):
-            small = _shrink_counterexample(s, fast_fn, naive_fn)
-            return OracleReport(
-                cases=count,
-                failures=1,
-                counterexample=small,
-                elapsed_s=time.monotonic() - started,
-            )
-    return OracleReport(
-        cases=count,
-        failures=0,
-        counterexample=None,
-        elapsed_s=time.monotonic() - started,
-    )
+            counterexample = _shrink_counterexample(s, fast_fn, naive_fn)
+            break
+    elapsed_s = time.monotonic() - started
+    return OracleReport(cases=count, counterexample=counterexample, elapsed_s=elapsed_s)
 
 
 def _shrink_counterexample(

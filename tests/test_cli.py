@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import concurrent.futures
+import functools
 import json
 import multiprocessing
 import os
@@ -15,10 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from wordtradeoff import cli, measures
+from wordtradeoff import cli, entropy, measures
 from wordtradeoff.cli import RunConfig, cmd_analyze, main
 from wordtradeoff.corpus import Book, Verse, VerseRef, parse_corpus
-from wordtradeoff.entropy import kernel_name
+from wordtradeoff.entropy import MatchLengths, kernel_name, match_lengths_naive
 from wordtradeoff.measures import (
     RESULT_COLUMNS,
     BookMeasurement,
@@ -517,6 +519,39 @@ class TestStats:
         (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert error == "cannot read results: results CSV row 5: field larger than field limit (131072)"
 
+    @pytest.mark.parametrize("body", ["", "\n\n\n"], ids=["header-only", "blank-records"])
+    def test_table_without_rows_fatal(self, tmp_path, caplog, body):
+        results = tmp_path / "results.csv"
+        results.write_text(",".join(RESULT_COLUMNS) + "\n" + body)
+        assert main(["stats", str(results)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["results table is empty"]
+        assert not (tmp_path / "fits.csv").exists()
+
+    def test_unreadable_header_named_as_row_1(self, tmp_path, caplog):
+        results = tmp_path / "results.csv"
+        results.write_text('"' + "t" * 200000 + '",language\n')
+        assert main(["stats", str(results)]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error == "cannot read results: results CSV row 1: field larger than field limit (131072)"
+
+    def test_book_whose_fit_raises_is_skipped(self, tmp_path, caplog):
+        # Group l1's d_order mean on book 40 is exactly 0, so the reciprocal
+        # fit of book 40 raises; book 41 is still fitted and written.
+        lines = [",".join(RESULT_COLUMNS)]
+        for i, d_order in enumerate((0.0, 0.1, 0.2), start=1):
+            for book, d in ((40, d_order), (41, d_order + 0.05)):
+                lines.append(f"t{i},l{i},{book},0,1000,2.5,{2.5 + d},{2.5 + 0.3 - d},{d},{0.3 - d}")
+        results = tmp_path / "results.csv"
+        results.write_text("\n".join(lines) + "\n")
+        assert main(["stats", str(results)]) == 0
+        skipped = [r.getMessage() for r in caplog.records
+                   if r.levelname == "WARNING" and "skipped" in r.getMessage()]
+        assert len(skipped) == 1
+        assert skipped[0].startswith("book 40: d_order is exactly 0")
+        fits = (tmp_path / "fits.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in fits] == ["book_id", "41"]
+
     def test_repeated_book_ids_counted_once(self, tmp_path):
         results = Path(__file__).parent / "data" / "golden" / "stats" / "results.csv"
         for books in ("40,40,41", "40,41"):
@@ -536,6 +571,21 @@ class TestOracleCheckCommand:
         code = main(["oracle-check", "--count", "0"])
         assert code == 0
         assert "vacuous" in capsys.readouterr().out
+
+    def test_disagreement_exits_2_with_counterexample(self, monkeypatch, capsys):
+        def faulty(s):  # wrong on the last length of every input of 3 or more
+            values = match_lengths_naive(s).values.tolist()
+            if len(values) >= 3:
+                values[-1] += 1
+            return MatchLengths(tuple(values))
+
+        monkeypatch.setattr(
+            cli, "run_oracle_check", functools.partial(entropy.run_oracle_check, fast_fn=faulty)
+        )
+        assert main(["oracle-check", "--count", "5", "--min-len", "5", "--max-len", "20"]) == 2
+        prefix, _, shown = capsys.readouterr().out.partition("counterexample: ")
+        assert prefix == "oracle-check: FAIL, minimal "
+        assert len(ast.literal_eval(shown)) == 3  # shrunk to the shortest failing input
 
 
 def _parsed_analyze_config(monkeypatch, *flags):
@@ -684,6 +734,29 @@ def test_dead_worker_exits_2_and_writes_what_finished(tmp_path, monkeypatch, cap
     assert all("worker process died" in e["error"] for e in errors)
     measured = set(zip(rows.book_id.tolist(), rows.replicate.tolist()))
     assert not measured & {(e["book_id"], e["replicate"]) for e in errors}
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the stand-in measure function reaches the workers only when they are forked",
+)
+def test_dead_worker_lists_no_unit_of_a_missing_book(tmp_path, monkeypatch, caplog):
+    # The input lacks book 1. The first of the two tasks holds book 1's two
+    # units and (40, 0), on which its worker dies: only (40, 0) was lost there.
+    corpus = tmp_path / "c.tsv"
+    write_two_book_corpus(corpus)
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "measure_replicate", _measure_or_die)
+    argv = ["analyze", str(corpus), "--format", "tsv", "--books", "1,40,41",
+            "--replicates", "2", "--workers", "2", "--out", str(out)]
+    assert main(argv) == 2
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["missing_books"] == {"c": [1]}
+    lost = [(e["book_id"], e["replicate"]) for e in manifest["errors"]]
+    assert (40, 0) in lost and all(book != 1 for book, _ in lost)
+    assert manifest["rows_written"] + len(lost) == 4
+    (message,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert f"{len(lost)} of 4 units" in message
 
 
 def write_unmaskable_corpus(path: Path) -> None:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import io
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wordtradeoff.corpus import (
     DEFAULT_BOOK_IDS,
@@ -138,6 +139,53 @@ class TestParse:
         with pytest.raises(CorpusFormatError, match="^line 3: .*'not-a-line'"):
             parse_corpus(b"40001001\ta\r\n40001002\tb\rnot-a-line\n", "pbc")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "4_0\t1\t1\ttext",
+            "+40\t1\t1\ttext",
+            " \u0664\u0660\t1\t1\ttext",
+            "40\t1\t-1\ttext",
+            "40\t\t1\ttext",
+            "40\t \t1\ttext",
+        ],
+        ids=ascii,
+    )
+    def test_tsv_id_that_is_not_ascii_digits_is_a_shape_error(self, line):
+        data = f"40\t1\t1\tfine\n{line}\n".encode()
+        with pytest.raises(CorpusFormatError, match="^line 2: expected 'book<TAB>chapter"):
+            parse_corpus(data, "tsv")
+
+    @pytest.mark.parametrize(
+        "ident",
+        # fullwidth digits; whitespace inside the id; 7 and 9 digits
+        ["\uff14\uff10\uff10\uff10\uff11\uff10\uff10\uff11", "40 01001", "4000 1001", "4000100",
+         "400010011"],
+        ids=ascii,
+    )
+    def test_pbc_id_that_is_not_8_ascii_digits_is_a_shape_error(self, ident):
+        data = f"40001001\tfine\n{ident}\ttext\n".encode()
+        with pytest.raises(CorpusFormatError, match="^line 2: expected '<8-digit id><TAB>text'"):
+            parse_corpus(data, "pbc")
+
+    @pytest.mark.parametrize("fmt,ref", [("tsv", " 40 \t 1\t2 "), ("pbc", " 40001002 ")])
+    def test_whitespace_around_an_id_field_is_allowed(self, fmt, ref):
+        tr = parse_corpus(f"{ref}\tsome text\n".encode(), fmt)
+        assert tr.books[40].verses[0].ref == VerseRef(40, 1, 2)
+
+    @pytest.mark.parametrize(
+        "fmt,ref",
+        [("tsv", "40\t0\t1"), ("tsv", "0\t1\t1"), ("pbc", "40001000"), ("pbc", "00001001")],
+    )
+    def test_zero_id_field_is_an_invalid_reference(self, fmt, ref):
+        with pytest.raises(CorpusFormatError, match="^line 1: invalid verse reference"):
+            parse_corpus(f"{ref}\ttext\n".encode(), fmt)
+
+    @pytest.mark.parametrize("line", ["40\t1\ttext", "40\t1", "40 1 1 text"])
+    def test_tsv_line_with_too_few_fields_is_a_shape_error(self, line):
+        with pytest.raises(CorpusFormatError, match="^line 1: expected 'book<TAB>chapter"):
+            parse_corpus(f"{line}\n".encode(), "tsv")
+
 
 class TestFlatten:
     def test_single_verse(self):
@@ -157,6 +205,39 @@ class TestFlatten:
         text = flatten(book)
         assert text.split(" ") == tokens
         assert len(text) == book.char_length
+
+
+def reference_truncate_book(book, target, granularity):
+    """Test-only copy of the earlier cut: find the token boundary, then trim
+    each verse's piece, skipping empty pieces."""
+    flat = flatten(book)
+    if granularity == "token":
+        cut = reference_last_token_boundary(flat, target)
+        if cut == 0:
+            cut = target
+    else:
+        cut = target
+    kept = flat[:cut].rstrip(" ")
+    new_verses = []
+    offset = 0
+    for verse in book.verses:
+        if offset >= len(kept):
+            break
+        end = offset + len(verse.text)
+        piece = kept[offset : min(end, len(kept))].rstrip(" ")
+        if piece:
+            new_verses.append(verse if piece == verse.text else Verse(verse.ref, piece))
+        offset = end + 1
+    return replace(book, verses=tuple(new_verses))
+
+
+def reference_last_token_boundary(flat, target):
+    if target >= len(flat):
+        return len(flat)
+    if flat[target] == " ":
+        return target
+    idx = flat.rfind(" ", 0, target)
+    return idx if idx > 0 else 0
 
 
 class TestTruncate:
@@ -231,6 +312,35 @@ class TestTruncate:
     def test_needs_two_books(self):
         with pytest.raises(ValueError):
             truncate_books([make_book(["just one"])])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.lists(st.text("ab\u00e9", min_size=1, max_size=9), min_size=1, max_size=4),
+                min_size=1,
+                max_size=5,
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        st.sampled_from(["token", "char"]),
+    )
+    # A token cut inside a first token longer than the target; a char cut
+    # on the separator between two verses.
+    @example([[["abcdefgh"], ["ab"]], [["a", "b"]]], "token")
+    @example([[["ab"], ["a", "b"]], [["abc"]]], "char")
+    def test_cut_equals_the_two_step_reference(self, books, granularity):
+        books = [
+            make_book([" ".join(tokens) for tokens in verses], book_id=40 + i)
+            for i, verses in enumerate(books)
+        ]
+        target = min(b.char_length for b in books)
+        expected = [
+            b if b.char_length <= target else reference_truncate_book(b, target, granularity)
+            for b in books
+        ]
+        assert truncate_books(books, granularity) == expected
 
     def test_bad_granularity(self):
         books = [make_book(["a b"]), make_book(["c d"], book_id=41)]
