@@ -55,7 +55,6 @@ from .stats import (
 from .transforms import (
     MaskSpaceExhaustedError,
     MaskTable,
-    SeedSpec,
     Xorshift64Star,
     build_mask_table,
     derive_seed,
@@ -84,7 +83,6 @@ __all__ = [
     "RankTables",
     "RegressionFit",
     "ResultsTable",
-    "SeedSpec",
     "Translation",
     "Verse",
     "VerseRef",

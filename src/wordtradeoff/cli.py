@@ -102,13 +102,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _books_arg(text: str) -> tuple[int, ...]:
-    try:
-        ids = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
+    # Book ids are ASCII digits, as in the corpus formats.
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not all(part.isascii() and part.isdigit() for part in parts):
         raise argparse.ArgumentTypeError(f"bad book list {text!r}")
-    if not ids:
+    if not parts:
         raise argparse.ArgumentTypeError("no books requested")
-    return ids
+    return tuple(map(int, parts))
 
 
 def _count_arg(minimum: int):
@@ -386,10 +386,8 @@ def _measure_input(
         translation = parse_corpus(Path(path), config.fmt, lowercase=config.lowercase)
         tid = translation.translation_id
         found, missing = select_books(translation, config.books)
-        if config.truncate != "off" and len(found) >= 2:
+        if config.truncate != "off":
             found = truncate_books(found, config.truncate)
-        elif config.truncate != "off" and found:
-            logger.info("translation %s has a single selected book; nothing to truncate", tid)
     except (OSError, CorpusFormatError, ValueError) as exc:
         return str(exc)
     books = {book.book_id: book for book in found}

@@ -260,21 +260,19 @@ def truncate_books(
 ) -> list[Book]:
     """Cut all books down to the flattened length of the shortest one.
 
-    The shortest book is returned unchanged. With ``granularity="token"``
-    the cut is placed at the last token boundary not exceeding the target
-    length, so no token is split unless a book's first token alone exceeds
-    it; with ``granularity="char"`` the cut is exact (a trailing separator
-    space is dropped). Books are
-    truncated in their given verse order, so any randomization should be
-    applied afterwards.
+    The shortest book is returned unchanged, and so are fewer than two
+    books, since a lone book is its own shortest. With
+    ``granularity="token"`` the cut is placed at the last token boundary not
+    exceeding the target length, so no token is split unless a book's first
+    token alone exceeds it; with ``granularity="char"`` the cut is exact (a
+    trailing separator space is dropped). Books are truncated in their given
+    verse order, so any randomization should be applied afterwards.
     """
     if granularity not in TRUNCATIONS:
         raise ValueError(f"unknown truncation granularity {granularity!r}")
     books = list(books)
-    if len(books) < 2:
-        raise ValueError("truncation needs at least two books")
     lengths = [b.char_length for b in books]
-    target = min(lengths)
+    target = min(lengths, default=0)
     return [
         b if n <= target else _truncate_book(b, target, granularity)
         for b, n in zip(books, lengths)

@@ -99,10 +99,6 @@ class MatchLengths:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
 
 def _check_nonempty(s: str) -> None:
     if not s:
@@ -298,7 +294,7 @@ def _automaton_lengths(s: str) -> list[int]:
 
 def entropy_rate(ml: MatchLengths) -> float:
     """The entropy-rate estimate, in bits per character, of a match-length array."""
-    n = ml.n
+    n = len(ml.values)
     values = np.asarray(ml.values, dtype=np.float64)
     denom = np.log2(np.arange(2, n + 2, dtype=np.float64))
     return n / float(np.sum(values / denom))

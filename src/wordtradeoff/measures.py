@@ -41,7 +41,6 @@ from .corpus import Book, flatten
 from .entropy import entropy_rate, match_lengths
 from .transforms import (
     PURPOSE_TAGS,
-    SeedSpec,
     build_mask_table,
     derive_seed,
     destroy_word_order,
@@ -109,10 +108,6 @@ class BookMeasurement:
     d_order: float
     d_structure: float
 
-    @property
-    def has_negative_penalty(self) -> bool:
-        return self.d_order < 0 or self.d_structure < 0
-
 
 @dataclass(frozen=True, eq=False)
 class ResultsTable:
@@ -177,18 +172,8 @@ class GroupMeans:
 
 def measure_replicate(book: Book, replicate: int, config: MeasureConfig) -> BookMeasurement:
     """Estimate all three variants of one book for one replicate."""
-    seeds = {
-        purpose: derive_seed(
-            SeedSpec(
-                master_seed=config.master_seed,
-                translation_id=book.translation_id,
-                book_id=book.book_id,
-                replicate_index=replicate,
-                purpose=purpose,
-            )
-        )
-        for purpose in PURPOSE_TAGS
-    }
+    key = (config.master_seed, book.translation_id, book.book_id, replicate)
+    seeds = {purpose: derive_seed(*key, purpose) for purpose in PURPOSE_TAGS}
 
     base = shuffle_verses(book, seeds["verse_shuffle"]) if config.verse_shuffle else book
     text = flatten(base)
@@ -222,7 +207,7 @@ def measure_replicate(book: Book, replicate: int, config: MeasureConfig) -> Book
         d_order=h_order - h_original,
         d_structure=h_structure - h_original,
     )
-    if result.has_negative_penalty:
+    if result.d_order < 0 or result.d_structure < 0:
         logger.warning(
             "negative penalty for %s book %d replicate %d "
             "(d_order=%.4g, d_structure=%.4g): estimation noise at N=%d",

@@ -49,14 +49,20 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Spearman rank correlation (tie-aware via average ranks)."""
+def _paired(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` as float64 vectors of one length, at least 2."""
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
     if xv.ndim != 1 or xv.shape != yv.shape:
         raise ValueError("inputs must be equal-length vectors")
     if len(xv) < 2:
         raise ValueError("need at least two observations")
+    return xv, yv
+
+
+def spearman(x: Sequence[float], y: Sequence[float]) -> float:
+    """Spearman rank correlation (tie-aware via average ranks)."""
+    xv, yv = _paired(x, y)
     rx = _average_ranks(xv)
     ry = _average_ranks(yv)
     rx -= rx.mean()
@@ -90,13 +96,8 @@ def exact_perm_test(
     """
     if alternative not in ALTERNATIVES:
         raise ValueError(f"unknown alternative {alternative!r}")
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.ndim != 1 or xv.shape != yv.shape:
-        raise ValueError("inputs must be equal-length vectors")
+    xv, yv = _paired(x, y)
     n = len(xv)
-    if n < 2:
-        raise ValueError("need at least two observations")
     if n > 10:
         raise ValueError(
             f"n={n} too large for exact enumeration (max 10); "
@@ -155,13 +156,7 @@ def fit_reciprocal(x: Sequence[float], y: Sequence[float]) -> RegressionFit:
     closed form. Points with x = 0 are rejected with a diagnostic rather
     than silently dropped.
     """
-    xs = np.asarray(x, dtype=np.float64)
-    ys = np.asarray(y, dtype=np.float64)
-    if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ValueError("inputs must be equal-length vectors")
-    n = len(xs)
-    if n < 2:
-        raise ValueError("not enough points for the fit")
+    xs, ys = _paired(x, y)
     zero_idx = np.nonzero(xs == 0.0)[0]
     if zero_idx.size:
         raise ValueError(
@@ -189,7 +184,7 @@ def fit_reciprocal(x: Sequence[float], y: Sequence[float]) -> RegressionFit:
         beta0=beta0,
         beta1=beta1,
         r_squared=r_squared,
-        n_points=n,
+        n_points=len(xs),
     )
 
 

@@ -52,36 +52,6 @@ PURPOSE_TAGS = ("verse_shuffle", "order_shuffle", "mask_draw")
 class MaskSpaceExhaustedError(ValueError):
     """Alphabet too small to give every word type of some length a unique mask."""
 
-    def __init__(self, length: int, types: int, alphabet_size: int):
-        self.length = length
-        self.types = types
-        self.alphabet_size = alphabet_size
-        super().__init__(
-            f"cannot assign {types} distinct masks of length {length} over a "
-            f"{alphabet_size}-character mask alphabet"
-        )
-
-    def __reduce__(self):
-        # Pickle would rebuild the error from ``args``, which hold only the message.
-        return type(self), (self.length, self.types, self.alphabet_size)
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Identifies one randomization task for seed derivation."""
-
-    master_seed: int
-    translation_id: str
-    book_id: int
-    replicate_index: int = 0
-    purpose: str = "verse_shuffle"
-
-    def __post_init__(self) -> None:
-        if self.purpose not in PURPOSE_TAGS:
-            raise ValueError(f"unknown purpose tag {self.purpose!r}")
-        if self.replicate_index < 0:
-            raise ValueError("replicate_index must be >= 0")
-
 
 def _mix64(z: int) -> int:
     # splitmix64 finalizer; full 64-bit avalanche.
@@ -91,20 +61,27 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_seed(spec: SeedSpec) -> int:
-    """Derive the 64-bit task seed for one randomization task.
+def derive_seed(
+    master_seed: int, translation_id: str, book_id: int, replicate_index: int, purpose: str
+) -> int:
+    """Derive the 64-bit task seed of the task ``(master_seed, translation_id,
+    book_id, replicate_index, purpose)``.
 
     The fields are serialized length-prefixed (see docs/seeds.md),
     hashed with 64-bit FNV-1a and finalized with the splitmix64
     avalanche; a zero result is replaced by a fixed nonzero constant so
     the stream generator is always valid.
     """
-    blob = bytearray((spec.master_seed & _MASK64).to_bytes(8, "little"))
+    if purpose not in PURPOSE_TAGS:
+        raise ValueError(f"unknown purpose tag {purpose!r}")
+    if replicate_index < 0:
+        raise ValueError("replicate_index must be >= 0")
+    blob = bytearray((master_seed & _MASK64).to_bytes(8, "little"))
     for part in (
-        spec.translation_id.encode("utf-8"),
-        (spec.book_id & _MASK64).to_bytes(8, "little"),
-        (spec.replicate_index & _MASK64).to_bytes(8, "little"),
-        spec.purpose.encode("utf-8"),
+        translation_id.encode("utf-8"),
+        (book_id & _MASK64).to_bytes(8, "little"),
+        (replicate_index & _MASK64).to_bytes(8, "little"),
+        purpose.encode("utf-8"),
     ):
         blob += len(part).to_bytes(8, "little")
         blob += part
@@ -267,7 +244,10 @@ def build_mask_table(types: Iterable[str], alphabet: Iterable[str], seed: int) -
     by_length = Counter(len(t) for t in types)
     for length, count in sorted(by_length.items()):
         if len(alpha) ** length < count:
-            raise MaskSpaceExhaustedError(length, count, len(alpha))
+            raise MaskSpaceExhaustedError(
+                f"cannot assign {count} distinct masks of length {length} over a "
+                f"{len(alpha)}-character mask alphabet"
+            )
 
     # Every draw of the table is randbelow(k) on one stream, so the draws
     # are made in bulk and each mask (or discarded mask) takes the next

@@ -143,6 +143,9 @@ BAD_COUNTS = [
     ["synth", "toy", "--mode", "positional", "--seed", "-1"],
     ["synth", "toy", "--mode", "positional", "--vocab-seed", "-1"],
     ["synth", "stream", "--kind", "iid", "--seed", "-1"],
+    ["synth", "stream", "--kind", "markov1", "--transition", "0.5,0.5"],
+    ["analyze", "--format", "tsv", "--books", ",", "c.tsv"],
+    ["analyze", "--format", "tsv", "--replicates", "x", "c.tsv"],
 ]
 
 
@@ -759,6 +762,44 @@ def test_dead_worker_lists_no_unit_of_a_missing_book(tmp_path, monkeypatch, capl
     assert f"{len(lost)} of 4 units" in message
 
 
+def test_pool_broken_while_submitting_loses_the_unsubmitted_tasks(tmp_path, monkeypatch, caplog):
+    # Two inputs at two workers are two tasks. The pool breaks at the second
+    # submit: the first task still finishes, the second is listed as lost.
+    from concurrent.futures.process import BrokenProcessPool
+
+    golden = Path(__file__).parent / "data" / "golden"
+    submit = concurrent.futures.ProcessPoolExecutor.submit
+    calls = []
+
+    def submit_once(pool, *args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise BrokenProcessPool("a process in the pool was terminated abruptly")
+        return submit(pool, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", submit_once)
+    out = tmp_path / "out"
+    argv = ["analyze", str(golden / "toy_positional.tsv"), str(golden / "unicode_mix.tsv"),
+            "--format", "tsv", "--books", "1", "--replicates", "2", "--workers", "2",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert len(calls) == 2
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["rows_written"] == 2
+    assert manifest["errors"] == [
+        {"translation_id": "unicode_mix", "book_id": 1, "replicate": r,
+         "error": "not measured: its worker process died"}
+        for r in (0, 1)
+    ]
+    # The finished task's rows are those of the golden run with every task.
+    golden_rows = (golden / "expected" / "order-scope-verse" / "results.csv").read_text(
+        encoding="utf-8").splitlines()
+    written = (out / "results.csv").read_text(encoding="utf-8").splitlines()
+    assert written == [golden_rows[0]] + [r for r in golden_rows if r.startswith("toy_positional,")]
+    (message,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert "2 of 4 units" in message
+
+
 def write_unmaskable_corpus(path: Path) -> None:
     """Book 1's two word types need 2 distinct masks over a 1-character mask
     alphabet, so measuring it raises MaskSpaceExhaustedError; book 2 measures."""
@@ -876,10 +917,13 @@ class TestParser:
             main(["analyze", "--format", "xml", "x.tsv"])
         assert err.value.code == 1
 
-    def test_bad_book_list_exits_1(self):
+    @pytest.mark.parametrize("books", ["forty", "4_0", "+41", "٤٢", "40, 4_1"])
+    def test_bad_book_list_exits_1(self, books, capsys):
+        # Book ids are ASCII digits, as in the corpus: int() would take the rest.
         with pytest.raises(SystemExit) as err:
-            main(["analyze", "--books", "forty", "x.tsv"])
+            main(["analyze", "--books", books, "x.tsv"])
         assert err.value.code == 1
+        assert f"bad book list {books!r}" in capsys.readouterr().err
 
     def test_analyze_has_no_group_by(self):
         # Grouping belongs to stats; analyze writes one row per unit.

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wordtradeoff.corpus import (
     DEFAULT_BOOK_IDS,
+    TRUNCATIONS,
     Book,
     CorpusFormatError,
     Translation,
@@ -309,9 +310,13 @@ class TestTruncate:
         for before, after in zip(books, out):
             assert after.char_length <= before.char_length
 
-    def test_needs_two_books(self):
-        with pytest.raises(ValueError):
-            truncate_books([make_book(["just one"])])
+    def test_fewer_than_two_books_unchanged(self):
+        # A lone book is its own shortest.
+        book = make_book(["just one", "and its second verse"])
+        for granularity in TRUNCATIONS:
+            out = truncate_books([book], granularity)
+            assert len(out) == 1 and out[0] is book
+            assert truncate_books([], granularity) == []
 
     @settings(max_examples=300, deadline=None)
     @given(

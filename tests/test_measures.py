@@ -29,7 +29,7 @@ from wordtradeoff.measures import (
     read_results_csv,
     write_results_csv,
 )
-from wordtradeoff.transforms import SeedSpec, derive_seed
+from wordtradeoff.transforms import derive_seed
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -90,10 +90,29 @@ class TestMeasureBook:
         book = random_book(3, max_verses=8)
         rows = measure_book(book, MeasureConfig(replicates=3))
         seeds = {
-            derive_seed(SeedSpec(0, book.translation_id, book.book_id, r.replicate))
+            derive_seed(0, book.translation_id, book.book_id, r.replicate, "verse_shuffle")
             for r in rows
         }
         assert len(seeds) == 3
+
+    def test_negative_penalty_logs_a_warning(self, monkeypatch, caplog):
+        # Entropies of the original, order and structure variants, in call order.
+        book = random_book(5, max_verses=6)
+        for entropies, warned in (((2.0, 1.9, 2.1), True), ((2.0, 2.1, 1.9), True),
+                                  ((2.0, 2.0, 2.1), False)):
+            caplog.clear()
+            monkeypatch.setattr(measures, "entropy_rate", lambda ml, it=iter(entropies): next(it))
+            row = measures.measure_replicate(book, 1, MeasureConfig())
+            warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+            assert (row.d_order, row.d_structure) == (entropies[1] - 2.0, entropies[2] - 2.0)
+            if warned:
+                assert warnings == [
+                    f"negative penalty for {book.translation_id} book {book.book_id} "
+                    f"replicate 1 (d_order={row.d_order:.4g}, d_structure={row.d_structure:.4g})"
+                    f": estimation noise at N={row.n_chars}"
+                ]
+            else:
+                assert warnings == []
 
     def test_no_verse_shuffle_uses_canonical_order(self, monkeypatch):
         book = random_book(4, max_verses=8)
@@ -286,10 +305,6 @@ class TestSerialization:
         buf = io.StringIO()
         write_results_csv(read_results_csv(path), buf)
         assert buf.getvalue().encode("utf-8") == path.read_bytes()
-
-    def test_negative_penalty_flag(self):
-        assert fake_measurement(d_order=-0.01).has_negative_penalty
-        assert not fake_measurement().has_negative_penalty
 
 
 def reference_aggregate(measurements, group_by):

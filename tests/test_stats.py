@@ -217,12 +217,27 @@ class TestFitReciprocal:
             fit_reciprocal([0.5, 0.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least two observations"):
             fit_reciprocal([1.0], [1.0])
+
+    def test_constant_y_fits_exactly(self):
+        # Zero total variance: a flat line leaves no residual, so r^2 is 1.
+        fit = fit_reciprocal([0.5, 1.0, 2.0], [3.0, 3.0, 3.0])
+        assert (fit.beta0, fit.beta1, fit.r_squared, fit.n_points) == (3.0, 0.0, 1.0, 3)
 
     def test_identical_regressors_rejected(self):
         with pytest.raises(ValueError, match="identical"):
             fit_reciprocal([2.0, 2.0], [1.0, 3.0])
+
+
+@pytest.mark.parametrize("fn", [spearman, exact_perm_test, fit_reciprocal])
+def test_paired_inputs_checked_alike(fn):
+    for x, y in (([1.0, 2.0, 3.0], [1.0, 2.0]), ([[1.0, 2.0]], [[2.0, 1.0]])):
+        with pytest.raises(ValueError, match="inputs must be equal-length vectors"):
+            fn(x, y)
+    for x, y in (([1.0], [2.0]), ([], [])):
+        with pytest.raises(ValueError, match="need at least two observations"):
+            fn(x, y)
 
 
 class TestCorrelationMatrix:

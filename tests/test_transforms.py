@@ -17,7 +17,6 @@ from wordtradeoff.measures import MeasureConfig
 from wordtradeoff.transforms import (
     CompiledXorshift64Star,
     MaskSpaceExhaustedError,
-    SeedSpec,
     Xorshift64Star,
     build_mask_table,
     derive_seed,
@@ -45,44 +44,47 @@ def verse_counts(book):
 
 
 class TestSeedDerivation:
-    BASE = SeedSpec(master_seed=7, translation_id="deu_x", book_id=40,
-                    replicate_index=0, purpose="verse_shuffle")
+    BASE = (7, "deu_x", 40, 0, "verse_shuffle")
 
     def test_identical_specs_identical_seeds(self):
-        assert derive_seed(self.BASE) == derive_seed(SeedSpec(7, "deu_x", 40, 0, "verse_shuffle"))
+        assert derive_seed(*self.BASE) == derive_seed(7, "deu_x", 40, 0, "verse_shuffle")
 
     def test_replicates_all_distinct(self):
         seeds = {
-            derive_seed(SeedSpec(7, "deu_x", 40, r, "verse_shuffle"))
+            derive_seed(7, "deu_x", 40, r, "verse_shuffle")
             for r in range(1000)
         }
         assert len(seeds) == 1000
 
     def test_purpose_tags_distinct(self):
         seeds = {
-            derive_seed(SeedSpec(7, "deu_x", 40, 0, p))
+            derive_seed(7, "deu_x", 40, 0, p)
             for p in ("verse_shuffle", "order_shuffle", "mask_draw")
         }
         assert len(seeds) == 3
 
     def test_translation_and_book_distinct(self):
-        a = derive_seed(SeedSpec(7, "deu_x", 40, 0, "verse_shuffle"))
-        b = derive_seed(SeedSpec(7, "deu_y", 40, 0, "verse_shuffle"))
-        c = derive_seed(SeedSpec(7, "deu_x", 41, 0, "verse_shuffle"))
+        a = derive_seed(7, "deu_x", 40, 0, "verse_shuffle")
+        b = derive_seed(7, "deu_y", 40, 0, "verse_shuffle")
+        c = derive_seed(7, "deu_x", 41, 0, "verse_shuffle")
         assert len({a, b, c}) == 3
 
     def test_length_prefixing_prevents_field_bleed(self):
         # "ab" + book 1 vs "a" + ... must not collide via concatenation.
-        a = derive_seed(SeedSpec(0, "ab", 1, 0, "mask_draw"))
-        b = derive_seed(SeedSpec(0, "a", 1, 0, "mask_draw"))
+        a = derive_seed(0, "ab", 1, 0, "mask_draw")
+        b = derive_seed(0, "a", 1, 0, "mask_draw")
         assert a != b
 
     def test_bad_purpose_rejected(self):
-        with pytest.raises(ValueError):
-            SeedSpec(0, "t", 40, 0, "frobnicate")
+        with pytest.raises(ValueError, match="unknown purpose tag 'frobnicate'"):
+            derive_seed(0, "t", 40, 0, "frobnicate")
+
+    def test_negative_replicate_rejected(self):
+        with pytest.raises(ValueError, match="replicate_index must be >= 0"):
+            derive_seed(0, "t", 40, -1, "verse_shuffle")
 
     def test_result_is_64_bit(self):
-        s = derive_seed(self.BASE)
+        s = derive_seed(*self.BASE)
         assert 0 < s < 2**64
 
 
@@ -133,12 +135,14 @@ STREAM_KINDS = ("python", "compiled")
 class TestSeedVectors:
     """The test vectors of docs/seeds.md section 7, for both implementations."""
 
-    SPEC = SeedSpec(master_seed=2016, translation_id="deu_x", book_id=40,
-                    replicate_index=1, purpose="order_shuffle")
     SEED = 0x3366E93FE77FBAF5
 
     def test_derive_seed(self):
-        assert derive_seed(self.SPEC) == self.SEED
+        # The task tuple by the names of section 1.
+        assert derive_seed(
+            master_seed=2016, translation_id="deu_x", book_id=40,
+            replicate_index=1, purpose="order_shuffle",
+        ) == self.SEED
 
     def test_first_outputs(self):
         rng = Xorshift64Star(self.SEED)
@@ -329,18 +333,19 @@ class TestMaskTable:
         # 17 distinct length-2 types, 4-character usable alphabet
         with pytest.raises(MaskSpaceExhaustedError) as err:
             build_mask_table(types, set("abcd"), seed=0)
-        assert err.value.length == 2
-        assert err.value.types == 17
+        assert str(err.value) == (
+            "cannot assign 17 distinct masks of length 2 over a 4-character mask alphabet"
+        )
 
     def test_exhaustion_error_survives_pickle(self):
         # A library caller's process pool sends the error back by pickle.
-        error = MaskSpaceExhaustedError(2, 2, 1)
-        copy = pickle.loads(pickle.dumps(error))
+        with pytest.raises(MaskSpaceExhaustedError) as err:
+            build_mask_table(["ab", "cd"], "a", seed=0)
+        copy = pickle.loads(pickle.dumps(err.value))
         assert type(copy) is MaskSpaceExhaustedError
-        assert str(copy) == str(error) == (
+        assert str(copy) == str(err.value) == (
             "cannot assign 2 distinct masks of length 2 over a 1-character mask alphabet"
         )
-        assert (copy.length, copy.types, copy.alphabet_size) == (2, 2, 1)
 
     def test_space_excluded_from_mask_alphabet(self):
         # 16 length-2 types over 4 usable characters take all 16 masks, so
