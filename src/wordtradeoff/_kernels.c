@@ -14,12 +14,20 @@
  * match there when its shortened length falls in the clone's range.
  *
  * Layout: a state holds its first INLINE_EDGES transitions in its own
- * 28-byte struct, so the common lookup reads no other memory; further
+ * 24-byte struct, so the common lookup reads no other memory; further
  * transitions go to a per-state singly linked list in one flat edge array.
  * Most states have one or two transitions (1.6 on average for an iid
  * 4-symbol stream). An automaton over n symbols has at most 2n - 1 states
  * and 3n - 4 transitions (n >= 3), and construction never removes a
  * transition, so 2n + 2 states and 3n + 3 edges always suffice.
+ *
+ * An inline slot stores its code as uint16_t, and U+FFFF marks a free
+ * slot, so a slot test is one compare. U+FFFF itself and astral code
+ * points (above U+FFFF) always go to overflow edges, which store full
+ * 32-bit codes. Slots fill in order and are never emptied, so a BMP code
+ * reaches the overflow list only once both slots are taken. That lets
+ * each construction step find a transition or add it in one pass
+ * (find_or_add_edge): a free slot ends the search.
  *
  * shuffle_segments, randbelow_fill: the seeded draws of transforms.py's
  * Xorshift64Star, by the recipe of docs/seeds.md sections 2-4 (xorshift64*
@@ -31,13 +39,15 @@
 #include <stdlib.h>
 
 #define INLINE_EDGES 2
+/* Code of a free inline slot; U+FFFF itself never goes inline. */
+#define FREE_SLOT 0xFFFF
 
 typedef struct {
     int32_t len;  /* length of the longest string in the state */
     int32_t link; /* suffix link, -1 at the root */
     int32_t head; /* first overflow edge, -1 if none */
-    uint32_t c[INLINE_EDGES];
-    int32_t to[INLINE_EDGES]; /* -1 marks an unused slot */
+    int32_t to[INLINE_EDGES];
+    uint16_t c[INLINE_EDGES]; /* code of to[k], or FREE_SLOT */
 } state_t;
 
 typedef struct {
@@ -55,38 +65,72 @@ static void init_state(state_t *x, int32_t len, int32_t link)
     x->link = link;
     x->head = -1;
     for (int k = 0; k < INLINE_EDGES; k++)
-        x->to[k] = -1;
+        x->c[k] = FREE_SLOT;
 }
 
 /* Address of the target of v's transition on c, or NULL if it has none. */
 static int32_t *find_edge(state_t *st, edge_t *ed, int32_t v, uint32_t c)
 {
     state_t *x = &st[v];
-    for (int k = 0; k < INLINE_EDGES; k++)
-        if (x->to[k] >= 0 && x->c[k] == c)
-            return &x->to[k];
+    if (c < FREE_SLOT)
+        for (int k = 0; k < INLINE_EDGES; k++)
+            if (x->c[k] == c)
+                return &x->to[k];
     for (int32_t e = x->head; e >= 0; e = ed[e].next)
         if (ed[e].c == c)
             return &ed[e].to;
     return NULL;
 }
 
-static void add_edge(state_t *st, edge_t *ed, int32_t *n_edges, int32_t v,
-                     uint32_t c, int32_t to)
+static void push_edge(state_t *x, edge_t *ed, int32_t *n_edges, uint32_t c,
+                      int32_t to)
 {
-    state_t *x = &st[v];
-    for (int k = 0; k < INLINE_EDGES; k++) {
-        if (x->to[k] < 0) {
-            x->c[k] = c;
-            x->to[k] = to;
-            return;
-        }
-    }
     int32_t e = (*n_edges)++;
     ed[e].c = c;
     ed[e].to = to;
     ed[e].next = x->head;
     x->head = e;
+}
+
+/* Adds v's transition on c to `to`; v must have none on c. */
+static void add_edge(state_t *st, edge_t *ed, int32_t *n_edges, int32_t v,
+                     uint32_t c, int32_t to)
+{
+    state_t *x = &st[v];
+    if (c < FREE_SLOT)
+        for (int k = 0; k < INLINE_EDGES; k++)
+            if (x->c[k] == FREE_SLOT) {
+                x->c[k] = (uint16_t)c;
+                x->to[k] = to;
+                return;
+            }
+    push_edge(x, ed, n_edges, c, to);
+}
+
+/*
+ * find_edge and add_edge in one pass: the address of the target of v's
+ * transition on c, or NULL after adding that transition to `to`. A free
+ * slot ends the search (see Layout above).
+ */
+static int32_t *find_or_add_edge(state_t *st, edge_t *ed, int32_t *n_edges,
+                                 int32_t v, uint32_t c, int32_t to)
+{
+    state_t *x = &st[v];
+    if (c < FREE_SLOT)
+        for (int k = 0; k < INLINE_EDGES; k++) {
+            if (x->c[k] == c)
+                return &x->to[k];
+            if (x->c[k] == FREE_SLOT) {
+                x->c[k] = (uint16_t)c;
+                x->to[k] = to;
+                return NULL;
+            }
+        }
+    for (int32_t e = x->head; e >= 0; e = ed[e].next)
+        if (ed[e].c == c)
+            return &ed[e].to;
+    push_edge(x, ed, n_edges, c, to);
+    return NULL;
 }
 
 /*
@@ -123,10 +167,9 @@ int match_lengths(const uint32_t *s, int64_t n, int32_t *out)
         init_state(&st[cur], st[last].len + 1, -1);
         int32_t p = last;
         int32_t *t = NULL;
-        while (p != -1 && (t = find_edge(st, ed, p, c)) == NULL) {
-            add_edge(st, ed, &n_edges, p, c, cur);
+        while (p != -1 &&
+               (t = find_or_add_edge(st, ed, &n_edges, p, c, cur)) == NULL)
             p = st[p].link;
-        }
         if (p == -1) {
             st[cur].link = 0;
         } else {

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from test_golden import CORPORA, GOLDEN
 from wordtradeoff import cli, entropy, measures
+from wordtradeoff.corpus import flatten
 from wordtradeoff.entropy import (
     MatchLengths,
     entropy_rate,
@@ -38,10 +39,15 @@ from wordtradeoff.testkit import generate, render_toy_corpus, toy_language_pair,
 random_texts = st.text(
     alphabet=st.sampled_from("abcdefå"), min_size=1, max_size=120
 )
-#: Two- and four-byte UTF-8 letters and a lone surrogate, which a Python
-#: str may hold.
+#: Two- and four-byte UTF-8 letters, a lone surrogate, which a Python str
+#: may hold, and the code points at the edges of the kernel's inline slots:
+#: U+0000, U+FFFE, U+FFFF (the free-slot mark) and U+10FFFF.
 unicode_texts = st.text(
-    alphabet=st.sampled_from(["a", "b", "é", "😀", "\ud800"]), min_size=1, max_size=120
+    alphabet=st.sampled_from(
+        ["a", "b", "é", "😀", "\ud800", "\uffff", "\ufffe", "\U0010ffff", "\x00"]
+    ),
+    min_size=1,
+    max_size=120,
 )
 
 
@@ -207,6 +213,9 @@ class TestOracleEquivalence:
             "😀" * 600 + "é" * 600,
             fibonacci_word(2000),
             fibonacci_word(1597) + fibonacci_word(400),
+            "\uffff" * 300,
+            "a\uffff" * 200,
+            "ab" * 100 + "\uffff" + "ab" * 100 + "\uffff" + "ba\uffff" * 50,
         ],
         ids=[
             "e-acute",
@@ -219,11 +228,16 @@ class TestOracleEquivalence:
             "astral-runs",
             "fibonacci",
             "fibonacci-restart",
+            "ffff-run",
+            "ffff-period-2",
+            "ffff-into-free-slots",
         ],
     )
     def test_adversarial_inputs_equal_naive(self, s):
         # Runs, periodic strings and Fibonacci words drive the automaton's
-        # clone and suffix-link paths hardest.
+        # clone and suffix-link paths hardest. U+FFFF is the compiled
+        # kernel's free-slot mark; in the last case it first arrives at
+        # states whose second inline slot is still free.
         expected = match_lengths_naive(s).values
         for name, kernel in KERNELS:
             assert np.array_equal(kernel(s).values, expected), name
@@ -346,8 +360,8 @@ class TestKernels:
         elif source == "runs":
             s = runs_text(n, seed=2)
         else:
-            symbols = ["a", "é", "😀", "\ud800"]
-            s = "".join(symbols[i] for i in np.random.default_rng(9).integers(0, 4, n))
+            symbols = ["a", "é", "😀", "\ud800", "\uffff", "\U0010ffff"]
+            s = "".join(symbols[i] for i in np.random.default_rng(9).integers(0, 6, n))
         # The two-pass algorithm is a second oracle where the naive one is too slow.
         expected = reference_two_pass_lengths(s)
         for name, kernel in KERNELS:
@@ -378,6 +392,10 @@ class TestKernels:
         rng = random.Random(11)
         cases = [entropy._oracle_case(rng, 1, 400, rng.randint(2, 30)) for _ in range(300)]
         cases += [fibonacci_word(100_000), runs_text(100_000, seed=3), "a", "\ud800"]
+        # A book-sized table: toy affixal text, as analyze measures it.
+        book = flatten(render_toy_corpus(toy_language_pair(0)[1], 2500, seed=0))
+        assert len(book) >= 100_000
+        cases.append(book)
         stdin = b"".join(
             np.int64(len(s)).tobytes() + s.encode("utf-32-le", "surrogatepass") for s in cases
         )
