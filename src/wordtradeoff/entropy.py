@@ -46,7 +46,7 @@ compiler command; later calls and later processes load that file. It
 raises ValueError past ``_C_MAX_N`` (about 715M) characters. Where no
 compiler is found, or compiling or loading fails, one warning says why
 and the same algorithms run in pure Python with the same output: the
-match lengths 10-30x slower. :func:`kernel_name` reports which one a
+match lengths 15-40x slower. :func:`kernel_name` reports which one a
 process uses.
 """
 
