@@ -27,7 +27,10 @@
  * 32-bit codes. Slots fill in order and are never emptied, so a BMP code
  * reaches the overflow list only once both slots are taken. That lets
  * each construction step find a transition or add it in one pass
- * (find_or_add_edge): a free slot ends the search.
+ * (find_or_add_edge): a free slot ends the search. It also lets a clone
+ * copy its original's overflow edges straight to overflow: the clone
+ * starts with the original's inline slots, so any BMP code among those
+ * edges finds both slots taken there too.
  *
  * shuffle_segments, randbelow_fill: the seeded draws of transforms.py's
  * Xorshift64Star, by the recipe of docs/seeds.md sections 2-4 (xorshift64*
@@ -92,25 +95,10 @@ static void push_edge(state_t *x, edge_t *ed, int32_t *n_edges, uint32_t c,
     x->head = e;
 }
 
-/* Adds v's transition on c to `to`; v must have none on c. */
-static void add_edge(state_t *st, edge_t *ed, int32_t *n_edges, int32_t v,
-                     uint32_t c, int32_t to)
-{
-    state_t *x = &st[v];
-    if (c < FREE_SLOT)
-        for (int k = 0; k < INLINE_EDGES; k++)
-            if (x->c[k] == FREE_SLOT) {
-                x->c[k] = (uint16_t)c;
-                x->to[k] = to;
-                return;
-            }
-    push_edge(x, ed, n_edges, c, to);
-}
-
 /*
- * find_edge and add_edge in one pass: the address of the target of v's
- * transition on c, or NULL after adding that transition to `to`. A free
- * slot ends the search (see Layout above).
+ * The address of the target of v's transition on c, or NULL after adding
+ * that transition to `to`, in one pass: a free slot ends the search (see
+ * Layout above).
  */
 static int32_t *find_or_add_edge(state_t *st, edge_t *ed, int32_t *n_edges,
                                  int32_t v, uint32_t c, int32_t to)
@@ -184,7 +172,7 @@ int match_lengths(const uint32_t *s, int64_t n, int32_t *out)
                 st[clone].len = st[p].len + 1;
                 st[clone].head = -1;
                 for (int32_t f = st[q].head; f >= 0; f = ed[f].next)
-                    add_edge(st, ed, &n_edges, clone, ed[f].c, ed[f].to);
+                    push_edge(&st[clone], ed, &n_edges, ed[f].c, ed[f].to);
                 while (t != NULL && *t == q) {
                     *t = clone;
                     p = st[p].link;

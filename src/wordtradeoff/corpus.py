@@ -146,7 +146,6 @@ class Translation:
     """All books of one translation, and the sha256 hex digest of its input bytes."""
 
     translation_id: str
-    language: str
     books: Mapping[int, Book]
     sha256: str
 
@@ -234,7 +233,7 @@ def parse_corpus(
         )
         for book_id, verses in sorted(by_book.items())
     }
-    return Translation(tid, lang, books, hashlib.sha256(data).hexdigest())
+    return Translation(tid, books, hashlib.sha256(data).hexdigest())
 
 
 def select_books(

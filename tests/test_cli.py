@@ -62,7 +62,7 @@ class TestSynth:
         out = tmp_path / "toy.tsv"
         write_toy_corpus(out, "positional", seed=3)
         tr = parse_corpus(out, "tsv")
-        assert tr.language == "toy_positional"
+        assert tr.books[1].language == "toy_positional"
         assert len(tr.books[1].verses) == 25
 
     def test_stream_output_parses_and_chunks(self, tmp_path):

@@ -63,10 +63,11 @@ class TestParse:
 
     def test_comment_sets_language(self):
         tr = parse_corpus(PBC_SAMPLE, "pbc")
-        assert tr.language == "deu"
+        assert {b.language for b in tr.books.values()} == {"deu"}
 
     def test_language_from_tsv_comment(self):
-        assert parse_corpus(TSV_SAMPLE, "tsv").language == "eng"
+        tr = parse_corpus(TSV_SAMPLE, "tsv")
+        assert {b.language for b in tr.books.values()} == {"eng"}
 
     def test_books_grouped_and_sorted(self):
         shuffled = b"40001002\tsecond verse here\n40001001\tfirst verse here\n"
@@ -357,7 +358,7 @@ class TestTruncate:
 class TestSelect:
     def _translation(self, ids):
         books = {i: make_book([f"text of {i}"], book_id=i) for i in ids}
-        return Translation("t", "und", books, "")
+        return Translation("t", books, "")
 
     def test_all_present(self):
         tr = self._translation(DEFAULT_BOOK_IDS)
