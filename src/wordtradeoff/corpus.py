@@ -173,7 +173,8 @@ def parse_corpus(
     within each book. Data lines whose text is empty (untranslated
     verses) are skipped, and one warning gives their count. A
     ``# translation_id: ...`` comment sets the translation id; the
-    default is the file name's stem, and a ``# language_code: ...`` (or
+    default is the file name's stem, which must then be valid UTF-8
+    (else :class:`CorpusFormatError`), and a ``# language_code: ...`` (or
     similar) comment sets the language; other comments are ignored.
     """
     data, default_id = _read_source(source)
@@ -220,6 +221,12 @@ def parse_corpus(
     if not seen:
         raise CorpusFormatError("no verses found in input")
     tid = comments.get("translation_id") or default_id or "unknown"
+    # Only a file name that is not valid UTF-8 gives an id lone surrogates.
+    if any("\ud800" <= c <= "\udfff" for c in tid):
+        raise CorpusFormatError(
+            f"file name {str(source)!r} is not valid UTF-8; "
+            "give the input a '# translation_id: ...' comment"
+        )
     if skipped_empty:
         logger.warning("translation %s: skipped %d verses with empty text", tid, skipped_empty)
     lang = _language_from_comments(comments) or "und"

@@ -310,9 +310,11 @@ _ORACLE_EXTRA_SYMBOLS = ("é", "😀", "\ud800", "\x00", "\ufffe", "\uffff", "\U
 #: Longest run or periodic oracle case. On these the naive oracle's work
 #: grows with the square of the length, since every match runs to the end.
 _ORACLE_STRUCTURED_MAX_LEN = 150
+#: Shortest oracle case, and the smallest and largest oracle alphabets.
+_ORACLE_MIN_LEN, _ORACLE_MIN_ALPHA, _ORACLE_MAX_ALPHA = 1, 2, 30
 
 
-def _oracle_case(rng: random.Random, min_len: int, max_len: int, k: int) -> str:
+def _oracle_case(rng: random.Random, max_len: int, k: int) -> str:
     """One random oracle input over a k-symbol alphabet.
 
     Half the cases are iid draws; the others are runs of repeated
@@ -323,9 +325,9 @@ def _oracle_case(rng: random.Random, min_len: int, max_len: int, k: int) -> str:
     alphabet = rng.sample([*_ORACLE_EXTRA_SYMBOLS, *letters], k)
     kind = rng.choice(("iid", "iid", "runs", "periodic"))
     if kind == "iid":
-        n = rng.randint(min_len, max_len)
+        n = rng.randint(_ORACLE_MIN_LEN, max_len)
         return "".join(rng.choice(alphabet) for _ in range(n))
-    n = rng.randint(min_len, max(min_len, min(max_len, _ORACLE_STRUCTURED_MAX_LEN)))
+    n = rng.randint(_ORACLE_MIN_LEN, min(max_len, _ORACLE_STRUCTURED_MAX_LEN))
     if kind == "runs":
         chars: list[str] = []
         while len(chars) < n:
@@ -340,14 +342,12 @@ def _oracle_case(rng: random.Random, min_len: int, max_len: int, k: int) -> str:
 
 def run_oracle_check(
     count: int = 1000,
-    min_len: int = 1,
     max_len: int = 2000,
-    min_alpha: int = 2,
-    max_alpha: int = 30,
     seed: int = 0,
     fast_fn: Callable[[str], MatchLengths] = match_lengths,
 ) -> str | None:
-    """Compare ``fast_fn`` with :func:`match_lengths_naive` on random sequences.
+    """Compare ``fast_fn`` with :func:`match_lengths_naive` on ``count``
+    random sequences of at most ``max_len`` characters.
 
     Inputs mix iid strings, runs and near-periodic strings over alphabets
     drawn from ASCII letters and :data:`_ORACLE_EXTRA_SYMBOLS` (see
@@ -360,7 +360,7 @@ def run_oracle_check(
     """
     rng = random.Random(seed)
     for _ in range(count):
-        s = _oracle_case(rng, min_len, max_len, rng.randint(min_alpha, max_alpha))
+        s = _oracle_case(rng, max_len, rng.randint(_ORACLE_MIN_ALPHA, _ORACLE_MAX_ALPHA))
         if not np.array_equal(fast_fn(s).values, match_lengths_naive(s).values):
             return _shrink_counterexample(s, fast_fn)
     return None

@@ -65,9 +65,7 @@ def test_criterion_1_match_length_oracle_equivalence():
         and match_lengths("aaaa").values.tolist() == [1, 2, 3, 2]
         and match_lengths_naive("aaaa").values.tolist() == [1, 2, 3, 2]
     )
-    counterexample = run_oracle_check(
-        count=1000, min_len=1, max_len=2000, min_alpha=2, max_alpha=30, seed=20260811
-    )
+    counterexample = run_oracle_check(count=1000, seed=20260811)
     elapsed = time.monotonic() - started
     report(
         1,

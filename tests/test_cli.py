@@ -114,6 +114,15 @@ class TestSynth:
         assert error.startswith(f"synth stream: {unread} has no effect with")
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("flags", [["--kind", "iid"], ["--kind", "iid", "--k", "3"]],
+                             ids=["iid", "iid-k"])
+    def test_empty_probs_exits_1_naming_it(self, flags, capsys, caplog):
+        # An empty --probs once gave the uniform stream, as if it were absent.
+        assert main(["synth", "stream", *flags, "--probs", "", "--n", "20"]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert "--probs" in error
+        assert capsys.readouterr().out == ""
+
     def test_stream_k_defaults_to_4(self, capsys):
         assert main(["synth", "stream", "--kind", "iid", "--n", "60", "--seed", "3"]) == 0
         default = capsys.readouterr().out
@@ -123,17 +132,13 @@ class TestSynth:
         assert "h_true=2.000000" in default
 
 
-#: Count flags out of range or out of order, each a configuration error.
+#: Integer flags out of range or not ASCII digits, each a configuration error.
 BAD_COUNTS = [
     ["analyze", "--format", "tsv", "--replicates", "0", "c.tsv"],
     ["analyze", "--format", "tsv", "--replicates", "-2", "c.tsv"],
     ["analyze", "--format", "tsv", "--workers", "0", "c.tsv"],
     ["analyze", "--format", "tsv", "--workers", "-3", "c.tsv"],
     ["oracle-check", "--count", "-4"],
-    ["oracle-check", "--min-len", "5", "--max-len", "2"],
-    ["oracle-check", "--alpha-min", "0", "--alpha-max", "0"],
-    ["oracle-check", "--min-len", "0", "--max-len", "0"],
-    ["oracle-check", "--alpha-min", "9", "--alpha-max", "3"],
     ["synth", "stream", "--kind", "iid", "--n", "0"],
     ["synth", "stream", "--kind", "iid", "--k", "100"],
     ["synth", "stream", "--kind", "iid", "--k", "0"],
@@ -146,6 +151,13 @@ BAD_COUNTS = [
     ["synth", "stream", "--kind", "markov1", "--transition", "0.5,0.5"],
     ["analyze", "--format", "tsv", "--books", ",", "c.tsv"],
     ["analyze", "--format", "tsv", "--replicates", "x", "c.tsv"],
+    ["analyze", "--format", "tsv", "--replicates", "\u0663", "c.tsv"],
+    ["analyze", "--format", "tsv", "--workers", "1_0", "c.tsv"],
+    ["analyze", "--format", "tsv", "--seed", "+3", "c.tsv"],
+    ["analyze", "--format", "tsv", "--seed", "-\u0663", "c.tsv"],
+    ["oracle-check", "--count", "1_000"],
+    ["oracle-check", "--seed", "\uff17"],
+    ["synth", "toy", "--mode", "positional", "--sentences", " 5"],
 ]
 
 
@@ -269,6 +281,23 @@ class TestAnalyze:
         assert not (out_dir / "results.csv").exists()
         assert f"inputs {paths[0]} and {paths[1]} both have translation id 'x'" in caplog.text
         assert "# translation_id:" in caplog.text
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_utf8_file_name_exits_1(self, tmp_path, caplog, workers):
+        # Its stem once became a translation id with lone surrogates, and
+        # every unit then failed to derive its seed.
+        path = tmp_path / os.fsdecode(b"\xff\xfe-bible.tsv")
+        try:
+            write_two_book_corpus(path)
+        except (OSError, UnicodeEncodeError):
+            pytest.skip("the file system refuses a file name that is not UTF-8")
+        out_dir = tmp_path / "out"
+        code = main(["analyze", str(path), "--format", "tsv", "--books", "40",
+                     "--replicates", "1", "--workers", str(workers), "--out", str(out_dir)])
+        assert code == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert "not valid UTF-8" in error and "# translation_id:" in error
+        assert not (out_dir / "results.csv").exists()
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_same_path_twice_is_a_duplicate(self, tmp_path, caplog, workers):
@@ -565,10 +594,24 @@ class TestStats:
 
 
 class TestOracleCheckCommand:
-    def test_small_pass(self, capsys):
-        code = main(["oracle-check", "--count", "20", "--max-len", "200"])
+    def test_small_pass(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli, "run_oracle_check", functools.partial(entropy.run_oracle_check, max_len=200)
+        )
+        code = main(["oracle-check", "--count", "20"])
         assert code == 0
-        assert "PASS" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("oracle-check: PASS (20 cases, ")
+
+    def test_only_count_and_seed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["oracle-check", "--help"])
+        flags = {word.strip("[],") for word in capsys.readouterr().out.split()}
+        assert {flag for flag in flags if flag.startswith("--")} == {"--help", "--count", "--seed"}
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", "--min-len", "5"])
+        assert exc.value.code == 1
+        (line,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert "--min-len" in line
 
     def test_zero_cases_vacuous_pass(self, capsys):
         code = main(["oracle-check", "--count", "0"])
@@ -583,9 +626,11 @@ class TestOracleCheckCommand:
             return MatchLengths(tuple(values))
 
         monkeypatch.setattr(
-            cli, "run_oracle_check", functools.partial(entropy.run_oracle_check, fast_fn=faulty)
+            cli,
+            "run_oracle_check",
+            functools.partial(entropy.run_oracle_check, max_len=20, fast_fn=faulty),
         )
-        assert main(["oracle-check", "--count", "5", "--min-len", "5", "--max-len", "20"]) == 2
+        assert main(["oracle-check", "--count", "5"]) == 2
         prefix, _, shown = capsys.readouterr().out.partition("counterexample: ")
         assert prefix == "oracle-check: FAIL, minimal "
         assert len(ast.literal_eval(shown)) == 3  # shrunk to the shortest failing input
@@ -607,6 +652,11 @@ class TestRunConfig:
         assert cfg.order_scope == "book"
         assert _parsed_analyze_config(monkeypatch).order_scope == "verse"
         assert RunConfig(inputs=()).order_scope == "verse"
+
+    def test_seeds_may_be_negative(self, monkeypatch):
+        assert _parsed_analyze_config(monkeypatch, "--seed", "-5").master_seed == -5
+        monkeypatch.setattr(cli, "run_oracle_check", lambda count, seed: None)
+        assert main(["oracle-check", "--count", "1", "--seed", "-5"]) == 0
 
     def test_no_verse_shuffle_mapping(self, monkeypatch):
         cfg = _parsed_analyze_config(monkeypatch, "--no-verse-shuffle")
@@ -673,8 +723,7 @@ class TestRunConfig:
         )
         assert main(["stats", "r.csv", "--books", "40,41", "--group-by", "translation",
                      "--out", "elsewhere"]) == 0
-        assert main(["oracle-check", "--count", "3", "--min-len", "2", "--max-len", "9",
-                     "--alpha-min", "4", "--alpha-max", "5", "--seed", "7"]) == 0
+        assert main(["oracle-check", "--count", "3", "--seed", "7"]) == 0
         assert main(["synth", "toy", "--mode", "affixal", "--sentences", "7", "--seed", "2",
                      "--vocab-seed", "5", "--out", "t.tsv"]) == 0
         assert main(["synth", "stream", "--kind", "markov1", "--k", "3", "--probs", "0.5,0.5",
@@ -683,8 +732,7 @@ class TestRunConfig:
         assert calls == {
             "stats": {"results_path": "r.csv", "books": (40, 41), "group_by": "translation",
                       "out_dir": "elsewhere"},
-            "oracle-check": {"count": 3, "min_len": 2, "max_len": 9, "min_alpha": 4,
-                             "max_alpha": 5, "seed": 7},
+            "oracle-check": {"count": 3, "seed": 7},
             "synth toy": {"mode": "affixal", "sentences": 7, "seed": 2, "vocab_seed": 5,
                           "out": "t.tsv"},
             "synth stream": {"kind": "markov1", "k": 3, "probs": "0.5,0.5",

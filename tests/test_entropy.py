@@ -389,7 +389,7 @@ class TestKernels:
         assert build.returncode == 0, build.stderr
 
         rng = random.Random(11)
-        cases = [entropy._oracle_case(rng, 1, 400, rng.randint(2, 30)) for _ in range(300)]
+        cases = [entropy._oracle_case(rng, 400, rng.randint(2, 30)) for _ in range(300)]
         cases += [fibonacci_word(100_000), runs_text(100_000, seed=3), "a", "\ud800"]
         # A book-sized table: toy affixal text, as analyze measures it.
         book = flatten(render_toy_corpus(toy_language_pair(0)[1], 2500, seed=0))
