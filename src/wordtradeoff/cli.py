@@ -65,7 +65,6 @@ from .measures import (
     write_results_csv,
 )
 from .stats import (
-    BookFit,
     correlation_matrix,
     fit_reciprocal,
     rank_books,
@@ -191,8 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy = sy_sub.add_parser("toy", help="toy positional/affixal language")
     p_toy.add_argument("--mode", choices=("positional", "affixal"), required=True)
     p_toy.add_argument("--sentences", type=_int_arg(1), default=500)
-    p_toy.add_argument("--seed", type=_int_arg(0), default=0, help="message-stream seed")
-    p_toy.add_argument("--vocab-seed", type=_int_arg(0), default=None, help="default: --seed")
+    p_toy.add_argument("--seed", type=_int_arg(0), default=0, help="vocabulary and message seed")
     p_toy.add_argument("--out", default="-", help="output file or - for stdout")
 
     p_strm = sy_sub.add_parser("stream", help="iid or first-order Markov symbol stream")
@@ -419,7 +417,7 @@ def cmd_stats(
         by_key = {key: means.select(sorted(set(books))) for key, means in by_key.items()}
     grouped, per_translation = by_key[group_by], by_key["translation"]
 
-    fits: list[BookFit] = []
+    fits = []  # (book_id, fit, r_s) rows of fits.csv
     for book_id, x, y in zip(grouped.book_ids, grouped.d_order.T, grouped.d_structure.T):
         present = ~np.isnan(x)
         x, y = x[present], y[present]
@@ -432,7 +430,7 @@ def cmd_stats(
         except ValueError as exc:
             logger.warning("book %d: %s; skipped", book_id, exc)
             continue
-        fits.append(BookFit(book_id=book_id, fit=fit, r_s=r_s))
+        fits.append((book_id, fit, r_s))
     with open(out / "fits.csv", "w", newline="", encoding="utf-8") as fh:
         write_fits_csv(fits, fh)
 
@@ -490,16 +488,14 @@ def cmd_oracle_check(count: int, seed: int) -> int:
     return 2
 
 
-def cmd_synth_toy(
-    mode: str, sentences: int, seed: int, vocab_seed: int | None, out: str
-) -> int:
+def cmd_synth_toy(mode: str, sentences: int, seed: int, out: str) -> int:
     from .testkit import render_toy_corpus, toy_language_pair
 
-    vocab_seed = seed if vocab_seed is None else vocab_seed
-    positional, affixal = toy_language_pair(vocab_seed)
+    positional, affixal = toy_language_pair(seed)
     book = render_toy_corpus(positional if mode == "positional" else affixal, sentences, seed)
+    # The vocabulary seed is --seed; the header still names it.
     header = [
-        f"generator: toy mode={mode} sentences={sentences} seed={seed} vocab_seed={vocab_seed}",
+        f"generator: toy mode={mode} sentences={sentences} seed={seed} vocab_seed={seed}",
         f"language: toy_{mode}",
     ]
     lines = [f"{v.ref.book_id}\t{v.ref.chapter}\t{v.ref.verse}\t{v.text}" for v in book.verses]
@@ -528,7 +524,10 @@ def cmd_synth_stream(
             source = iid_source([float(p) for p in probs.split(",")])
         elif kind == "iid":
             source = uniform_iid(4 if k is None else k)
-        elif transition:
+        elif transition is not None:
+            if not transition.strip():
+                raise ValueError("--transition is empty: give semicolon-separated rows of "
+                                 "comma-separated probabilities")
             source = markov_source(
                 [[float(p) for p in row.split(",")] for row in transition.split(";")]
             )

@@ -188,10 +188,7 @@ def measure_replicate(book: Book, replicate: int, config: MeasureConfig) -> Book
     order_text = destroy_word_order(tokens, counts, seeds["order_shuffle"])
     h_order = entropy_rate(match_lengths(order_text))
 
-    # The word types hold every character of the text except the space
-    # between tokens, which is never a mask character.
-    types = dict.fromkeys(tokens)
-    table = build_mask_table(types, "".join(types), seeds["mask_draw"])
+    table = build_mask_table(dict.fromkeys(tokens), seeds["mask_draw"])
     masked_text = mask_word_structure(tokens, table)
     h_structure = entropy_rate(match_lengths(masked_text))
 

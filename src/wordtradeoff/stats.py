@@ -299,27 +299,19 @@ def rank_histograms(tables: RankTables) -> RankHistograms:
     return RankHistograms(book_ids=tables.book_ids, n_tables=len(tables), joint=joint)
 
 
-@dataclass(frozen=True)
-class BookFit:
-    """One book's trade-off summary over groups (for fits.csv)."""
-
-    book_id: int
-    fit: RegressionFit
-    r_s: float
-
-
-def write_fits_csv(fits: Sequence[BookFit], fh: IO[str]) -> None:
+def write_fits_csv(fits: Sequence[tuple[int, RegressionFit, float]], fh: IO[str]) -> None:
+    """Write one row per ``(book_id, fit, r_s)``: a book's trade-off over its groups."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["book_id", "beta0", "beta1", "r_squared", "n", "r_s"])
-    for f in fits:
+    for book_id, fit, r_s in fits:
         writer.writerow(
             [
-                str(f.book_id),
-                format_float(f.fit.beta0),
-                format_float(f.fit.beta1),
-                format_float(f.fit.r_squared),
-                str(f.fit.n_points),
-                format_float(f.r_s),
+                str(book_id),
+                format_float(fit.beta0),
+                format_float(fit.beta1),
+                format_float(fit.r_squared),
+                str(fit.n_points),
+                format_float(r_s),
             ]
         )
 

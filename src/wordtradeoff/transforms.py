@@ -50,7 +50,7 @@ PURPOSE_TAGS = ("verse_shuffle", "order_shuffle", "mask_draw")
 
 
 class MaskSpaceExhaustedError(ValueError):
-    """Alphabet too small to give every word type of some length a unique mask."""
+    """Too few mask characters to give every word type of some length a unique mask."""
 
 
 def _mix64(z: int) -> int:
@@ -193,10 +193,10 @@ class MaskTable:
     """Word-type to mask assignment for one book.
 
     ``table`` maps each word type to its mask. Masks have the length of
-    their type, are pairwise distinct, and are drawn from the book's
-    alphabet minus whitespace and control characters. Types of length 1
-    carry no internal structure and are absent. The table alone is kept:
-    the seed it was drawn with is ``derive_seed`` of the unit's key.
+    their type, are pairwise distinct, and are drawn from the characters
+    of the word types bar whitespace and control characters. Types of
+    length 1 carry no internal structure and are absent. The table alone
+    is kept: the seed it was drawn with is ``derive_seed`` of the unit's key.
     """
 
     table: Mapping[str, str]
@@ -227,20 +227,22 @@ def _maskable(char: str) -> bool:
     return char not in " \t\n\r" and unicodedata.category(char) != "Cc"
 
 
-def build_mask_table(types: Iterable[str], alphabet: Iterable[str], seed: int) -> MaskTable:
+def build_mask_table(types: Iterable[str], seed: int) -> MaskTable:
     """Draw a unique equal-length mask for every word type of length >= 2.
 
-    ``types`` are the book's distinct tokens and ``alphabet`` its
-    characters (repeats allowed).
+    ``types`` are the book's distinct tokens; the mask alphabet is their
+    characters minus whitespace and control characters, so a mask holds
+    only characters the book has.
 
     Types are processed in code-point lexicographic order so the
     assignment does not depend on iteration order; each mask is drawn
-    character by character from the usable alphabet with whole-mask
+    character by character from the mask alphabet with whole-mask
     rejection on collision. A pigeonhole check fails fast when some
     type length has more types than the alphabet can distinguish.
     """
+    types = list(types)
+    alpha = sorted(c for c in set("".join(types)) if _maskable(c))
     types = sorted(t for t in types if len(t) >= 2)
-    alpha = sorted(c for c in set(alphabet) if _maskable(c))
     by_length = Counter(len(t) for t in types)
     for length, count in sorted(by_length.items()):
         if len(alpha) ** length < count:

@@ -174,7 +174,7 @@ def test_criterion_3_transform_invariants():
         text = flatten(book)
         tokens = text.split(" ")
 
-        table = build_mask_table(dict.fromkeys(tokens), text, seed)
+        table = build_mask_table(dict.fromkeys(tokens), seed)
         masked = mask_word_structure(tokens, table)
         masked_tokens = masked.split(" ")
         assert len(masked) == len(text)

@@ -83,6 +83,30 @@ class TestSynth:
         code = main(["synth", "stream", "--kind", "markov1", "--out", "-"])
         assert code == 1
 
+    def test_empty_transition_exits_1_naming_it(self, capsys, caplog):
+        # An empty --transition was once reported as a missing one.
+        assert main(["synth", "stream", "--kind", "markov1", "--transition", "", "--n", "20"]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error.startswith("--transition is empty")
+        assert capsys.readouterr().out == ""
+
+    def test_toy_vocabulary_seed_is_the_seed(self, tmp_path, capsys):
+        # The header names the vocabulary seed, which is --seed.
+        out = tmp_path / "toy.tsv"
+        write_toy_corpus(out, "affixal", seed=3)
+        header = out.read_text(encoding="utf-8").splitlines()[0]
+        assert header == "# generator: toy mode=affixal sentences=25 seed=3 vocab_seed=3"
+        with pytest.raises(SystemExit):
+            main(["synth", "toy", "--help"])
+        assert "--vocab-seed" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "toy", "--mode", "affixal", "--vocab-seed", "5"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: unrecognized arguments: --vocab-seed 5"
+        ]
+
     def test_nan_transition_rejected_at_once(self, capsys, caplog):
         # A NaN row once passed the distribution check, and the stationary
         # distribution then ran its million iterations before failing.
@@ -146,7 +170,6 @@ BAD_COUNTS = [
     ["synth", "stream", "--kind", "iid", "--chunk", "-5"],
     ["synth", "toy", "--mode", "positional", "--sentences", "0"],
     ["synth", "toy", "--mode", "positional", "--seed", "-1"],
-    ["synth", "toy", "--mode", "positional", "--vocab-seed", "-1"],
     ["synth", "stream", "--kind", "iid", "--seed", "-1"],
     ["synth", "stream", "--kind", "markov1", "--transition", "0.5,0.5"],
     ["analyze", "--format", "tsv", "--books", ",", "c.tsv"],
@@ -725,7 +748,7 @@ class TestRunConfig:
                      "--out", "elsewhere"]) == 0
         assert main(["oracle-check", "--count", "3", "--seed", "7"]) == 0
         assert main(["synth", "toy", "--mode", "affixal", "--sentences", "7", "--seed", "2",
-                     "--vocab-seed", "5", "--out", "t.tsv"]) == 0
+                     "--out", "t.tsv"]) == 0
         assert main(["synth", "stream", "--kind", "markov1", "--k", "3", "--probs", "0.5,0.5",
                      "--transition", "0.9,0.1;0.2,0.8", "--n", "80", "--seed", "4",
                      "--chunk", "9", "--out", "s.tsv"]) == 0
@@ -733,8 +756,7 @@ class TestRunConfig:
             "stats": {"results_path": "r.csv", "books": (40, 41), "group_by": "translation",
                       "out_dir": "elsewhere"},
             "oracle-check": {"count": 3, "seed": 7},
-            "synth toy": {"mode": "affixal", "sentences": 7, "seed": 2, "vocab_seed": 5,
-                          "out": "t.tsv"},
+            "synth toy": {"mode": "affixal", "sentences": 7, "seed": 2, "out": "t.tsv"},
             "synth stream": {"kind": "markov1", "k": 3, "probs": "0.5,0.5",
                              "transition": "0.9,0.1;0.2,0.8", "n": 80, "seed": 4, "chunk": 9,
                              "out": "s.tsv"},

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from wordtradeoff.measures import GroupMeans
 from wordtradeoff.stats import (
     _average_ranks,
-    BookFit,
     CorrelationMatrix,
     InsufficientDataError,
     correlation_matrix,
@@ -453,7 +452,7 @@ class TestCsvWriters:
         xs = (0.5, 1.0, 2.0)
         fit = fit_reciprocal(xs, [2 + 3 / x for x in xs])
         buf = io.StringIO()
-        write_fits_csv([BookFit(book_id=40, fit=fit, r_s=-0.9)], buf)
+        write_fits_csv([(40, fit, -0.9)], buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "book_id,beta0,beta1,r_squared,n,r_s"
         assert lines[1].startswith("40,2,3,1,3,-0.9")

@@ -230,7 +230,7 @@ class TestCompiledStream:
         tokens = text.split(" ")
 
         def run():
-            table = build_mask_table(dict.fromkeys(tokens), text, seed)
+            table = build_mask_table(dict.fromkeys(tokens), seed)
             return (
                 shuffle_verses(book, seed).verses,
                 destroy_word_order(tokens, verse_counts(book), seed),
@@ -317,22 +317,24 @@ class TestDestroyWordOrder:
 
 class TestMaskTable:
     def test_single_char_types_absent(self):
-        table = build_mask_table({"i": 2, "said": 1, "in": 2}, set("isaidn "), seed=1)
+        table = build_mask_table({"i": 2, "said": 1, "in": 2}, seed=1)
         assert "i" not in table.table
         assert set(table.table) == {"said", "in"}
 
     def test_masks_distinct_equal_length(self):
-        table = build_mask_table(["ab", "cd"], set("abcd"), seed=3)
+        table = build_mask_table(["ab", "cd"], seed=3)
         masks = list(table.table.values())
         assert len(masks) == 2 and masks[0] != masks[1]
         assert all(len(m) == 2 for m in masks)
         assert all(set(m) <= set("abcd") for m in masks)
 
     def test_pigeonhole_exhaustion(self):
-        types = [a + b for a in "abcd" for b in "abcd"] + ["xy"]
-        # 17 distinct length-2 types, 4-character usable alphabet
+        # 17 distinct length-2 types; \x01 is no mask character, so the
+        # mask alphabet has 4 characters. Only unmaskable characters can
+        # make more types of one length than there are masks.
+        types = [a + b for a in "abcd" for b in "abcd"] + ["a\x01"]
         with pytest.raises(MaskSpaceExhaustedError) as err:
-            build_mask_table(types, set("abcd"), seed=0)
+            build_mask_table(types, seed=0)
         assert str(err.value) == (
             "cannot assign 17 distinct masks of length 2 over a 4-character mask alphabet"
         )
@@ -340,7 +342,7 @@ class TestMaskTable:
     def test_exhaustion_error_survives_pickle(self):
         # A library caller's process pool sends the error back by pickle.
         with pytest.raises(MaskSpaceExhaustedError) as err:
-            build_mask_table(["ab", "cd"], "a", seed=0)
+            build_mask_table(["a\x01", "\x01a"], seed=0)
         copy = pickle.loads(pickle.dumps(err.value))
         assert type(copy) is MaskSpaceExhaustedError
         assert str(copy) == str(err.value) == (
@@ -350,33 +352,36 @@ class TestMaskTable:
     def test_space_excluded_from_mask_alphabet(self):
         # 16 length-2 types over 4 usable characters take all 16 masks, so
         # every usable character is drawn; with the whitespace and control
-        # characters usable too, some would be drawn almost surely.
+        # characters of the length-3 types usable too, some would be drawn
+        # almost surely.
         types = [a + b for a in "abcd" for b in "abcd"]
-        table = build_mask_table(types, set("abcd \t\n\x01"), seed=0)
+        types += ["a b", "b\tc", "c\nd", "d\ra", "a\x01b"]
+        table = build_mask_table(types, seed=0)
         assert set("".join(table.table.values())) == set("abcd")
 
     def test_assignment_independent_of_iteration_order(self):
         types_a = ["bb", "aa", "cc"]
         types_b = ["cc", "bb", "aa"]
-        ta = build_mask_table(types_a, set("abc"), seed=5)
-        tb = build_mask_table(types_b, set("abc"), seed=5)
+        ta = build_mask_table(types_a, seed=5)
+        tb = build_mask_table(types_b, seed=5)
         assert ta.table == tb.table
 
     def test_deterministic_under_seed(self):
         lex = {"alpha": 1, "beta": 2, "gamma": 1}
-        a = build_mask_table(lex, set("abglmpht"), seed=8)
-        b = build_mask_table(lex, set("abglmpht"), seed=8)
+        a = build_mask_table(lex, seed=8)
+        b = build_mask_table(lex, seed=8)
         assert a.table == b.table
 
     def test_tight_capacity_still_terminates(self):
         # Exactly as many length-2 types as the alphabet can express.
         types = [a + b for a in "ab" for b in "ab"]
-        table = build_mask_table(types, set("ab"), seed=0)
+        table = build_mask_table(types, seed=0)
         assert sorted(table.table.values()) == sorted(types)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_equals_per_character_reference(self, seed):
-        # Nearly full mask spaces force many whole-mask redraws.
+        # Nearly full mask spaces force many whole-mask redraws. The types
+        # hold every character of the alphabet.
         alpha = "abc"
         types = [a + b for a in alpha for b in alpha][seed % 3 :]
         types += [a + b + c for a in alpha for b in alpha for c in alpha][: 20 + seed]
@@ -389,13 +394,34 @@ class TestMaskTable:
                     break
             used.add(mask)
             expected[word] = mask
-        assert build_mask_table(types, alpha, seed).table == expected
+        assert build_mask_table(types, seed).table == expected
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_maskable_types_always_masked_over_their_characters(self, data):
+        # Types of maskable characters never outnumber the masks of their
+        # length, since the mask alphabet holds all of their characters.
+        chars = data.draw(
+            st.lists(
+                st.characters(exclude_categories=("Cc", "Cs"), exclude_characters=" "),
+                min_size=1, max_size=4, unique=True,
+            )
+        )
+        types = data.draw(st.lists(st.text(st.sampled_from(chars), min_size=1, max_size=3),
+                                   unique=True))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        table = build_mask_table(types, seed).table
+        assert set(table) == {t for t in types if len(t) >= 2}
+        assert len(set(table.values())) == len(table)
+        for word, mask in table.items():
+            assert len(mask) == len(word)
+            assert set(mask) <= set("".join(types))
 
 
 class TestMaskWordStructure:
     def test_repeated_type_same_mask_everywhere(self):
         tokens = SONG_LINE.split(" ")
-        table = build_mask_table(dict.fromkeys(tokens), SONG_LINE, seed=77)
+        table = build_mask_table(dict.fromkeys(tokens), seed=77)
         variant = mask_word_structure(tokens, table)
         out = variant.split(" ")
         src = SONG_LINE.split(" ")
@@ -410,14 +436,14 @@ class TestMaskWordStructure:
 
     def test_all_single_char_book_identical(self):
         tokens = "a b c a".split(" ")
-        table = build_mask_table(dict.fromkeys(tokens), "a b c a", seed=1)
+        table = build_mask_table(dict.fromkeys(tokens), seed=1)
         assert mask_word_structure(tokens, table) == "a b c a"
 
     def test_word_length_histogram_preserved(self):
         book = random_book(21)
         text = flatten(book)
         tokens = text.split(" ")
-        table = build_mask_table(dict.fromkeys(tokens), text, seed=2)
+        table = build_mask_table(dict.fromkeys(tokens), seed=2)
         out = mask_word_structure(tokens, table)
         assert Counter(map(len, out.split(" "))) == Counter(
             map(len, text.split(" "))
@@ -427,7 +453,7 @@ class TestMaskWordStructure:
         book = random_book(22)
         text = flatten(book)
         tokens = text.split(" ")
-        table = build_mask_table(dict.fromkeys(tokens), text, seed=3)
+        table = build_mask_table(dict.fromkeys(tokens), seed=3)
         out = mask_word_structure(tokens, table)
         assert sorted(Counter(out.split(" ")).values()) == sorted(
             Counter(text.split(" ")).values()
@@ -437,7 +463,7 @@ class TestMaskWordStructure:
         book = random_book(23)
         text = flatten(book)
         tokens = text.split(" ")
-        table = build_mask_table(dict.fromkeys(tokens), text, seed=4)
+        table = build_mask_table(dict.fromkeys(tokens), seed=4)
         masked = mask_word_structure(tokens, table)
         inverse = {mask: word for word, mask in table.table.items()}
         restored = " ".join(
@@ -446,7 +472,7 @@ class TestMaskWordStructure:
         assert restored == text
 
     def test_token_outside_table_is_error(self):
-        table = build_mask_table({"known": 1}, set("knowrdshere"), seed=0)
+        table = build_mask_table({"known": 1}, seed=0)
         with pytest.raises(ValueError, match="not covered"):
             mask_word_structure("known words here".split(" "), table)
 
@@ -463,7 +489,7 @@ class TestVariantInvariants:
         base = flatten(shuffled)
         tokens = base.split(" ")
         order = destroy_word_order(tokens, verse_counts(shuffled), seed + 1)
-        table = build_mask_table(dict.fromkeys(text.split(" ")), text, seed + 2)
+        table = build_mask_table(dict.fromkeys(text.split(" ")), seed + 2)
         masked = mask_word_structure(tokens, table)
 
         for variant in (base, order, masked):
