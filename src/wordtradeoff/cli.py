@@ -19,7 +19,10 @@ Subcommands:
 * ``oracle-check``: randomized equivalence check of the fast and naive
   match-length implementations on ``--count`` cases drawn from ``--seed``.
 * ``synth toy``, ``synth stream``: emit a synthetic corpus (a toy
-  language or a symbol stream) in the tsv corpus format.
+  language or a symbol stream) in the tsv corpus format. ``synth stream``
+  samples a Markov chain given ``--transition``, an iid source given
+  ``--probs`` and otherwise a uniform one over ``--k`` symbols (default
+  4); giving two of the three is an error.
 
 Integer flags take ASCII digits, after a ``-`` only where a negative
 value is allowed (the ``analyze`` and ``oracle-check`` seeds).
@@ -84,8 +87,9 @@ ERROR_KEYS = ("translation_id", "book_id", "replicate", "error")
 
 @dataclass(frozen=True, kw_only=True)
 class RunConfig(MeasureConfig):
-    """Everything that determines an ``analyze`` run's outputs. The field names
-    are the parser's destinations and the ``config`` keys of ``manifest.json``."""
+    """An ``analyze`` run's settings, with their only defaults: the parser passes
+    only the flags given. The field names are the parser's destinations and the
+    ``config`` keys of ``manifest.json``; ``workers`` and ``out_dir`` change no output byte."""
 
     inputs: tuple[str, ...]
     fmt: str = "pbc"
@@ -135,22 +139,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_an = sub.add_parser("analyze", help="measure books and write results.csv")
+    p_an = sub.add_parser(
+        "analyze", help="measure books and write results.csv", argument_default=argparse.SUPPRESS
+    )
     p_an.add_argument("inputs", nargs="+", help="corpus files")
-    p_an.add_argument("--format", dest="fmt", choices=FORMATS, default="pbc")
+    p_an.add_argument("--format", dest="fmt", choices=FORMATS)
     p_an.add_argument(
         "--books",
         type=_books_arg,
-        default=DEFAULT_BOOK_IDS,
-        help="comma-separated canonical book ids (default: %(default)s)",
+        help="comma-separated canonical book ids (default: "
+        f"{','.join(map(str, DEFAULT_BOOK_IDS))})",
     )
     p_an.add_argument(
-        "--seed", dest="master_seed", metavar="SEED", type=_int_arg(), default=0,
-        help="master seed",
+        "--seed", dest="master_seed", metavar="SEED", type=_int_arg(), help="master seed"
     )
-    p_an.add_argument("--replicates", type=_int_arg(1), default=3)
-    p_an.add_argument("--truncate", choices=("off", *TRUNCATIONS), default="token")
-    p_an.add_argument("--order-scope", choices=ORDER_SCOPES, default="verse")
+    p_an.add_argument("--replicates", type=_int_arg(1))
+    p_an.add_argument("--truncate", choices=("off", *TRUNCATIONS))
+    p_an.add_argument("--order-scope", choices=ORDER_SCOPES)
     p_an.add_argument(
         "--no-verse-shuffle",
         dest="verse_shuffle",
@@ -158,17 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="estimate on canonical verse order (sensitivity analysis)",
     )
     p_an.add_argument("--lowercase", action="store_true")
-    p_an.add_argument("--workers", type=_int_arg(1), default=1)
-    p_an.add_argument(
-        "--out", dest="out_dir", metavar="OUT", default="results", help="output directory"
-    )
+    p_an.add_argument("--workers", type=_int_arg(1))
+    p_an.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
 
     p_st = sub.add_parser("stats", help="fit and rank a results table")
     p_st.add_argument("results_path", metavar="results", help="results.csv from analyze")
     p_st.add_argument(
         "--books",
         type=_books_arg,
-        default=None,
         help="restrict to these book ids (default: all present)",
     )
     p_st.add_argument("--group-by", choices=GROUP_KEYS, default="language")
@@ -176,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         dest="out_dir",
         metavar="OUT",
-        default=None,
         help="output directory (default: alongside results)",
     )
 
@@ -194,13 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy.add_argument("--out", default="-", help="output file or - for stdout")
 
     p_strm = sy_sub.add_parser("stream", help="iid or first-order Markov symbol stream")
-    p_strm.add_argument("--kind", choices=("iid", "markov1"), required=True)
-    p_strm.add_argument("--k", type=_int_arg(1), help="alphabet size (iid; default 4)")
-    p_strm.add_argument("--probs", default=None, help="comma-separated iid probabilities")
-    p_strm.add_argument(
+    source = p_strm.add_mutually_exclusive_group()
+    source.add_argument("--k", type=_int_arg(1), help="uniform iid alphabet size (default 4)")
+    source.add_argument("--probs", help="comma-separated iid probabilities")
+    source.add_argument(
         "--transition",
-        default=None,
-        help="semicolon-separated rows of comma-separated probabilities",
+        help="Markov chain: semicolon-separated rows of comma-separated probabilities",
     )
     p_strm.add_argument("--n", type=_int_arg(1), default=100_000)
     p_strm.add_argument("--seed", type=_int_arg(0), default=0)
@@ -503,43 +503,32 @@ def cmd_synth_toy(mode: str, sentences: int, seed: int, out: str) -> int:
 
 
 def cmd_synth_stream(
-    kind: str, k: int | None, probs: str | None, transition: str | None, n: int, seed: int,
-    chunk: int, out: str,
+    k: int | None, probs: str | None, transition: str | None, n: int, seed: int, chunk: int,
+    out: str,
 ) -> int:
     from .testkit import generate, iid_source, markov_source, uniform_iid
 
-    for flag, setting, unread in (
-        ("--k", "--kind markov1", kind == "markov1" and k is not None),
-        ("--k", "--probs", kind == "iid" and k is not None and probs is not None),
-        ("--probs", "--kind markov1", kind == "markov1" and probs is not None),
-        ("--transition", "--kind iid", kind == "iid" and transition is not None),
-    ):
-        if unread:
-            logger.error("synth stream: %s has no effect with %s; drop it", flag, setting)
-            return 1
     try:
-        if kind == "iid" and probs is not None:
-            if not probs.strip():
-                raise ValueError("--probs is empty: give comma-separated probabilities")
-            source = iid_source([float(p) for p in probs.split(",")])
-        elif kind == "iid":
-            source = uniform_iid(4 if k is None else k)
-        elif transition is not None:
+        if transition is not None:
             if not transition.strip():
                 raise ValueError("--transition is empty: give semicolon-separated rows of "
                                  "comma-separated probabilities")
             source = markov_source(
                 [[float(p) for p in row.split(",")] for row in transition.split(";")]
             )
+        elif probs is not None:
+            if not probs.strip():
+                raise ValueError("--probs is empty: give comma-separated probabilities")
+            source = iid_source([float(p) for p in probs.split(",")])
         else:
-            raise ValueError("markov1 needs --transition")
+            source = uniform_iid(4 if k is None else k)
         chars = generate(source, n, seed).chars
     except ValueError as exc:
         logger.error("%s", exc)
         return 1
     header = [
-        f"generator: stream kind={kind} n={n} seed={seed} h_true={source.h_true:.6f}",
-        f"language: synth_{kind}",
+        f"generator: stream kind={source.kind} n={n} seed={seed} h_true={source.h_true:.6f}",
+        f"language: synth_{source.kind}",
     ]
     # Book 1, chapter 1, one verse of ``chunk`` characters per line.
     starts = range(0, len(chars), chunk)

@@ -309,7 +309,8 @@ def read_results_csv(source: str | Path | IO[str]) -> ResultsTable:
     ``csv`` module cannot read (such as a field over its size limit), a
     field that does not parse, a non-finite value, N < 1, a penalty that is not
     ``h_variant - h_original`` up to the 6-significant-digit rounding of
-    the three values, or a repeated (translation, book, replicate) key.
+    the three values, a repeated (translation, book, replicate) key, or a
+    translation whose language differs from the one on its first row.
     Rows are numbered by CSV record, blank records included. The row
     named is the first bad one in file order, and the fault named is the
     first one it has, in the order listed.
@@ -380,9 +381,9 @@ def _convert(rows: list[list[str]]) -> list:
 
 
 def _check_rows(table: ResultsTable, row_nos: Sequence[int]) -> None:
-    """Raise ValueError naming the first row that fails a value check or
-    repeats an earlier row's key, and the first check it fails. ``row_nos``
-    holds each row's CSV record number."""
+    """Raise ValueError naming the first bad row and the first check it
+    fails, in the order ``read_results_csv`` lists them. ``row_nos`` holds
+    each row's CSV record number."""
     if not len(table):
         return
     h0 = table.h_original
@@ -393,13 +394,18 @@ def _check_rows(table: ResultsTable, row_nos: Sequence[int]) -> None:
         for name, d, h in (("d_order", table.d_order, table.h_order),
                            ("d_structure", table.d_structure, table.h_structure)):
             off[name] = np.abs(d - (h - h0)) > _ROUNDING_6G * (np.abs(d) + np.abs(h) + np.abs(h0))
-    # Each row's first row in file order with the same key.
-    order, bounds = _runs(_codes(table.translation_id), table.book_id, table.replicate)
+    # Each row's first row in file order with the same key, and with the
+    # same translation.
+    translations = _codes(table.translation_id)
+    order, bounds = _runs(translations, table.book_id, table.replicate)
     first_of_key = np.empty_like(order)
     first_of_key[order] = np.repeat(order[bounds[:-1]], np.diff(bounds))
+    first_of_translation = np.unique(translations, return_index=True)[1][translations]
+    languages = _codes(table.language)
 
     bad = ~finite | (table.n_chars < 1) | off["d_order"] | off["d_structure"]
     bad |= first_of_key != np.arange(len(table))
+    bad |= languages != languages[first_of_translation]
     if not bad.any():
         return
     i = int(np.argmax(bad))
@@ -412,9 +418,13 @@ def _check_rows(table: ResultsTable, row_nos: Sequence[int]) -> None:
         h_name = f"h_{penalty[2:]}"
         d, h, h0 = (float(getattr(table, name)[i]) for name in (penalty, h_name, "h_original"))
         fault = f"{penalty} = {d:.6g} but {h_name} - h_original = {h - h0:.6g}"
-    else:
+    elif first_of_key[i] != i:
         fault = (
             f"duplicate of row {row_nos[int(first_of_key[i])]} (translation "
             f"{table.translation_id[i]}, book {table.book_id[i]}, replicate {table.replicate[i]})"
         )
+    else:
+        first = int(first_of_translation[i])
+        fault = (f"translation {table.translation_id[i]} has language {table.language[i]}, "
+                 f"but row {row_nos[first]} gave it {table.language[first]}")
     raise ValueError(f"results CSV row {row_nos[i]}: {fault}")

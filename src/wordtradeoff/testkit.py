@@ -37,21 +37,21 @@ ROLE_SUFFIXES = ("ak", "iz", "un")
 class SyntheticSource:
     """A stationary symbol source with a known entropy rate.
 
-    ``kind`` is ``"iid"`` (with ``dist``) or ``"markov1"`` (with
-    ``transition`` rows); ``h_true`` is the analytic rate in bits per
-    symbol.
+    An iid source has ``dist``, a first-order Markov chain ``transition``
+    rows; ``h_true`` is the analytic rate in bits per symbol.
     """
 
-    kind: str
     dist: tuple[float, ...] | None
     transition: tuple[tuple[float, ...], ...] | None
     h_true: float
 
     @property
+    def kind(self) -> str:
+        return "iid" if self.transition is None else "markov1"
+
+    @property
     def k(self) -> int:
-        if self.kind == "iid":
-            return len(self.dist)
-        return len(self.transition)
+        return len(self.dist if self.transition is None else self.transition)
 
 
 def _check_distribution(p: np.ndarray, what: str) -> None:
@@ -68,9 +68,7 @@ def _plogp_bits(p: np.ndarray) -> float:
 def iid_source(dist: Sequence[float]) -> SyntheticSource:
     p = np.asarray(dist, dtype=np.float64)
     _check_distribution(p, "iid distribution")
-    return SyntheticSource(
-        kind="iid", dist=tuple(float(x) for x in p), transition=None, h_true=_plogp_bits(p)
-    )
+    return SyntheticSource(dist=tuple(float(x) for x in p), transition=None, h_true=_plogp_bits(p))
 
 
 def uniform_iid(k: int) -> SyntheticSource:
@@ -98,10 +96,7 @@ def markov_source(transition: Sequence[Sequence[float]]) -> SyntheticSource:
     pi = stationary_distribution(P)
     h = float(sum(pi[i] * _plogp_bits(P[i]) for i in range(P.shape[0])))
     return SyntheticSource(
-        kind="markov1",
-        dist=None,
-        transition=tuple(tuple(float(x) for x in row) for row in P),
-        h_true=h,
+        dist=None, transition=tuple(tuple(float(x) for x in row) for row in P), h_true=h
     )
 
 
@@ -119,7 +114,7 @@ def generate(source: SyntheticSource, n: int, seed: int) -> SymbolSequence:
     if source.k > len(STREAM_SYMBOLS):
         raise ValueError(f"alphabet size {source.k} exceeds {len(STREAM_SYMBOLS)}")
     rng = np.random.default_rng(seed)
-    if source.kind == "iid":
+    if source.transition is None:
         idx = rng.choice(source.k, size=n, p=np.asarray(source.dist))
     else:
         P = np.asarray(source.transition)

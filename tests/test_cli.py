@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import concurrent.futures
 import functools
@@ -30,6 +31,7 @@ from wordtradeoff.measures import (
     read_results_csv,
     write_results_csv,
 )
+from wordtradeoff.testkit import generate, iid_source, markov_source, uniform_iid
 
 
 def write_toy_corpus(path: Path, mode: str, seed: int, sentences: int = 25) -> None:
@@ -57,6 +59,14 @@ def write_two_book_corpus(path: Path, tid_hint: str = "x") -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+#: Each ``synth stream`` source flag: a value, and the source it sets.
+STREAM_SOURCES = {
+    "--k": ("3", uniform_iid(3)),
+    "--probs": ("0.7,0.2,0.1", iid_source([0.7, 0.2, 0.1])),
+    "--transition": ("0.9,0.1;0.1,0.9", markov_source([[0.9, 0.1], [0.1, 0.9]])),
+}
+
+
 class TestSynth:
     def test_toy_output_parses_as_tsv(self, tmp_path):
         out = tmp_path / "toy.tsv"
@@ -69,7 +79,7 @@ class TestSynth:
         out = tmp_path / "stream.tsv"
         code = main(
             [
-                "synth", "stream", "--kind", "iid", "--k", "3",
+                "synth", "stream", "--k", "3",
                 "--n", "500", "--seed", "1", "--chunk", "40", "--out", str(out),
             ]
         )
@@ -79,13 +89,14 @@ class TestSynth:
         assert total == 500
         assert all(len(v.text) <= 40 for v in tr.books[1].verses)
 
-    def test_markov_stream_requires_transition(self, tmp_path, capsys):
-        code = main(["synth", "stream", "--kind", "markov1", "--out", "-"])
-        assert code == 1
+    def test_markov_stream_requires_transition(self, capsys):
+        # Only --transition makes a Markov chain; without a source flag the stream is iid.
+        assert main(["synth", "stream", "--n", "20", "--out", "-"]) == 0
+        assert capsys.readouterr().out.startswith("# generator: stream kind=iid n=20 ")
 
     def test_empty_transition_exits_1_naming_it(self, capsys, caplog):
         # An empty --transition was once reported as a missing one.
-        assert main(["synth", "stream", "--kind", "markov1", "--transition", "", "--n", "20"]) == 1
+        assert main(["synth", "stream", "--transition", "", "--n", "20"]) == 1
         (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert error.startswith("--transition is empty")
         assert capsys.readouterr().out == ""
@@ -111,8 +122,7 @@ class TestSynth:
         # A NaN row once passed the distribution check, and the stationary
         # distribution then ran its million iterations before failing.
         start = time.monotonic()
-        code = main(["synth", "stream", "--kind", "markov1", "--transition", "nan,1;0.5,0.5",
-                     "--n", "10"])
+        code = main(["synth", "stream", "--transition", "nan,1;0.5,0.5", "--n", "10"])
         assert time.monotonic() - start < 5
         assert code == 1
         (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
@@ -120,38 +130,46 @@ class TestSynth:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("flag", sorted(STREAM_SOURCES), ids=lambda flag: flag[2:])
+    def test_source_flag_writes_the_generated_stream(self, flag, capsys):
+        # The header, then the verse lines of testkit.generate for the source.
+        value, source = STREAM_SOURCES[flag]
+        assert main(["synth", "stream", flag, value, "--n", "95", "--seed", "5",
+                     "--chunk", "10"]) == 0
+        chars = generate(source, 95, 5).chars
+        assert capsys.readouterr().out.splitlines() == [
+            f"# generator: stream kind={source.kind} n=95 seed=5 h_true={source.h_true:.6f}",
+            f"# language: synth_{source.kind}",
+            *(f"1\t1\t{i}\t{chars[j : j + 10]}" for i, j in enumerate(range(0, 95, 10), 1)),
+        ]
+        assert source.kind == ("markov1" if flag == "--transition" else "iid")
+
     @pytest.mark.parametrize(
-        "flags, unread",
+        "flags",
         [
-            (["--kind", "iid", "--k", "3", "--probs", "0.5,0.5"], "--k"),
-            (["--kind", "markov1", "--k", "3", "--transition", "0.9,0.1;0.1,0.9"], "--k"),
-            (["--kind", "markov1", "--probs", "0.5,0.5", "--transition", "0.9,0.1;0.1,0.9"],
-             "--probs"),
-            (["--kind", "iid", "--transition", "0.9,0.1;0.1,0.9"], "--transition"),
+            ["--k", "3", "--probs", "0.5,0.5"],
+            ["--k", "3", "--transition", "0.9,0.1;0.1,0.9"],
+            ["--probs", "0.5,0.5", "--transition", "0.9,0.1;0.1,0.9"],
+            ["--transition", "0.9,0.1;0.1,0.9", "--probs", "0.5,0.5"],
         ],
         ids=["k-with-probs", "k-with-markov1", "probs-with-markov1", "transition-with-iid"],
     )
-    def test_unread_stream_flag_exits_1_naming_it(self, flags, unread, capsys, caplog):
-        # Each of these once wrote a stream that silently ignored the flag.
-        assert main(["synth", "stream", *flags, "--n", "20"]) == 1
-        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert error.startswith(f"synth stream: {unread} has no effect with")
-        assert capsys.readouterr().out == ""
+    def test_unread_stream_flag_exits_1_naming_it(self, flags, capsys, caplog):
+        # Each pair of source flags, once in either order: only one of them
+        # could set the stream, and the other was once silently ignored.
+        error = exit_1_message(["synth", "stream", *flags, "--n", "20"], capsys, caplog)
+        assert all(flag in error for flag in flags[::2])
 
-    @pytest.mark.parametrize("flags", [["--kind", "iid"], ["--kind", "iid", "--k", "3"]],
-                             ids=["iid", "iid-k"])
+    @pytest.mark.parametrize("flags", [[], ["--k", "3"]], ids=["iid", "iid-k"])
     def test_empty_probs_exits_1_naming_it(self, flags, capsys, caplog):
         # An empty --probs once gave the uniform stream, as if it were absent.
-        assert main(["synth", "stream", *flags, "--probs", "", "--n", "20"]) == 1
-        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert "--probs" in error
-        assert capsys.readouterr().out == ""
+        argv = ["synth", "stream", *flags, "--probs", "", "--n", "20"]
+        assert "--probs" in exit_1_message(argv, capsys, caplog)
 
     def test_stream_k_defaults_to_4(self, capsys):
-        assert main(["synth", "stream", "--kind", "iid", "--n", "60", "--seed", "3"]) == 0
+        assert main(["synth", "stream", "--n", "60", "--seed", "3"]) == 0
         default = capsys.readouterr().out
-        assert main(["synth", "stream", "--kind", "iid", "--k", "4", "--n", "60",
-                     "--seed", "3"]) == 0
+        assert main(["synth", "stream", "--k", "4", "--n", "60", "--seed", "3"]) == 0
         assert capsys.readouterr().out == default
         assert "h_true=2.000000" in default
 
@@ -163,15 +181,15 @@ BAD_COUNTS = [
     ["analyze", "--format", "tsv", "--workers", "0", "c.tsv"],
     ["analyze", "--format", "tsv", "--workers", "-3", "c.tsv"],
     ["oracle-check", "--count", "-4"],
-    ["synth", "stream", "--kind", "iid", "--n", "0"],
-    ["synth", "stream", "--kind", "iid", "--k", "100"],
-    ["synth", "stream", "--kind", "iid", "--k", "0"],
-    ["synth", "stream", "--kind", "iid", "--chunk", "0"],
-    ["synth", "stream", "--kind", "iid", "--chunk", "-5"],
+    ["synth", "stream", "--n", "0"],
+    ["synth", "stream", "--k", "100"],
+    ["synth", "stream", "--k", "0"],
+    ["synth", "stream", "--chunk", "0"],
+    ["synth", "stream", "--chunk", "-5"],
     ["synth", "toy", "--mode", "positional", "--sentences", "0"],
     ["synth", "toy", "--mode", "positional", "--seed", "-1"],
-    ["synth", "stream", "--kind", "iid", "--seed", "-1"],
-    ["synth", "stream", "--kind", "markov1", "--transition", "0.5,0.5"],
+    ["synth", "stream", "--seed", "-1"],
+    ["synth", "stream", "--transition", "0.5,0.5"],
     ["analyze", "--format", "tsv", "--books", ",", "c.tsv"],
     ["analyze", "--format", "tsv", "--replicates", "x", "c.tsv"],
     ["analyze", "--format", "tsv", "--replicates", "\u0663", "c.tsv"],
@@ -188,16 +206,23 @@ BAD_COUNTS = [
 def test_bad_count_exits_1_with_one_line(argv, tmp_path, monkeypatch, capsys, caplog):
     monkeypatch.chdir(tmp_path)
     write_two_book_corpus(tmp_path / "c.tsv")
+    exit_1_message(argv, capsys, caplog)
+
+
+def exit_1_message(argv, capsys, caplog) -> str:
+    """The one error line, from the parser or the log, of ``main(argv)``,
+    which must exit 1 and write nothing to stdout."""
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
     assert code == 1
-    err = capsys.readouterr().err
-    messages = [line for line in err.splitlines() if line.startswith("error:")]
+    captured = capsys.readouterr()
+    messages = [line for line in captured.err.splitlines() if line.startswith("error:")]
     messages += [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(messages) == 1
-    assert "Traceback" not in err
+    assert "Traceback" not in captured.err and captured.out == ""
+    return messages[0]
 
 
 class TestAnalyze:
@@ -566,6 +591,15 @@ class TestStats:
         assert self._stats_with_row(tmp_path, caplog, row) == 1
         assert "duplicate of row 2" in caplog.text
 
+    def test_translation_with_two_languages_fatal(self, tmp_path, caplog):
+        # Grouped by language, t1 once counted under lt1 on book 40 and
+        # under lx on book 41.
+        row = "t1,lx,41,0,1000,2.5,2.6,2.8,0.1,0.3"
+        assert self._stats_with_row(tmp_path, caplog, row) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error == ("cannot read results: results CSV row 5: translation t1 has "
+                         "language lx, but row 2 gave it lt1")
+
     def test_oversized_field_fatal(self, tmp_path, caplog):
         # A quoted translation id of 200000 characters: more than the csv
         # module reads in one field (131072).
@@ -688,6 +722,13 @@ class TestRunConfig:
         assert _parsed_analyze_config(monkeypatch).verse_shuffle
         assert RunConfig(inputs=()).verse_shuffle
 
+    def test_flags_left_out_take_the_dataclass_defaults(self, monkeypatch):
+        # The analyze parser declares no default of its own: RunConfig's are the only ones.
+        assert _parsed_analyze_config(monkeypatch) == RunConfig(inputs=("c.tsv",))
+        (commands,) = [action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert vars(commands.choices["analyze"].parse_args(["c.tsv"])) == {"inputs": ["c.tsv"]}
+
     def test_every_analyze_flag_reaches_its_manifest_key(self, monkeypatch):
         built = []
         monkeypatch.setattr(cli, "cmd_analyze", lambda config: built.append(config) or 0)
@@ -749,15 +790,14 @@ class TestRunConfig:
         assert main(["oracle-check", "--count", "3", "--seed", "7"]) == 0
         assert main(["synth", "toy", "--mode", "affixal", "--sentences", "7", "--seed", "2",
                      "--out", "t.tsv"]) == 0
-        assert main(["synth", "stream", "--kind", "markov1", "--k", "3", "--probs", "0.5,0.5",
-                     "--transition", "0.9,0.1;0.2,0.8", "--n", "80", "--seed", "4",
-                     "--chunk", "9", "--out", "s.tsv"]) == 0
+        assert main(["synth", "stream", "--transition", "0.9,0.1;0.2,0.8", "--n", "80",
+                     "--seed", "4", "--chunk", "9", "--out", "s.tsv"]) == 0
         assert calls == {
             "stats": {"results_path": "r.csv", "books": (40, 41), "group_by": "translation",
                       "out_dir": "elsewhere"},
             "oracle-check": {"count": 3, "seed": 7},
             "synth toy": {"mode": "affixal", "sentences": 7, "seed": 2, "out": "t.tsv"},
-            "synth stream": {"kind": "markov1", "k": 3, "probs": "0.5,0.5",
+            "synth stream": {"k": None, "probs": None,
                              "transition": "0.9,0.1;0.2,0.8", "n": 80, "seed": 4, "chunk": 9,
                              "out": "s.tsv"},
         }

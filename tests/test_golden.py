@@ -95,12 +95,9 @@ def test_synth_toy_reproduces_golden_corpus(tmp_path, mode):
 
 #: Golden file under ``synth/`` -> the ``synth stream`` flags that wrote it.
 SYNTH_STREAMS = {
-    "stream_iid_k3.tsv": ("--kind", "iid", "--k", "3", "--n", "500", "--seed", "1",
-                          "--chunk", "40"),
-    "stream_iid_probs.tsv": ("--kind", "iid", "--probs", "0.7,0.2,0.1", "--n", "300",
-                             "--seed", "2"),
-    "stream_markov1.tsv": ("--kind", "markov1", "--transition", "0.9,0.1;0.1,0.9",
-                           "--n", "400", "--seed", "0"),
+    "stream_iid_k3.tsv": ("--k", "3", "--n", "500", "--seed", "1", "--chunk", "40"),
+    "stream_iid_probs.tsv": ("--probs", "0.7,0.2,0.1", "--n", "300", "--seed", "2"),
+    "stream_markov1.tsv": ("--transition", "0.9,0.1;0.1,0.9", "--n", "400", "--seed", "0"),
 }
 
 

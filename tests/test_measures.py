@@ -362,8 +362,9 @@ class TestAggregateBitEquality:
 
 
 def reference_read(text):
-    """The row-by-row reader that ``read_results_csv`` replaced: the error
-    text it gives is the one the columnar reader must give."""
+    """The row-by-row reader that ``read_results_csv`` replaced, with its
+    checks in their order: the error text it gives is the one the columnar
+    reader must give."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or tuple(header) != RESULT_COLUMNS:
@@ -372,6 +373,7 @@ def reference_read(text):
         )
     rows = []
     seen = {}
+    language_of = {}  # translation id -> (its language, the row that gave it)
     line_no = 1
     try:
         for line_no, rec in enumerate(reader, start=2):
@@ -413,6 +415,12 @@ def reference_read(text):
                     f"results CSV row {line_no}: duplicate of row {seen[key]} "
                     f"(translation {key[0]}, book {key[1]}, replicate {key[2]})"
                 )
+            first = language_of.setdefault(row.translation_id, (row.language, line_no))
+            if first[0] != row.language:
+                raise ValueError(
+                    f"results CSV row {line_no}: translation {row.translation_id} has language "
+                    f"{row.language}, but row {first[1]} gave it {first[0]}"
+                )
             seen[key] = line_no
             rows.append(row)
     except csv.Error as exc:
@@ -422,7 +430,7 @@ def reference_read(text):
 
 FAULTS = (
     "unparsable", "field_count", "non_finite", "nonpositive_n", "penalty_off", "duplicate",
-    "oversized",
+    "oversized", "language",
 )
 
 
@@ -451,6 +459,8 @@ def corrupt(rng, records, fault, i):
             rec[column] = format_float(float(rec[column]) + rng.choice([-1, 1]) * 0.01)
         except ValueError:
             pass  # already unparsable
+    elif fault == "language":
+        rec[1] = rng.choice(["la", "lb", "ld", "lx"])  # may be its own
     else:
         other = records[rng.choice([j for j in range(len(records)) if j != i])]
         rec[0], rec[2], rec[3] = other[0], other[2], other[3]
