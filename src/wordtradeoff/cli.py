@@ -18,11 +18,8 @@ Subcommands:
   (``fits.csv``, ``corr_matrix.csv``, ``ranks.csv``, ``rank_hist.csv``).
 * ``oracle-check``: randomized equivalence check of the fast and naive
   match-length implementations on ``--count`` cases drawn from ``--seed``.
-* ``synth toy``, ``synth stream``: emit a synthetic corpus (a toy
-  language or a symbol stream) in the tsv corpus format. ``synth stream``
-  samples a Markov chain given ``--transition``, an iid source given
-  ``--probs`` and otherwise a uniform one over ``--k`` symbols (default
-  4); giving two of the three is an error.
+* ``synth toy``: emit a toy language's corpus (``--mode positional`` or
+  ``affixal``) in the tsv corpus format.
 
 Integer flags take ASCII digits, after a ``-`` only where a negative
 value is allowed (the ``analyze`` and ``oracle-check`` seeds).
@@ -50,7 +47,6 @@ from .corpus import (
     DEFAULT_BOOK_IDS,
     FORMATS,
     TRUNCATIONS,
-    CorpusFormatError,
     parse_corpus,
     select_books,
     truncate_books,
@@ -194,21 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy.add_argument("--seed", type=_int_arg(0), default=0, help="vocabulary and message seed")
     p_toy.add_argument("--out", default="-", help="output file or - for stdout")
 
-    p_strm = sy_sub.add_parser("stream", help="iid or first-order Markov symbol stream")
-    source = p_strm.add_mutually_exclusive_group()
-    source.add_argument("--k", type=_int_arg(1), help="uniform iid alphabet size (default 4)")
-    source.add_argument("--probs", help="comma-separated iid probabilities")
-    source.add_argument(
-        "--transition",
-        help="Markov chain: semicolon-separated rows of comma-separated probabilities",
-    )
-    p_strm.add_argument("--n", type=_int_arg(1), default=100_000)
-    p_strm.add_argument("--seed", type=_int_arg(0), default=0)
-    p_strm.add_argument(
-        "--chunk", type=_int_arg(1), default=60, help="characters per verse line"
-    )
-    p_strm.add_argument("--out", default="-")
-
     return parser
 
 
@@ -225,9 +206,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_stats(**settings)
         if args.command == "oracle-check":
             return cmd_oracle_check(**settings)
-        if args.generator == "toy":
-            return cmd_synth_toy(**settings)
-        return cmd_synth_stream(**settings)
+        return cmd_synth_toy(**settings)
     except OSError as exc:
         # Each command catches its input errors; this is an unwritable output.
         logger.error("cannot write output: %s", exc)
@@ -379,7 +358,7 @@ def _measure_input(
         found, missing = select_books(translation, config.books)
         if config.truncate != "off":
             found = truncate_books(found, config.truncate)
-    except (OSError, CorpusFormatError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return str(exc)
     books = {book.book_id: book for book in found}
     rows, errors = [], []
@@ -494,57 +473,16 @@ def cmd_synth_toy(mode: str, sentences: int, seed: int, out: str) -> int:
     positional, affixal = toy_language_pair(seed)
     book = render_toy_corpus(positional if mode == "positional" else affixal, sentences, seed)
     # The vocabulary seed is --seed; the header still names it.
-    header = [
-        f"generator: toy mode={mode} sentences={sentences} seed={seed} vocab_seed={seed}",
-        f"language: toy_{mode}",
-    ]
-    lines = [f"{v.ref.book_id}\t{v.ref.chapter}\t{v.ref.verse}\t{v.text}" for v in book.verses]
-    return _write_tsv(out, header, lines)
-
-
-def cmd_synth_stream(
-    k: int | None, probs: str | None, transition: str | None, n: int, seed: int, chunk: int,
-    out: str,
-) -> int:
-    from .testkit import generate, iid_source, markov_source, uniform_iid
-
-    try:
-        if transition is not None:
-            if not transition.strip():
-                raise ValueError("--transition is empty: give semicolon-separated rows of "
-                                 "comma-separated probabilities")
-            source = markov_source(
-                [[float(p) for p in row.split(",")] for row in transition.split(";")]
-            )
-        elif probs is not None:
-            if not probs.strip():
-                raise ValueError("--probs is empty: give comma-separated probabilities")
-            source = iid_source([float(p) for p in probs.split(",")])
-        else:
-            source = uniform_iid(4 if k is None else k)
-        chars = generate(source, n, seed).chars
-    except ValueError as exc:
-        logger.error("%s", exc)
-        return 1
-    header = [
-        f"generator: stream kind={source.kind} n={n} seed={seed} h_true={source.h_true:.6f}",
-        f"language: synth_{source.kind}",
-    ]
-    # Book 1, chapter 1, one verse of ``chunk`` characters per line.
-    starts = range(0, len(chars), chunk)
-    lines = [f"1\t1\t{i}\t{chars[j : j + chunk]}" for i, j in enumerate(starts, start=1)]
-    return _write_tsv(out, header, lines)
-
-
-def _write_tsv(out: str, header: list[str], lines: list[str]) -> int:
-    """Write ``# `` header lines, then the verse lines, to ``out`` or to stdout for ``-``."""
-    text = "".join(f"# {line}\n" for line in header) + "".join(f"{line}\n" for line in lines)
+    text = (
+        f"# generator: toy mode={mode} sentences={sentences} seed={seed} vocab_seed={seed}\n"
+        f"# language: toy_{mode}\n"
+    ) + "".join(f"{v.ref.book_id}\t{v.ref.chapter}\t{v.ref.verse}\t{v.text}\n" for v in book.verses)
     if out == "-":
         sys.stdout.write(text)
         return 0
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(text)
-    logger.info("wrote %d verses to %s", len(lines), out)
+    logger.info("wrote %d verses to %s", len(book.verses), out)
     return 0
 
 

@@ -46,10 +46,6 @@ class SyntheticSource:
     h_true: float
 
     @property
-    def kind(self) -> str:
-        return "iid" if self.transition is None else "markov1"
-
-    @property
     def k(self) -> int:
         return len(self.dist if self.transition is None else self.transition)
 

@@ -11,7 +11,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import time
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -31,7 +30,6 @@ from wordtradeoff.measures import (
     read_results_csv,
     write_results_csv,
 )
-from wordtradeoff.testkit import generate, iid_source, markov_source, uniform_iid
 
 
 def write_toy_corpus(path: Path, mode: str, seed: int, sentences: int = 25) -> None:
@@ -59,14 +57,6 @@ def write_two_book_corpus(path: Path, tid_hint: str = "x") -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-#: Each ``synth stream`` source flag: a value, and the source it sets.
-STREAM_SOURCES = {
-    "--k": ("3", uniform_iid(3)),
-    "--probs": ("0.7,0.2,0.1", iid_source([0.7, 0.2, 0.1])),
-    "--transition": ("0.9,0.1;0.1,0.9", markov_source([[0.9, 0.1], [0.1, 0.9]])),
-}
-
-
 class TestSynth:
     def test_toy_output_parses_as_tsv(self, tmp_path):
         out = tmp_path / "toy.tsv"
@@ -74,32 +64,6 @@ class TestSynth:
         tr = parse_corpus(out, "tsv")
         assert tr.books[1].language == "toy_positional"
         assert len(tr.books[1].verses) == 25
-
-    def test_stream_output_parses_and_chunks(self, tmp_path):
-        out = tmp_path / "stream.tsv"
-        code = main(
-            [
-                "synth", "stream", "--k", "3",
-                "--n", "500", "--seed", "1", "--chunk", "40", "--out", str(out),
-            ]
-        )
-        assert code == 0
-        tr = parse_corpus(out, "tsv")
-        total = sum(len(v.text) for v in tr.books[1].verses)
-        assert total == 500
-        assert all(len(v.text) <= 40 for v in tr.books[1].verses)
-
-    def test_markov_stream_requires_transition(self, capsys):
-        # Only --transition makes a Markov chain; without a source flag the stream is iid.
-        assert main(["synth", "stream", "--n", "20", "--out", "-"]) == 0
-        assert capsys.readouterr().out.startswith("# generator: stream kind=iid n=20 ")
-
-    def test_empty_transition_exits_1_naming_it(self, capsys, caplog):
-        # An empty --transition was once reported as a missing one.
-        assert main(["synth", "stream", "--transition", "", "--n", "20"]) == 1
-        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert error.startswith("--transition is empty")
-        assert capsys.readouterr().out == ""
 
     def test_toy_vocabulary_seed_is_the_seed(self, tmp_path, capsys):
         # The header names the vocabulary seed, which is --seed.
@@ -118,60 +82,15 @@ class TestSynth:
             "error: unrecognized arguments: --vocab-seed 5"
         ]
 
-    def test_nan_transition_rejected_at_once(self, capsys, caplog):
-        # A NaN row once passed the distribution check, and the stationary
-        # distribution then ran its million iterations before failing.
-        start = time.monotonic()
-        code = main(["synth", "stream", "--transition", "nan,1;0.5,0.5", "--n", "10"])
-        assert time.monotonic() - start < 5
-        assert code == 1
-        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert "transition row is not a probability distribution" in error
-        captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err
-
-    @pytest.mark.parametrize("flag", sorted(STREAM_SOURCES), ids=lambda flag: flag[2:])
-    def test_source_flag_writes_the_generated_stream(self, flag, capsys):
-        # The header, then the verse lines of testkit.generate for the source.
-        value, source = STREAM_SOURCES[flag]
-        assert main(["synth", "stream", flag, value, "--n", "95", "--seed", "5",
-                     "--chunk", "10"]) == 0
-        chars = generate(source, 95, 5).chars
-        assert capsys.readouterr().out.splitlines() == [
-            f"# generator: stream kind={source.kind} n=95 seed=5 h_true={source.h_true:.6f}",
-            f"# language: synth_{source.kind}",
-            *(f"1\t1\t{i}\t{chars[j : j + 10]}" for i, j in enumerate(range(0, 95, 10), 1)),
-        ]
-        assert source.kind == ("markov1" if flag == "--transition" else "iid")
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--k", "3", "--probs", "0.5,0.5"],
-            ["--k", "3", "--transition", "0.9,0.1;0.1,0.9"],
-            ["--probs", "0.5,0.5", "--transition", "0.9,0.1;0.1,0.9"],
-            ["--transition", "0.9,0.1;0.1,0.9", "--probs", "0.5,0.5"],
-        ],
-        ids=["k-with-probs", "k-with-markov1", "probs-with-markov1", "transition-with-iid"],
-    )
-    def test_unread_stream_flag_exits_1_naming_it(self, flags, capsys, caplog):
-        # Each pair of source flags, once in either order: only one of them
-        # could set the stream, and the other was once silently ignored.
-        error = exit_1_message(["synth", "stream", *flags, "--n", "20"], capsys, caplog)
-        assert all(flag in error for flag in flags[::2])
-
-    @pytest.mark.parametrize("flags", [[], ["--k", "3"]], ids=["iid", "iid-k"])
-    def test_empty_probs_exits_1_naming_it(self, flags, capsys, caplog):
-        # An empty --probs once gave the uniform stream, as if it were absent.
-        argv = ["synth", "stream", *flags, "--probs", "", "--n", "20"]
-        assert "--probs" in exit_1_message(argv, capsys, caplog)
-
-    def test_stream_k_defaults_to_4(self, capsys):
-        assert main(["synth", "stream", "--n", "60", "--seed", "3"]) == 0
-        default = capsys.readouterr().out
-        assert main(["synth", "stream", "--k", "4", "--n", "60", "--seed", "3"]) == 0
-        assert capsys.readouterr().out == default
-        assert "h_true=2.000000" in default
+    def test_toy_is_the_only_generator(self, capsys, caplog):
+        # Symbol streams hold no space, so analyze would read each verse as
+        # one token; the estimator checks call testkit.generate in-process.
+        error = exit_1_message(["synth", "stream", "--n", "20"], capsys, caplog)
+        assert "invalid choice: 'stream'" in error
+        with pytest.raises(SystemExit):
+            main(["synth", "--help"])
+        usage = capsys.readouterr().out
+        assert "{toy}" in usage and "stream" not in usage
 
 
 #: Integer flags out of range or not ASCII digits, each a configuration error.
@@ -181,15 +100,8 @@ BAD_COUNTS = [
     ["analyze", "--format", "tsv", "--workers", "0", "c.tsv"],
     ["analyze", "--format", "tsv", "--workers", "-3", "c.tsv"],
     ["oracle-check", "--count", "-4"],
-    ["synth", "stream", "--n", "0"],
-    ["synth", "stream", "--k", "100"],
-    ["synth", "stream", "--k", "0"],
-    ["synth", "stream", "--chunk", "0"],
-    ["synth", "stream", "--chunk", "-5"],
     ["synth", "toy", "--mode", "positional", "--sentences", "0"],
     ["synth", "toy", "--mode", "positional", "--seed", "-1"],
-    ["synth", "stream", "--seed", "-1"],
-    ["synth", "stream", "--transition", "0.5,0.5"],
     ["analyze", "--format", "tsv", "--books", ",", "c.tsv"],
     ["analyze", "--format", "tsv", "--replicates", "x", "c.tsv"],
     ["analyze", "--format", "tsv", "--replicates", "\u0663", "c.tsv"],
@@ -782,24 +694,16 @@ class TestRunConfig:
         monkeypatch.setattr(
             cli, "cmd_synth_toy", lambda **kw: calls.setdefault("synth toy", kw) and 0
         )
-        monkeypatch.setattr(
-            cli, "cmd_synth_stream", lambda **kw: calls.setdefault("synth stream", kw) and 0
-        )
         assert main(["stats", "r.csv", "--books", "40,41", "--group-by", "translation",
                      "--out", "elsewhere"]) == 0
         assert main(["oracle-check", "--count", "3", "--seed", "7"]) == 0
         assert main(["synth", "toy", "--mode", "affixal", "--sentences", "7", "--seed", "2",
                      "--out", "t.tsv"]) == 0
-        assert main(["synth", "stream", "--transition", "0.9,0.1;0.2,0.8", "--n", "80",
-                     "--seed", "4", "--chunk", "9", "--out", "s.tsv"]) == 0
         assert calls == {
             "stats": {"results_path": "r.csv", "books": (40, 41), "group_by": "translation",
                       "out_dir": "elsewhere"},
             "oracle-check": {"count": 3, "seed": 7},
             "synth toy": {"mode": "affixal", "sentences": 7, "seed": 2, "out": "t.tsv"},
-            "synth stream": {"k": None, "probs": None,
-                             "transition": "0.9,0.1;0.2,0.8", "n": 80, "seed": 4, "chunk": 9,
-                             "out": "s.tsv"},
         }
 
 

@@ -37,10 +37,6 @@ it under each ``--group-by`` before the table was read as columns.
 before ``aggregate`` returned one group-by-book table: all four files for
 books 40 and 66, and for 40 and 99 (a book the table lacks, so no group has
 both) only ``fits.csv`` and ``ranks.csv``, the other two being skipped.
-
-``synth/`` holds three ``synth stream`` corpora (two iid, one Markov) as
-the command wrote them, to a file and to stdout alike, before ``synth``
-took its settings by name.
 """
 
 from __future__ import annotations
@@ -86,29 +82,15 @@ def test_outputs_match_golden_bytes(tmp_path, variant, workers):
 
 
 @pytest.mark.parametrize("mode", ["positional", "affixal"])
-def test_synth_toy_reproduces_golden_corpus(tmp_path, mode):
+def test_synth_toy_reproduces_golden_corpus(tmp_path, capsys, mode):
+    # To a file and to stdout alike.
+    expected = (GOLDEN / f"toy_{mode}.tsv").read_bytes()
     out = tmp_path / f"toy_{mode}.tsv"
-    argv = ["synth", "toy", "--mode", mode, "--sentences", "300", "--seed", "0", "--out", str(out)]
-    assert cli.main(argv) == 0
-    assert out.read_bytes() == (GOLDEN / f"toy_{mode}.tsv").read_bytes()
-
-
-#: Golden file under ``synth/`` -> the ``synth stream`` flags that wrote it.
-SYNTH_STREAMS = {
-    "stream_iid_k3.tsv": ("--k", "3", "--n", "500", "--seed", "1", "--chunk", "40"),
-    "stream_iid_probs.tsv": ("--probs", "0.7,0.2,0.1", "--n", "300", "--seed", "2"),
-    "stream_markov1.tsv": ("--transition", "0.9,0.1;0.1,0.9", "--n", "400", "--seed", "0"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(SYNTH_STREAMS))
-def test_synth_stream_reproduces_golden_corpus(tmp_path, capsys, name):
-    expected = (GOLDEN / "synth" / name).read_bytes()
-    out = tmp_path / name
-    assert cli.main(["synth", "stream", *SYNTH_STREAMS[name], "--out", str(out)]) == 0
+    argv = ["synth", "toy", "--mode", mode, "--sentences", "300", "--seed", "0", "--out"]
+    assert cli.main([*argv, str(out)]) == 0
     assert out.read_bytes() == expected
     capsys.readouterr()
-    assert cli.main(["synth", "stream", *SYNTH_STREAMS[name], "--out", "-"]) == 0
+    assert cli.main([*argv, "-"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 

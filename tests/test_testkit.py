@@ -127,6 +127,8 @@ class TestSources:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             generate(uniform_iid(2), 0, seed=0)
+        with pytest.raises(ValueError, match="alphabet size 100 exceeds 62"):
+            generate(uniform_iid(100), 10, seed=0)
 
 
 class TestToyLanguage:
