@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -90,6 +91,14 @@ class TestSources:
         with pytest.raises(ValueError, match="is not a probability distribution"):
             markov_source([[bad, 1.0], [0.5, 0.5]])
 
+    def test_nan_transition_rejected_at_once(self):
+        # A NaN row once passed the distribution check, and the stationary
+        # distribution then ran its million iterations before failing.
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="transition row is not a probability distribution"):
+            markov_source([[math.nan, 1.0], [0.5, 0.5]])
+        assert time.monotonic() - start < 5
+
     def test_empirical_frequencies_converge(self):
         seq = generate(uniform_iid(4), 100_000, seed=11)
         counts = Counter(seq.chars)
@@ -127,6 +136,9 @@ class TestSources:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             generate(uniform_iid(2), 0, seed=0)
+
+    def test_alphabet_over_62_symbols_rejected(self):
+        # The stream spells each symbol with one of 62 ASCII letters and digits.
         with pytest.raises(ValueError, match="alphabet size 100 exceeds 62"):
             generate(uniform_iid(100), 10, seed=0)
 
