@@ -19,7 +19,11 @@ token. That one has a single astral character (U+20000, in book 42), and
 no word type of length two or more, so all its structure penalties are 0
 and its structure ranks tie. ``expected/<run>/`` holds all five data files
 and the run-independent part of ``manifest.json`` as the code wrote them
-before the transforms took a token list. ``expected/defaults-by-translation/``
+before the transforms took a token list; ``expected/books-40-41-66/`` was
+written by ``--books 40,41,66`` before the parse skipped the books a run
+does not request: every input holds unrequested books (42 and 44, and 43
+in all but the revised translation).
+``expected/defaults-by-translation/``
 holds the ``fits.csv`` and ``corr_matrix.csv`` that ``stats --group-by
 translation`` wrote for the ``defaults`` table before ``aggregate`` lost its
 standard deviations and the average ranks moved to numpy.
@@ -102,6 +106,7 @@ PBC_RUNS = {
     "defaults": (),
     "char-lowercase-book": ("--truncate", "char", "--lowercase", "--order-scope", "book"),
     "truncate-off": ("--truncate", "off"),
+    "books-40-41-66": ("--books", "40,41,66"),
 }
 
 
