@@ -17,7 +17,6 @@ from .corpus import (
     VerseRef,
     flatten,
     parse_corpus,
-    select_books,
     truncate_books,
 )
 from .entropy import (
@@ -106,7 +105,6 @@ __all__ = [
     "rank_histograms",
     "read_results_csv",
     "run_oracle_check",
-    "select_books",
     "shuffle_verses",
     "spearman",
     "truncate_books",

@@ -8,12 +8,12 @@ Subcommands:
   match-length kernel that ran (``"c"`` or ``"python"``).
   Reruns with the same configuration and inputs produce byte-identical
   outputs, regardless of the worker count. Each task parses one input,
-  reading it once, selects and truncates its books and measures a
-  contiguous part of its (book, replicate) units; the parent lists the
-  units from the configuration alone and never holds a book. An input is
-  one task when there are at least as many inputs as workers, and is
-  otherwise split into as many tasks as keep every worker busy, each
-  parsing it again.
+  reading it once and building only the requested books, truncates them
+  and measures a contiguous part of its (book, replicate) units; the
+  parent lists the units from the configuration alone, never holds a
+  book, and logs each input's missing books once. An input is one task
+  when there are at least as many inputs as workers, and is otherwise
+  split into as many tasks as keep every worker busy, each parsing it again.
 * ``stats``: read a results table and write the statistical outputs
   (``fits.csv``, ``corr_matrix.csv``, ``ranks.csv``, ``rank_hist.csv``).
 * ``oracle-check``: randomized equivalence check of the fast and naive
@@ -48,7 +48,6 @@ from .corpus import (
     FORMATS,
     TRUNCATIONS,
     parse_corpus,
-    select_books,
     truncate_books,
 )
 from .entropy import kernel_name, run_oracle_check
@@ -133,7 +132,8 @@ def _int_arg(minimum: int | None = None):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wordtradeoff", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # A metavar, so that the usage line names what an invalid choice's error names.
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     p_an = sub.add_parser(
         "analyze", help="measure books and write results.csv", argument_default=argparse.SUPPRESS
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oc.add_argument("--seed", type=_int_arg(), default=0)
 
     p_sy = sub.add_parser("synth", help="emit synthetic corpora (tsv format)")
-    sy_sub = p_sy.add_subparsers(dest="generator", required=True)
+    sy_sub = p_sy.add_subparsers(dest="generator", metavar="GENERATOR", required=True)
 
     p_toy = sy_sub.add_parser("toy", help="toy positional/affixal language")
     p_toy.add_argument("--mode", choices=("positional", "affixal"), required=True)
@@ -255,8 +255,9 @@ def cmd_analyze(config: RunConfig) -> int:
                 return 1
             # Every task of an input reports the same digest and missing books.
             digests[path] = outcome.sha256
-            if outcome.missing:
+            if outcome.missing and tid not in missing_report:
                 missing_report[tid] = outcome.missing
+                logger.warning("translation %s is missing books %s", tid, outcome.missing)
             rows += outcome.rows
             for error in outcome.errors:
                 errors.append((tid, *error))
@@ -346,21 +347,23 @@ def _outcomes(tasks: list[tuple[int, str, list[tuple[int, int]]]], config: RunCo
 def _measure_input(
     path: str, units: list[tuple[int, int]], config: RunConfig
 ) -> _InputOutcome | str:
-    """Parse one input, select and (optionally) truncate the requested books,
-    and measure those of ``units`` the input has. An input error and each
+    """Parse the requested books of one input, (optionally) truncate them, and
+    measure those of ``units`` the input has. An input error and each
     unit's error come back as their messages: no exception crosses from a pool
     worker, where one that pickle cannot rebuild would break the whole pool."""
     # parse_corpus, truncate_books and measure_replicate are globals looked
     # up per call, so a replaced one runs.
     try:
-        translation = parse_corpus(Path(path), config.fmt, lowercase=config.lowercase)
-        tid = translation.translation_id
-        found, missing = select_books(translation, config.books)
+        translation = parse_corpus(
+            Path(path), config.fmt, lowercase=config.lowercase, books=config.books
+        )
+        found = translation.books.values()
         if config.truncate != "off":
             found = truncate_books(found, config.truncate)
     except (OSError, ValueError) as exc:
         return str(exc)
     books = {book.book_id: book for book in found}
+    missing = sorted(set(config.books) - set(translation.books))
     rows, errors = [], []
     for book_id, r in units:
         if book_id in books:
@@ -368,7 +371,7 @@ def _measure_input(
                 rows.append(measure_replicate(books[book_id], r, config))
             except Exception as exc:
                 errors.append((book_id, r, str(exc)))
-    return _InputOutcome(tid, translation.sha256, sorted(missing), rows, errors)
+    return _InputOutcome(translation.translation_id, translation.sha256, missing, rows, errors)
 
 
 def cmd_stats(

@@ -1,12 +1,12 @@
 """Verse-aligned corpus handling.
 
 Parses parallel corpora whose lines are individually addressable by
-(book, chapter, verse), groups verses into books, and renders each book
-as one string (:func:`flatten`) for entropy estimation. Inputs are
-expected to be pre-tokenized (word tokens, punctuation included,
-separated by single spaces) and pre-lowercased; an optional Unicode
-default lowercasing pass is available for convenience, but
-language-specific casing is out of scope.
+(book, chapter, verse), checking every line but building only the
+requested books, and renders each book as one string (:func:`flatten`)
+for entropy estimation. Inputs are expected to be pre-tokenized (word
+tokens, punctuation included, separated by single spaces) and
+pre-lowercased; an optional Unicode default lowercasing pass is
+available for convenience, but language-specific casing is out of scope.
 
 Two input formats are supported:
 
@@ -164,19 +164,24 @@ def parse_corpus(
     fmt: str,
     *,
     lowercase: bool = False,
+    books: Iterable[int] | None = None,
 ) -> Translation:
     """Parse a verse-aligned corpus file into a Translation.
 
     ``source`` may be raw bytes, a filesystem path, or a binary file
     object; the content must be valid UTF-8. ``fmt`` selects the line
-    format, one of :data:`FORMATS`. Verses are sorted by reference
-    within each book. Data lines whose text is empty (untranslated
-    verses) are skipped, and one warning gives their count. A
-    ``# translation_id: ...`` comment sets the translation id; the
+    format, one of :data:`FORMATS`. Every data line is checked, but only
+    the books ``books`` names (default: all; none is a ``ValueError``) are
+    built, so a requested id the input lacks is absent from the result.
+    Verses are sorted by reference within each book. Data lines whose text
+    is empty (untranslated verses) are skipped, and one warning gives their
+    count. A ``# translation_id: ...`` comment sets the translation id; the
     default is the file name's stem, which must then be valid UTF-8
     (else :class:`CorpusFormatError`), and a ``# language_code: ...`` (or
     similar) comment sets the language; other comments are ignored.
     """
+    if books is not None and not (books := frozenset(books)):
+        raise ValueError("no books requested")
     data, default_id = _read_source(source)
     try:
         text = data.decode("utf-8")
@@ -188,8 +193,8 @@ def parse_corpus(
         raise ValueError(f"unknown corpus format {fmt!r} (expected one of {FORMATS})")
 
     comments: dict[str, str] = {}
-    by_book: defaultdict[int, list[Verse]] = defaultdict(list)
-    seen: dict[VerseRef, int] = {}
+    by_book: defaultdict[int, list[tuple[tuple[int, int, int], str]]] = defaultdict(list)
+    seen: dict[tuple[int, int, int], int] = {}  # (book, chapter, verse) -> line number
     skipped_empty = 0
 
     # str.splitlines would also break at \x0b, \x0c, \x1c-\x1e, \x85,
@@ -204,19 +209,21 @@ def parse_corpus(
             if kv is not None:
                 comments.setdefault(kv[0], kv[1])
             continue
-        ref, body = _parse_line(raw, line_no, fmt)
-        if lowercase:
-            body = body.lower()
-        body = " ".join(body.split())
-        if not body:
+        key, body = _parse_line(raw, line_no, fmt)
+        kept = books is None or key[0] in books
+        if kept:  # unkept text is tested raw: lowercasing neither adds nor drops whitespace
+            body = " ".join((body.lower() if lowercase else body).split())
+        if not body or body.isspace():
             skipped_empty += 1
             continue
-        first = seen.setdefault(ref, line_no)
+        first = seen.setdefault(key, line_no)
         if first != line_no:
             raise CorpusFormatError(
-                f"duplicate verse reference {ref} (first seen at line {first})", line_no
+                f"duplicate verse reference {VerseRef(*key)} (first seen at line {first})",
+                line_no,
             )
-        by_book[ref.book_id].append(Verse(ref, body))
+        if kept:
+            by_book[key[0]].append((key, body))
 
     if not seen:
         raise CorpusFormatError("no verses found in input")
@@ -231,34 +238,17 @@ def parse_corpus(
         logger.warning("translation %s: skipped %d verses with empty text", tid, skipped_empty)
     lang = _language_from_comments(comments) or "und"
 
-    books = {
+    # Keys are unique, so sorting the pairs sorts by reference alone.
+    built = {
         book_id: Book(
             book_id=book_id,
-            verses=tuple(sorted(verses, key=lambda v: (v.ref.chapter, v.ref.verse))),
+            verses=tuple(Verse(VerseRef(*key), body) for key, body in sorted(verses)),
             translation_id=tid,
             language=lang,
         )
         for book_id, verses in sorted(by_book.items())
     }
-    return Translation(tid, books, hashlib.sha256(data).hexdigest())
-
-
-def select_books(
-    translation: Translation, ids: Iterable[int]
-) -> tuple[list[Book], set[int]]:
-    """Pick the requested books, reporting (not failing on) missing ids."""
-    wanted = set(ids)
-    if not wanted:
-        raise ValueError("no books requested")
-    found = [translation.books[i] for i in sorted(wanted) if i in translation.books]
-    missing = wanted - set(translation.books)
-    if missing:
-        logger.warning(
-            "translation %s is missing books %s",
-            translation.translation_id,
-            sorted(missing),
-        )
-    return found, missing
+    return Translation(tid, built, hashlib.sha256(data).hexdigest())
 
 
 def truncate_books(
@@ -330,8 +320,8 @@ def _language_from_comments(comments: Mapping[str, str]) -> str | None:
     return None
 
 
-def _parse_line(line: str, line_no: int, fmt: str) -> tuple[VerseRef, str]:
-    """Split a data line into its verse reference and its text."""
+def _parse_line(line: str, line_no: int, fmt: str) -> tuple[tuple[int, int, int], str]:
+    """Split a data line into its (book, chapter, verse) ids and its text."""
     shape, n_ids, width = _SHAPES[fmt]
     fields = line.split("\t", n_ids)
     if width:  # one id field: book (2 digits), chapter (3) and verse (3)
@@ -346,8 +336,10 @@ def _parse_line(line: str, line_no: int, fmt: str) -> tuple[VerseRef, str]:
         width and len(digits) != width
     ):
         raise CorpusFormatError(f"expected '{shape}', got {line[:50]!r}", line_no)
-    try:
-        ref = VerseRef(int(book), int(chapter), int(verse))
-    except ValueError as exc:
-        raise CorpusFormatError(str(exc), line_no) from None
-    return ref, body
+    key = int(book), int(chapter), int(verse)
+    if 0 in key:  # the only id below 1 that digits spell: VerseRef names it
+        try:
+            VerseRef(*key)
+        except ValueError as exc:
+            raise CorpusFormatError(str(exc), line_no) from None
+    return key, body

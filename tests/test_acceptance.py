@@ -30,7 +30,7 @@ import pytest
 
 from conftest import random_book
 from wordtradeoff.cli import RunConfig, cmd_analyze
-from wordtradeoff.corpus import flatten, parse_corpus, select_books, truncate_books
+from wordtradeoff.corpus import flatten, parse_corpus, truncate_books
 from wordtradeoff.entropy import entropy_rate, match_lengths, match_lengths_naive, run_oracle_check
 from wordtradeoff.measures import (
     MeasureConfig,
@@ -330,8 +330,7 @@ def test_criterion_8_full_corpus_tradeoff():
     measurements = []
     cfg = MeasureConfig(master_seed=0, replicates=2)
     for path in files:
-        translation = parse_corpus(path, "pbc")
-        found, _missing = select_books(translation, book_ids)
+        found = list(parse_corpus(path, "pbc", books=book_ids).books.values())
         if len(found) != len(book_ids):
             continue
         eligible += 1

@@ -85,12 +85,14 @@ class TestSynth:
     def test_toy_is_the_only_generator(self, capsys, caplog):
         # Symbol streams hold no space, so analyze would read each verse as
         # one token; the estimator checks call testkit.generate in-process.
+        # The error names the argument as the usage line does.
         error = exit_1_message(["synth", "stream", "--n", "20"], capsys, caplog)
-        assert "invalid choice: 'stream'" in error
+        assert error == "error: argument GENERATOR: invalid choice: 'stream' (choose from 'toy')"
         with pytest.raises(SystemExit):
             main(["synth", "--help"])
         usage = capsys.readouterr().out
-        assert "{toy}" in usage and "stream" not in usage
+        assert usage.startswith("usage: wordtradeoff synth [-h] GENERATOR ...\n")
+        assert "\n    toy " in usage and "stream" not in usage
 
 
 #: Integer flags out of range or not ASCII digits, each a configuration error.
@@ -873,6 +875,24 @@ def test_outputs_identical_at_1_2_and_3_workers(tmp_path):
     assert set(manifest["inputs"]) == {str(a), str(b)}
 
 
+def test_missing_books_logged_once_at_any_worker_count(tmp_path):
+    # At 3 workers the one input is split over three tasks, each of which
+    # parses it; the parent logs the missing book once. A subprocess, so that
+    # a warning logged in a pool worker would be counted too.
+    corpus = tmp_path / "in.tsv"
+    write_two_book_corpus(corpus)
+    probe = "import sys; from wordtradeoff.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for workers in (1, 3):
+        argv = ["analyze", str(corpus), "--format", "tsv", "--books", "40,41,42",
+                "--replicates", "2", "--workers", str(workers), "--out", str(tmp_path / "out")]
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        warnings = [line for line in done.stderr.splitlines() if "missing books" in line]
+        assert warnings == ["WARNING wordtradeoff.cli: translation in is missing books [42]"]
+
+
 @pytest.mark.parametrize("second", ["corrupt", "same-id"])
 def test_bad_second_input_fatal_alike_at_1_and_2_workers(tmp_path, caplog, second):
     (tmp_path / "a").mkdir()
@@ -944,6 +964,10 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main(["analyze", "--group-by", "language", "x.tsv"])
         assert err.value.code == 1
+
+    def test_unknown_command_names_the_usage_metavar(self, capsys, caplog):
+        error = exit_1_message(["measure"], capsys, caplog)
+        assert error.startswith("error: argument COMMAND: invalid choice: 'measure'")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:

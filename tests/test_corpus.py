@@ -1,26 +1,28 @@
-"""Corpus parsing, flattening, truncation and selection."""
+"""Corpus parsing, book selection, flattening and truncation."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wordtradeoff import corpus as corpus_module
 from wordtradeoff.corpus import (
     DEFAULT_BOOK_IDS,
     TRUNCATIONS,
     Book,
     CorpusFormatError,
-    Translation,
     Verse,
     VerseRef,
     flatten,
     parse_corpus,
-    select_books,
     truncate_books,
 )
 
@@ -355,26 +357,163 @@ class TestTruncate:
                 truncate_books(books, granularity)
 
 
-class TestSelect:
-    def _translation(self, ids):
-        books = {i: make_book([f"text of {i}"], book_id=i) for i in ids}
-        return Translation("t", books, "")
+def pbc_books(ids):
+    """A pbc corpus with one verse in each of the books ``ids``."""
+    return "".join(f"{i:02d}001001\ttext of {i}\n" for i in ids).encode()
 
+
+class TestSelect:
     def test_all_present(self):
-        tr = self._translation(DEFAULT_BOOK_IDS)
-        found, missing = select_books(tr, DEFAULT_BOOK_IDS)
-        assert [b.book_id for b in found] == sorted(DEFAULT_BOOK_IDS)
-        assert missing == set()
+        data = pbc_books([1, *DEFAULT_BOOK_IDS, 67])
+        tr = parse_corpus(data, "pbc", books=DEFAULT_BOOK_IDS)
+        assert list(tr.books) == sorted(DEFAULT_BOOK_IDS)
+        assert tr.sha256 == parse_corpus(data, "pbc").sha256
 
     def test_missing_reported_not_fatal(self):
-        tr = self._translation([40, 41, 42, 43, 66])  # no Acts
-        found, missing = select_books(tr, DEFAULT_BOOK_IDS)
-        assert missing == {44}
-        assert len(found) == 5
+        data = pbc_books([40, 41, 42, 43, 66])  # no Acts
+        tr = parse_corpus(data, "pbc", books=DEFAULT_BOOK_IDS)
+        assert set(DEFAULT_BOOK_IDS) - set(tr.books) == {44}
+        assert len(tr.books) == 5
 
     def test_empty_request_is_error(self):
         with pytest.raises(ValueError, match="no books requested"):
-            select_books(self._translation([40]), set())
+            parse_corpus(pbc_books([40]), "pbc", books=set())
+
+
+def reference_parse_select(data, fmt, ids, lowercase):
+    """Parse every book, then keep the requested ones: the two steps that
+    ``parse_corpus(..., books=ids)`` does in one pass.
+
+    Returns the kept books as (id, Book) pairs, the missing ids, the
+    translation id, the digest and the warnings; raises what the parse raises.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"input is not valid UTF-8: {exc}") from None
+    shape, n_ids, width = corpus_module._SHAPES[fmt]
+    comments, by_book, seen, skipped_empty = {}, defaultdict(list), {}, 0
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            key, sep, value = stripped.lstrip("#").strip().partition(":")
+            if sep and key.strip():
+                comments.setdefault(key.strip().lower(), value.strip())
+            continue
+        fields = raw.split("\t", n_ids)
+        if width:
+            ident = fields[0].strip()
+            fields[:1] = (ident[:2], ident[2:5], ident[5:]) if len(ident) == width else ()
+        book, chapter, verse, body = fields if len(fields) == 4 else ("",) * 4
+        book, chapter, verse = book.strip(), chapter.strip(), verse.strip()
+        digits = book + chapter + verse
+        if not (book and chapter and verse and digits.isascii() and digits.isdigit()) or (
+            width and len(digits) != width
+        ):
+            raise CorpusFormatError(f"expected '{shape}', got {raw[:50]!r}", line_no)
+        try:
+            ref = VerseRef(int(book), int(chapter), int(verse))
+        except ValueError as exc:
+            raise CorpusFormatError(str(exc), line_no) from None
+        body = " ".join((body.lower() if lowercase else body).split())
+        if not body:
+            skipped_empty += 1
+            continue
+        first = seen.setdefault(ref, line_no)
+        if first != line_no:
+            raise CorpusFormatError(
+                f"duplicate verse reference {ref} (first seen at line {first})", line_no
+            )
+        by_book[ref.book_id].append(Verse(ref, body))
+    if not seen:
+        raise CorpusFormatError("no verses found in input")
+    tid = comments.get("translation_id") or "unknown"
+    lang = next((comments[k] for k in corpus_module._LANGUAGE_KEYS if comments.get(k)), "und")
+    every = {
+        book_id: Book(book_id, tuple(sorted(verses, key=lambda v: v.ref)), tid, lang)
+        for book_id, verses in sorted(by_book.items())
+    }
+    wanted = set(every) if ids is None else set(ids)
+    kept = [(book_id, every[book_id]) for book_id in sorted(wanted & set(every))]
+    warnings = [f"translation {tid}: skipped {skipped_empty} verses with empty text"]
+    return kept, sorted(wanted - set(every)), tid, hashlib.sha256(data).hexdigest(), (
+        warnings if skipped_empty else []
+    )
+
+
+#: The books the drawn corpora hold; 42 is requested at times but never present.
+BOOK_POOL = (1, 40, 41, 66)
+
+#: Rare faults, each placed on one drawn line (and so in that line's book).
+FAULTS = ("shape", "zero", "duplicate", "utf8", "empty")
+
+
+@st.composite
+def faulty_corpora(draw):
+    """A pbc or tsv corpus of several books with comments and rare faults."""
+    fmt = draw(st.sampled_from(["pbc", "tsv"]))
+    ref = st.tuples(st.sampled_from(BOOK_POOL), st.integers(1, 3), st.integers(1, 3))
+    refs = draw(st.lists(ref, min_size=1, max_size=10, unique=True))
+    texts = draw(st.lists(st.text("aB\u00e9 ", min_size=1, max_size=5).filter(str.strip),
+                          min_size=len(refs), max_size=len(refs)))
+
+    def line(ref, text, *, ids=None):
+        b, c, v = ref
+        if ids is None:
+            ids = f"{b:02d}{c:03d}{v:03d}" if fmt == "pbc" else f"{b}\t{c}\t{v}"
+        return (ids + "\t" + text + "\n").encode()
+
+    lines = [line(r, t) for r, t in zip(refs, texts)]
+    faults = draw(st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, len(refs) - 1)),
+                           max_size=2))
+    for fault, i in faults:
+        (b, c, v), text = refs[i], texts[i]
+        if fault == "shape":  # a 7-digit pbc id; a tsv line short of a field
+            bad = f"{b:02d}{c:03d}{v:02d}" if fmt == "pbc" else f"{b}\t{c}"
+            lines[i] = line(refs[i], text, ids=bad)
+        elif fault == "zero":
+            lines[i] = line((b, 0, v), text)
+        elif fault == "duplicate":
+            lines.append(line(refs[i], "again"))
+        elif fault == "utf8":
+            lines[i] = line(refs[i], text).rstrip(b"\n") + b"\xe2\x82\n"
+        else:
+            lines[i] = line(refs[i], draw(st.sampled_from(["", " ", "\u2028"])))
+    comments = draw(st.lists(st.sampled_from([b"# translation_id: tr\n",
+                                              b"# language_code: xyz\n", b"# note\n"])))
+    order = draw(st.permutations(range(len(lines))))
+    return b"".join(comments) + b"".join(lines[i] for i in order), fmt
+
+
+class TestOnePassSelection:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        faulty_corpora(),
+        st.none() | st.sets(st.sampled_from((*BOOK_POOL, 42)), min_size=1),
+        st.booleans(),
+    )
+    # A duplicate reference and a zero id, each in a book nobody requested.
+    @example((b"40001001\ta\n01001001\tb\n01001001\tc\n", "pbc"), {40}, False)
+    @example((b"40\t1\t1\ta\n1\t0\t1\tb\n", "tsv"), {40}, False)
+    def test_equals_parse_then_select(self, corpus, ids, lowercase):
+        data, fmt = corpus
+        try:
+            expected = reference_parse_select(data, fmt, ids, lowercase)
+        except CorpusFormatError as exc:
+            with pytest.raises(CorpusFormatError) as raised:
+                parse_corpus(data, fmt, lowercase=lowercase, books=ids)
+            assert str(raised.value) == str(exc)
+            return
+        warnings = []
+        with patch.object(corpus_module.logger, "warning",
+                          side_effect=lambda msg, *args: warnings.append(msg % args)):
+            tr = parse_corpus(data, fmt, lowercase=lowercase, books=ids)
+        wanted = set(tr.books) if ids is None else ids
+        got = list(tr.books.items()), sorted(wanted - set(tr.books)), tr.translation_id
+        assert (*got, tr.sha256, warnings) == expected
 
 
 class TestInvariants:
