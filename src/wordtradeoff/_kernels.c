@@ -32,12 +32,17 @@
  * starts with the original's inline slots, so any BMP code among those
  * edges finds both slots taken there too.
  *
+ * entropy_rate: the estimate n / sum_i l_i / log2(i + 1) of entropy.py's
+ * entropy_rate, summed in one sequential loop with libm's log2, in the
+ * same order as the Python fallback loop, so the two give the same bits.
+ *
  * shuffle_segments, randbelow_fill: the seeded draws of transforms.py's
  * Xorshift64Star, by the recipe of docs/seeds.md sections 2-4 (xorshift64*
  * stream, threshold-rejection randbelow, backward Fisher-Yates). Both take
  * the generator state and return the state after their last draw.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -197,6 +202,36 @@ int match_lengths(const uint32_t *s, int64_t n, int32_t *out)
     return 0;
 }
 
+/*
+ * log2(i + 2) for 0 <= i < log2_n, kept between calls of entropy_rate: the
+ * three variants of a book and all its replicates have one length, so they
+ * share one table, and the log2 calls were most of the sum's time. Not
+ * thread-safe: entropy.py calls entropy_rate holding the GIL.
+ */
+static double *log2_table;
+static int64_t log2_n;
+
+/* n / sum_{i=1..n} l_i / log2(i + 1), summed from i = 1 up; n >= 1. */
+double entropy_rate(const int32_t *l, int64_t n)
+{
+    if (n > log2_n) {
+        double *t = realloc(log2_table, (size_t)n * sizeof *t);
+        if (t != NULL) {
+            for (int64_t i = log2_n; i < n; i++)
+                t[i] = log2((double)(i + 2));
+            log2_table = t;
+            log2_n = n;
+        }
+    }
+    double sum = 0.0;
+    int64_t i = 0;
+    for (; i < n && i < log2_n; i++)
+        sum += l[i] / log2_table[i];
+    for (; i < n; i++) /* only if the table could not grow */
+        sum += l[i] / log2((double)(i + 2));
+    return (double)n / sum;
+}
+
 #define XORSHIFT_GOLDEN UINT64_C(0x9E3779B97F4A7C15)
 
 /* One xorshift64* draw (docs/seeds.md section 2): advances *s. */
@@ -225,24 +260,29 @@ static uint64_t randbelow(uint64_t *s, uint64_t n)
 }
 
 /*
- * Backward Fisher-Yates (section 4) over consecutive segments of perm:
- * segment g holds the next counts[g] entries and is shuffled in place,
- * the segments in order, all from one stream. Counts must be >= 0 and sum
- * to at most the length of perm.
+ * Writes 0, 1, ... to perm and runs backward Fisher-Yates (section 4) over
+ * its consecutive segments: segment g holds the next counts[g] entries and
+ * is shuffled in place, the segments in order, all from one stream. Counts
+ * must sum to at most the length of perm.
  */
-uint64_t shuffle_segments(uint64_t state, const int64_t *counts, int64_t nseg,
+uint64_t shuffle_segments(uint64_t state, const uint64_t *counts, int64_t nseg,
                           int64_t *perm)
 {
     if (state == 0)
         state = XORSHIFT_GOLDEN;
+    int64_t start = 0;
     for (int64_t g = 0; g < nseg; g++) {
-        for (int64_t i = counts[g] - 1; i > 0; i--) {
+        int64_t count = (int64_t)counts[g];
+        for (int64_t i = 0; i < count; i++)
+            perm[i] = start + i;
+        for (int64_t i = count - 1; i > 0; i--) {
             int64_t j = (int64_t)randbelow(&state, (uint64_t)i + 1);
             int64_t t = perm[i];
             perm[i] = perm[j];
             perm[j] = t;
         }
-        perm += counts[g];
+        start += count;
+        perm += count;
     }
     return state;
 }

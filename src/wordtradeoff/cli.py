@@ -11,7 +11,8 @@ Subcommands:
   reading it once and building only the requested books, truncates them
   and measures a contiguous part of its (book, replicate) units; the
   parent lists the units from the configuration alone, never holds a
-  book, and logs each input's missing books once. An input is one task
+  book, and logs each input's missing books and its count of verses
+  skipped for empty text once. An input is one task
   when there are at least as many inputs as workers, and is otherwise
   split into as many tasks as keep every worker busy, each parsing it again.
 * ``stats``: read a results table and write the statistical outputs
@@ -40,9 +41,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
+from ._lazy import lazy_import
 from .corpus import (
     DEFAULT_BOOK_IDS,
     FORMATS,
@@ -74,6 +74,7 @@ from .stats import (
     write_ranks_csv,
 )
 
+np = lazy_import("numpy")
 logger = logging.getLogger(__name__)
 
 #: The keys of each unit's entry under ``errors`` in ``manifest.json``.
@@ -253,11 +254,17 @@ def cmd_analyze(config: RunConfig) -> int:
                     config.inputs[first], path, tid,
                 )
                 return 1
-            # Every task of an input reports the same digest and missing books.
+            # Every task of an input reports the same digest, missing books and
+            # skipped verses; the input's first task logs them.
+            first_task = path not in digests
             digests[path] = outcome.sha256
-            if outcome.missing and tid not in missing_report:
+            if first_task and outcome.missing:
                 missing_report[tid] = outcome.missing
                 logger.warning("translation %s is missing books %s", tid, outcome.missing)
+            if first_task and outcome.skipped_empty:
+                logger.warning(
+                    "translation %s: skipped %d verses with empty text", tid, outcome.skipped_empty
+                )
             rows += outcome.rows
             for error in outcome.errors:
                 errors.append((tid, *error))
@@ -308,6 +315,7 @@ class _InputOutcome:
     translation_id: str
     sha256: str
     missing: list[int]  # requested ids the input lacks, sorted
+    skipped_empty: int  # data lines skipped for their empty text, in any book
     rows: list[BookMeasurement]
     errors: list[tuple[int, int, str]]  # (book_id, replicate, message)
 
@@ -371,7 +379,10 @@ def _measure_input(
                 rows.append(measure_replicate(books[book_id], r, config))
             except Exception as exc:
                 errors.append((book_id, r, str(exc)))
-    return _InputOutcome(translation.translation_id, translation.sha256, missing, rows, errors)
+    return _InputOutcome(
+        translation.translation_id, translation.sha256, missing, translation.skipped_empty,
+        rows, errors,
+    )
 
 
 def cmd_stats(

@@ -29,13 +29,10 @@ paragraph separator inside a verse is whitespace, like a tab.
 from __future__ import annotations
 
 import hashlib
-import logging
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, Union
-
-logger = logging.getLogger(__name__)
 
 #: Canonical book numbering (66-book Protestant canon, as used by the
 #: 8-digit verse ids of the pbc format).
@@ -143,11 +140,13 @@ class Book:
 
 @dataclass(frozen=True)
 class Translation:
-    """All books of one translation, and the sha256 hex digest of its input bytes."""
+    """All books of one translation, the sha256 hex digest of its input bytes,
+    and the number of data lines skipped for their empty text."""
 
     translation_id: str
     books: Mapping[int, Book]
     sha256: str
+    skipped_empty: int
 
 
 def flatten(book: Book) -> str:
@@ -174,8 +173,10 @@ def parse_corpus(
     the books ``books`` names (default: all; none is a ``ValueError``) are
     built, so a requested id the input lacks is absent from the result.
     Verses are sorted by reference within each book. Data lines whose text
-    is empty (untranslated verses) are skipped, and one warning gives their
-    count. A ``# translation_id: ...`` comment sets the translation id; the
+    is empty (untranslated verses) are skipped, in every book, and counted
+    in ``Translation.skipped_empty``; nothing is logged, so a caller that
+    parses one input several times can report the count once. A
+    ``# translation_id: ...`` comment sets the translation id; the
     default is the file name's stem, which must then be valid UTF-8
     (else :class:`CorpusFormatError`), and a ``# language_code: ...`` (or
     similar) comment sets the language; other comments are ignored.
@@ -234,8 +235,6 @@ def parse_corpus(
             f"file name {str(source)!r} is not valid UTF-8; "
             "give the input a '# translation_id: ...' comment"
         )
-    if skipped_empty:
-        logger.warning("translation %s: skipped %d verses with empty text", tid, skipped_empty)
     lang = _language_from_comments(comments) or "und"
 
     # Keys are unique, so sorting the pairs sorts by reference alone.
@@ -248,7 +247,7 @@ def parse_corpus(
         )
         for book_id, verses in sorted(by_book.items())
     }
-    return Translation(tid, built, hashlib.sha256(data).hexdigest())
+    return Translation(tid, built, hashlib.sha256(data).hexdigest(), skipped_empty)
 
 
 def truncate_books(

@@ -12,7 +12,9 @@ The entropy rate in bits per character is estimated as
 
     h = [ (1/N) * sum_{i=1..N} l_i / log2(i+1) ]^{-1}
 
-and :func:`entropy_rate` returns it as a float. Long matches indicate
+and :func:`entropy_rate` returns it as a float, summing the terms in
+order from i = 1 (in C where the library below loads, else by the same
+Python loop: the two give the same bits). Long matches indicate
 redundancy and drive the estimate down. There is no cap on how far back
 a match may reach, so long-range repetition is fully credited.
 
@@ -39,17 +41,20 @@ multi-byte, astral and surrogate symbols and U+0000, U+FFFE, U+FFFF and
 U+10FFFF, and returns a shrunk counterexample or None.
 
 The automaton runs as compiled C (``_kernels.c``, no Python headers,
-called through ``ctypes``). The same library holds the seeded draws of
-:mod:`wordtradeoff.transforms`, and :func:`load_library` builds and loads
-it for both. The first call in a process compiles it with the C compiler
-Python was built with (``sysconfig`` ``CC``, else ``cc``) into the
-package's ``__pycache__/`` under a name derived from the source and the
-compiler command; later calls and later processes load that file. It
-raises ValueError past ``_C_MAX_N`` (about 715M) characters. Where no
-compiler is found, or compiling or loading fails, one warning says why
-and the same algorithms run in pure Python with the same output: the
-match lengths 15-40x slower. :func:`kernel_name` reports which one a
-process uses.
+called through ``ctypes``) on the UTF-32 bytes of the text, and writes
+into an ``array("i")``. :class:`MatchLengths` holds the values as a
+read-only ``memoryview``, which ``numpy.asarray`` reads as int32 without
+a copy; nothing here imports numpy. The same library holds the sum of
+:func:`entropy_rate` and the seeded draws of :mod:`wordtradeoff.transforms`,
+and :func:`load_library` builds and loads it for all of them. The first
+call in a process compiles it with the C compiler Python was built with
+(``sysconfig`` ``CC``, else ``cc``) into the package's ``__pycache__/``
+under a name derived from the source and the compiler command; later
+calls and later processes load that file. It raises ValueError past
+``_C_MAX_N`` (about 715M) characters. Where no compiler is found, or
+compiling or loading fails, one warning says why and the same algorithms
+run in pure Python with the same output: the match lengths 15-40x
+slower. :func:`kernel_name` reports which one a process uses.
 """
 
 from __future__ import annotations
@@ -58,22 +63,24 @@ import ctypes
 import functools
 import hashlib
 import logging
+import math
 import os
 import random
 import shlex
 import subprocess
 import sysconfig
 import tempfile
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
-
-import numpy as np
+from typing import Callable, Iterable
 
 logger = logging.getLogger(__name__)
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 _KERNEL_CFLAGS = ("-O2", "-shared", "-fPIC")
+#: Libraries linked after the source: libm, for ``entropy_rate``'s log2.
+_KERNEL_LIBS = ("-lm",)
 #: Longest input the compiled kernel takes: its state and edge indices
 #: (at most 2n + 2 and 3n + 3) are int32. Longer inputs raise ValueError.
 _C_MAX_N = (2**31 - 1 - 3) // 3
@@ -83,22 +90,20 @@ _C_MAX_N = (2**31 - 1 - 3) // 3
 class MatchLengths:
     """Per-position match lengths l_1..l_N.
 
-    ``values`` is a read-only int32 array; any integer sequence given is
+    ``values`` is a read-only one-dimensional ``memoryview`` of format
+    ``"i"`` (int32) over an ``array("i")``; any integer sequence given is
     copied into one.
     """
 
-    values: np.ndarray
+    values: memoryview
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.int32)
-        if values.ndim != 1:
-            raise ValueError("match lengths must be a one-dimensional array")
-        if values.size == 0:
+        values = array("i", self.values)
+        if not values:
             raise ValueError("empty match-length array")
         if values[0] != 1:
             raise ValueError("l_1 must be 1 for any nonempty sequence")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", memoryview(values).toreadonly())
 
 
 def _check_nonempty(s: str) -> None:
@@ -178,7 +183,9 @@ def _build_library() -> ctypes.CDLL:
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     command = (*cc, *_KERNEL_CFLAGS)
     source = _KERNEL_SOURCE.read_bytes()
-    digest = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()[:16]
+    digest = hashlib.sha256(
+        source + "\0".join((*command, *_KERNEL_LIBS)).encode()
+    ).hexdigest()[:16]
     cache = _KERNEL_SOURCE.parent / "__pycache__"
     library = cache / f"_kernels-{digest}.so"
     if not library.exists():
@@ -189,7 +196,7 @@ def _build_library() -> ctypes.CDLL:
         os.close(fd)
         try:
             subprocess.run(
-                [*command, "-o", tmp, str(_KERNEL_SOURCE)],
+                [*command, "-o", tmp, str(_KERNEL_SOURCE), *_KERNEL_LIBS],
                 check=True,
                 capture_output=True,
                 timeout=300,
@@ -199,41 +206,37 @@ def _build_library() -> ctypes.CDLL:
             if os.path.exists(tmp):
                 os.unlink(tmp)
 
+    # Buffers go in as addresses (``array.buffer_info()[0]``) or bytes.
     lib = ctypes.CDLL(str(library))
-    lib.match_lengths.argtypes = [
-        np.ctypeslib.ndpointer(np.uint32, ndim=1, flags="C_CONTIGUOUS"),
-        ctypes.c_int64,
-        np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
-    ]
+    lib.match_lengths.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p]
     lib.match_lengths.restype = ctypes.c_int
+    # entropy_rate keeps a log2 table between calls, so it runs holding the
+    # GIL: a PyDLL handle on the same library does not release it.
+    lib.entropy_rate = ctypes.PyDLL(str(library)).entropy_rate
+    lib.entropy_rate.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+    lib.entropy_rate.restype = ctypes.c_double
     lib.shuffle_segments.argtypes = [
-        ctypes.c_uint64,
-        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
-        ctypes.c_int64,
-        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
+        ctypes.c_uint64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p
     ]
     lib.shuffle_segments.restype = ctypes.c_uint64
     lib.randbelow_fill.argtypes = [
-        ctypes.c_uint64,
-        ctypes.c_uint64,
-        ctypes.c_int64,
-        np.ctypeslib.ndpointer(np.uint64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
+        ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p
     ]
     lib.randbelow_fill.restype = ctypes.c_uint64
     return lib
 
 
-def _compiled_lengths(library: ctypes.CDLL, s: str) -> np.ndarray:
+def _compiled_lengths(library: ctypes.CDLL, s: str) -> array:
     """Match lengths of ``s`` by the library's ``match_lengths``."""
     n = len(s)
     if not 0 < n <= _C_MAX_N:
         raise ValueError(f"compiled kernel takes 1..{_C_MAX_N} chars, got {n}")
     # UTF-32 gives one code point per symbol; surrogatepass keeps the
     # lone surrogates a Python str may hold.
-    codes = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    out = np.empty(n, dtype=np.int32)
+    codes = s.encode("utf-32-le", "surrogatepass")
+    out = array("i", [0]) * n
     # With n checked above, the only failure left is allocation.
-    if library.match_lengths(codes, n, out) != 0:
+    if library.match_lengths(codes, n, out.buffer_info()[0]) != 0:
         raise MemoryError(f"match-length kernel could not allocate an automaton for {n} chars")
     return out
 
@@ -294,11 +297,28 @@ def _automaton_lengths(s: str) -> list[int]:
 
 
 def entropy_rate(ml: MatchLengths) -> float:
-    """The entropy-rate estimate, in bits per character, of a match-length array."""
-    n = len(ml.values)
-    values = np.asarray(ml.values, dtype=np.float64)
-    denom = np.log2(np.arange(2, n + 2, dtype=np.float64))
-    return n / float(np.sum(values / denom))
+    """The entropy-rate estimate, in bits per character, of a match-length array.
+
+    Runs the compiled sum when this process could build it, else
+    :func:`_python_entropy_rate`; both give the same bits.
+    """
+    library = load_library()
+    if library is None:
+        return _python_entropy_rate(ml.values)
+    return library.entropy_rate(ml.values.obj.buffer_info()[0], len(ml.values))
+
+
+def _python_entropy_rate(values: Iterable[int]) -> float:
+    """``n / sum(l_i / log2(i + 1))``, summed from i = 1 up, as ``_kernels.c`` sums it.
+
+    An explicit loop: ``sum()`` of floats compensates its rounding on
+    Python 3.12 and later, and would give other bits than the C loop.
+    """
+    total = 0.0
+    n = 0
+    for n, li in enumerate(values, start=1):
+        total += li / math.log2(n + 1)
+    return n / total
 
 
 #: Symbols every oracle alphabet may take besides ASCII letters: two- and
@@ -361,7 +381,7 @@ def run_oracle_check(
     rng = random.Random(seed)
     for _ in range(count):
         s = _oracle_case(rng, max_len, rng.randint(_ORACLE_MIN_ALPHA, _ORACLE_MAX_ALPHA))
-        if not np.array_equal(fast_fn(s).values, match_lengths_naive(s).values):
+        if fast_fn(s).values != match_lengths_naive(s).values:
             return _shrink_counterexample(s, fast_fn)
     return None
 
@@ -370,7 +390,7 @@ def _shrink_counterexample(s: str, fast_fn: Callable[[str], MatchLengths]) -> st
     def disagrees(t: str) -> bool:
         if not t:
             return False
-        return not np.array_equal(fast_fn(t).values, match_lengths_naive(t).values)
+        return fast_fn(t).values != match_lengths_naive(t).values
 
     changed = True
     while changed:

@@ -16,11 +16,14 @@ that dimension of regularity. Replicates vary only the derived seeds.
 Estimation noise can push a penalty slightly below zero on short books;
 values are reported as computed, with a warning.
 
-Results take one form, the :class:`ResultsTable` of columns:
+Results take one form, the :class:`ResultsTable` of columns (tuples of
+str and standard-library ``array`` columns of int64 and float64):
 ``write_results_csv`` writes one, ``read_results_csv`` reads it back, and
 ``aggregate`` averages it per translation or language into one
 :class:`GroupMeans` table of groups by books. ``stats`` selects its books
 from that table once, and every statistic indexes the selection.
+Measuring and writing need no numpy: it is imported lazily, and executed
+only when ``aggregate``, the reader's checks or ``GroupMeans`` first use it.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from itertools import compress, islice
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .corpus import Book, flatten
 from .entropy import entropy_rate, match_lengths
 from .transforms import (
@@ -48,6 +50,7 @@ from .transforms import (
     shuffle_verses,
 )
 
+np = lazy_import("numpy")
 logger = logging.getLogger(__name__)
 
 GROUP_KEYS = ("translation", "language")
@@ -113,18 +116,19 @@ class BookMeasurement:
 class ResultsTable:
     """A results table as columns, one per ``RESULT_COLUMNS`` entry, rows in
     file order. The ids are tuples of str, ``book_id``, ``replicate`` and
-    ``n_chars`` int64 arrays, and the entropies and penalties float64 arrays."""
+    ``n_chars`` are ``array("q")`` (int64), and the entropies and penalties
+    ``array("d")`` (float64); ``numpy.asarray`` views a column without a copy."""
 
     translation_id: tuple[str, ...]
     language: tuple[str, ...]
-    book_id: np.ndarray
-    replicate: np.ndarray
-    n_chars: np.ndarray
-    h_original: np.ndarray
-    h_order: np.ndarray
-    h_structure: np.ndarray
-    d_order: np.ndarray
-    d_structure: np.ndarray
+    book_id: array
+    replicate: array
+    n_chars: array
+    h_original: array
+    h_order: array
+    h_structure: array
+    d_order: array
+    d_structure: array
 
     def __len__(self) -> int:
         return len(self.translation_id)
@@ -139,8 +143,8 @@ def _table(columns: Sequence[Sequence]) -> ResultsTable:
     """The table of ten raw columns: two of text, three of ints, five of floats."""
     return ResultsTable(
         *map(tuple, columns[:2]),
-        *(np.array(c, dtype=np.int64) for c in columns[2:5]),
-        *(np.array(c, dtype=np.float64) for c in columns[5:]),
+        *(array("q", c) for c in columns[2:5]),
+        *(array("d", c) for c in columns[5:]),
     )
 
 
@@ -238,16 +242,17 @@ def aggregate(results: ResultsTable, group_by: str = "language") -> GroupMeans:
         raise ValueError(f"unknown grouping {group_by!r}")
 
     # Each (translation, book): its replicates' mean, and its first row.
-    order, bounds = _runs(_codes(results.translation_id), results.book_id)
+    book_id = np.asarray(results.book_id)
+    order, bounds = _runs(_codes(results.translation_id), book_id)
     first = order[bounds[:-1]]
-    d_order = _means(results.d_order[order].tolist(), bounds)
-    d_structure = _means(results.d_structure[order].tolist(), bounds)
+    d_order = _means(np.asarray(results.d_order)[order].tolist(), bounds)
+    d_structure = _means(np.asarray(results.d_structure)[order].tolist(), bounds)
     groups = results.translation_id
     if group_by == "language":
         # Each (language, book): the mean of its translations' means. A
         # translation's language is the one on its first row of the book.
         languages = [results.language[i] for i in first.tolist()]
-        order, bounds = _runs(_codes(languages), results.book_id[first])
+        order, bounds = _runs(_codes(languages), book_id[first])
         first = first[order[bounds[:-1]]]
         d_order = _means([d_order[i] for i in order.tolist()], bounds)
         d_structure = _means([d_structure[i] for i in order.tolist()], bounds)
@@ -255,7 +260,7 @@ def aggregate(results: ResultsTable, group_by: str = "language") -> GroupMeans:
 
     # Each run's means go to the cell of its group and book.
     names = [groups[i] for i in first.tolist()]
-    book_ids, columns = np.unique(results.book_id[first], return_inverse=True)
+    book_ids, columns = np.unique(book_id[first], return_inverse=True)
     means = np.full((2, len(set(names)), len(book_ids)), np.nan)
     means[:, _codes(names), columns] = d_order, d_structure
     return GroupMeans(tuple(sorted(set(names))), tuple(book_ids.tolist()), *means)
@@ -286,14 +291,14 @@ def write_results_csv(table: ResultsTable, fh: IO[str]) -> None:
     """Write ``table`` sorted by (translation, book, replicate), so the
     bytes do not depend on the order the rows were measured in; the
     inverse of ``read_results_csv``."""
-    order = _runs(_codes(table.translation_id), table.book_id, table.replicate)[0]
+    keys = list(zip(table.translation_id, table.book_id, table.replicate))
+    order = sorted(range(len(keys)), key=keys.__getitem__)  # stable, as the reader expects
     columns = [getattr(table, f.name) for f in fields(ResultsTable)]
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(RESULT_COLUMNS)
     writer.writerows(zip(
-        *([column[i] for i in order.tolist()] for column in columns[:2]),
-        *(column[order].tolist() for column in columns[2:5]),
-        *(map(format_float, column[order].tolist()) for column in columns[5:]),
+        *([column[i] for i in order] for column in columns[:5]),
+        *(map(format_float, [column[i] for i in order]) for column in columns[5:]),
     ))
 
 
@@ -386,13 +391,14 @@ def _check_rows(table: ResultsTable, row_nos: Sequence[int]) -> None:
     each row's CSV record number."""
     if not len(table):
         return
-    h0 = table.h_original
-    values = (h0, table.h_order, table.h_structure, table.d_order, table.d_structure)
+    values = h0, h_order, h_structure, d_order, d_structure = tuple(map(np.asarray, (
+        table.h_original, table.h_order, table.h_structure, table.d_order, table.d_structure
+    )))
     finite = np.logical_and.reduce([np.isfinite(x) for x in values])
     off = {}  # rows whose penalty is not the difference of the h values
     with np.errstate(invalid="ignore", over="ignore"):
-        for name, d, h in (("d_order", table.d_order, table.h_order),
-                           ("d_structure", table.d_structure, table.h_structure)):
+        for name, d, h in (("d_order", d_order, h_order),
+                           ("d_structure", d_structure, h_structure)):
             off[name] = np.abs(d - (h - h0)) > _ROUNDING_6G * (np.abs(d) + np.abs(h) + np.abs(h0))
     # Each row's first row in file order with the same key, and with the
     # same translation.
@@ -403,7 +409,7 @@ def _check_rows(table: ResultsTable, row_nos: Sequence[int]) -> None:
     first_of_translation = np.unique(translations, return_index=True)[1][translations]
     languages = _codes(table.language)
 
-    bad = ~finite | (table.n_chars < 1) | off["d_order"] | off["d_structure"]
+    bad = ~finite | (np.asarray(table.n_chars) < 1) | off["d_order"] | off["d_structure"]
     bad |= first_of_key != np.arange(len(table))
     bad |= languages != languages[first_of_translation]
     if not bad.any():

@@ -27,9 +27,10 @@ from fractions import Fraction
 from itertools import compress, permutations
 from typing import IO, Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .measures import GroupMeans, format_float
+
+np = lazy_import("numpy")
 
 ALTERNATIVES = ("greater", "less", "two_sided")
 

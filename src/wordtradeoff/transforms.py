@@ -31,11 +31,10 @@ variant as a string in the same rendering, tokens joined by a space.
 from __future__ import annotations
 
 import unicodedata
+from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 # bench/traced.py times ``flatten`` at this module's attribute as well.
 from .corpus import Book, flatten  # noqa: F401
@@ -165,18 +164,22 @@ class CompiledXorshift64Star(Xorshift64Star):
         self._lib = library
 
     def permutation(self, counts: Sequence[int]) -> list[int]:
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.size and counts.min() < 0:
-            raise ValueError("segment counts must be >= 0")
-        perm = np.arange(int(counts.sum()), dtype=np.int64)
-        self.state = self._lib.shuffle_segments(self.state, counts, counts.size, perm)
+        try:  # the C function takes uint64 counts; the array refuses a negative one
+            counts = array("Q", counts)
+        except OverflowError:
+            raise ValueError("segment counts must be >= 0") from None
+        # The C function writes the identity permutation before shuffling it.
+        perm = array("q", [0]) * sum(counts)
+        self.state = self._lib.shuffle_segments(
+            self.state, counts.buffer_info()[0], len(counts), perm.buffer_info()[0]
+        )
         return perm.tolist()
 
     def draws(self, bound: int, count: int) -> list[int]:
         if not 1 <= bound < 1 << 64:
             raise ValueError("compiled draws need 1 <= bound < 2**64")
-        out = np.empty(count, dtype=np.uint64)
-        self.state = self._lib.randbelow_fill(self.state, bound, count, out)
+        out = array("Q", [0]) * count
+        self.state = self._lib.randbelow_fill(self.state, bound, count, out.buffer_info()[0])
         return out.tolist()
 
 

@@ -14,6 +14,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -875,22 +876,84 @@ def test_outputs_identical_at_1_2_and_3_workers(tmp_path):
     assert set(manifest["inputs"]) == {str(a), str(b)}
 
 
+def main_in_subprocess(*argv: str, python_flags: Sequence[str] = ()):
+    """``main(argv)`` in a fresh interpreter, whose stderr also gets what pool workers log."""
+    probe = "import sys; from wordtradeoff.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *python_flags, "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_missing_books_logged_once_at_any_worker_count(tmp_path):
     # At 3 workers the one input is split over three tasks, each of which
     # parses it; the parent logs the missing book once. A subprocess, so that
     # a warning logged in a pool worker would be counted too.
     corpus = tmp_path / "in.tsv"
     write_two_book_corpus(corpus)
-    probe = "import sys; from wordtradeoff.cli import main; sys.exit(main(sys.argv[1:]))"
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     for workers in (1, 3):
-        argv = ["analyze", str(corpus), "--format", "tsv", "--books", "40,41,42",
-                "--replicates", "2", "--workers", str(workers), "--out", str(tmp_path / "out")]
-        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
-                              capture_output=True, text=True, timeout=300)
+        done = main_in_subprocess(
+            "analyze", str(corpus), "--format", "tsv", "--books", "40,41,42", "--replicates", "2",
+            "--workers", str(workers), "--out", str(tmp_path / "out"),
+        )
         assert done.returncode == 0, done.stderr
         warnings = [line for line in done.stderr.splitlines() if "missing books" in line]
         assert warnings == ["WARNING wordtradeoff.cli: translation in is missing books [42]"]
+
+
+def test_empty_verses_logged_once_at_any_worker_count(tmp_path):
+    # As the missing books: each of the three tasks at 3 workers parses the
+    # input and counts its empty verse, and the parent logs the count once.
+    corpus = tmp_path / "in.tsv"
+    write_two_book_corpus(corpus)
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write("40\t2\t1\t \n")
+    for workers in (1, 3):
+        done = main_in_subprocess(
+            "analyze", str(corpus), "--format", "tsv", "--books", "40,41", "--replicates", "2",
+            "--workers", str(workers), "--out", str(tmp_path / "out"),
+        )
+        assert done.returncode == 0, done.stderr
+        warnings = [line for line in done.stderr.splitlines() if "empty text" in line]
+        expected = "WARNING wordtradeoff.cli: translation in: skipped 1 verses with empty text"
+        assert warnings == [expected]
+
+
+def imported_numpy_modules(stderr: str) -> list[str]:
+    """The numpy modules that ``-X importtime`` lines in ``stderr`` name.
+
+    A lazily imported numpy is in ``sys.modules`` without a line; once it
+    runs, it imports its submodules, each with a line.
+    """
+    names = [line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
+             if line.startswith("import time:")]
+    return [name for name in names if name == "numpy" or name.startswith("numpy.")]
+
+
+def test_analyze_imports_no_numpy(tmp_path):
+    # Each analyze run is a fresh interpreter; numpy would be most of its
+    # import time. Forked pool workers write to the same stderr.
+    corpus = tmp_path / "in.tsv"
+    write_two_book_corpus(corpus)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    bare = subprocess.run([sys.executable, "-X", "importtime", "-c", "import wordtradeoff.cli"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert bare.returncode == 0, bare.stderr
+    assert "wordtradeoff.cli" in bare.stderr
+    assert imported_numpy_modules(bare.stderr) == []
+    for workers in (1, 2):
+        done = main_in_subprocess(
+            "analyze", str(corpus), "--format", "tsv", "--books", "40,41",
+            "--workers", str(workers), "--out", str(tmp_path / f"out{workers}"),
+            python_flags=("-X", "importtime"),
+        )
+        assert done.returncode == 0, done.stderr
+        assert "wrote 6 rows" in done.stderr
+        assert imported_numpy_modules(done.stderr) == [], workers
+    # The check sees numpy once it runs: stats runs it.
+    done = main_in_subprocess("stats", str(tmp_path / "out1" / "results.csv"),
+                              python_flags=("-X", "importtime"))
+    assert done.returncode == 0, done.stderr
+    assert imported_numpy_modules(done.stderr) != []
 
 
 @pytest.mark.parametrize("second", ["corrupt", "same-id"])

@@ -8,7 +8,6 @@ import os
 from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
-from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -100,11 +99,12 @@ class TestParse:
             parse_corpus(PBC_SAMPLE, "xml")
 
     def test_empty_verse_text_skipped_and_counted(self, caplog):
-        data = b"40001001\tsome text\n40001002\t\n"
-        tr = parse_corpus(data, "pbc")
+        data = b"40001001\tsome text\n40001002\t\n41001001\t \n"
+        tr = parse_corpus(data, "pbc", books=[40])
         assert len(tr.books[40].verses) == 1
-        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert warnings == ["translation unknown: skipped 1 verses with empty text"]
+        # Counted in every book; the caller logs the count (analyze once per input).
+        assert tr.skipped_empty == 2
+        assert [r for r in caplog.records if r.levelname == "WARNING"] == []
 
     def test_whitespace_normalized_inside_verse(self):
         data = b"40001001\t  doubled  spaces\tand tabs \n"
@@ -385,7 +385,8 @@ def reference_parse_select(data, fmt, ids, lowercase):
     ``parse_corpus(..., books=ids)`` does in one pass.
 
     Returns the kept books as (id, Book) pairs, the missing ids, the
-    translation id, the digest and the warnings; raises what the parse raises.
+    translation id, the digest and the count of verses skipped for empty
+    text; raises what the parse raises.
     """
     try:
         text = data.decode("utf-8")
@@ -438,10 +439,7 @@ def reference_parse_select(data, fmt, ids, lowercase):
     }
     wanted = set(every) if ids is None else set(ids)
     kept = [(book_id, every[book_id]) for book_id in sorted(wanted & set(every))]
-    warnings = [f"translation {tid}: skipped {skipped_empty} verses with empty text"]
-    return kept, sorted(wanted - set(every)), tid, hashlib.sha256(data).hexdigest(), (
-        warnings if skipped_empty else []
-    )
+    return kept, sorted(wanted - set(every)), tid, hashlib.sha256(data).hexdigest(), skipped_empty
 
 
 #: The books the drawn corpora hold; 42 is requested at times but never present.
@@ -507,13 +505,10 @@ class TestOnePassSelection:
                 parse_corpus(data, fmt, lowercase=lowercase, books=ids)
             assert str(raised.value) == str(exc)
             return
-        warnings = []
-        with patch.object(corpus_module.logger, "warning",
-                          side_effect=lambda msg, *args: warnings.append(msg % args)):
-            tr = parse_corpus(data, fmt, lowercase=lowercase, books=ids)
+        tr = parse_corpus(data, fmt, lowercase=lowercase, books=ids)
         wanted = set(tr.books) if ids is None else ids
         got = list(tr.books.items()), sorted(wanted - set(tr.books)), tr.translation_id
-        assert (*got, tr.sha256, warnings) == expected
+        assert (*got, tr.sha256, tr.skipped_empty) == expected
 
 
 class TestInvariants:

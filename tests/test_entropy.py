@@ -178,9 +178,12 @@ class TestMatchLengthFixtures:
     def test_values_are_read_only_int32(self):
         for name, kernel in KERNELS + (("naive", match_lengths_naive),):
             values = kernel("abab").values
-            assert values.dtype == np.int32 and values.ndim == 1, name
-            with pytest.raises(ValueError):
+            assert values.format == "i" and values.itemsize == 4 and values.ndim == 1, name
+            with pytest.raises(TypeError):
                 values[0] = 5
+            # numpy reads it as int32 without a copy, and cannot write it either.
+            view = np.asarray(values)
+            assert view.dtype == np.int32 and not view.flags.writeable, name
 
 
 class TestOracleEquivalence:
@@ -301,14 +304,16 @@ class TestTwoPassReference:
 
 
 #: Reads cases from stdin, each an int64 n and n uint32 code points, and
-#: writes each case's n int32 match lengths to stdout. Buffers are sized
-#: exactly, so AddressSanitizer sees any read or write past either end.
+#: writes each case's n int32 match lengths and their float64 entropy rate
+#: to stdout. Buffers are sized exactly, so AddressSanitizer sees any read
+#: or write past either end.
 SANITIZER_DRIVER = r"""
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 
 int match_lengths(const uint32_t *s, int64_t n, int32_t *out);
+double entropy_rate(const int32_t *l, int64_t n);
 
 int main(void)
 {
@@ -321,7 +326,9 @@ int main(void)
         int rc = match_lengths(s, n, out);
         if (rc != 0)
             return 10 + rc;
+        double h = entropy_rate(out, n);
         fwrite(out, sizeof *out, (size_t)n, stdout);
+        fwrite(&h, sizeof h, 1, stdout);
         free(s);
         free(out);
     }
@@ -383,7 +390,7 @@ class TestKernels:
         exe = tmp_path / "driver"
         build = subprocess.run(
             [*cc, *flags, "-Wall", "-Wextra", "-Werror", "-o", str(exe), str(driver),
-             str(entropy._KERNEL_SOURCE)],
+             str(entropy._KERNEL_SOURCE), "-lm"],
             capture_output=True, text=True, timeout=300,
         )
         assert build.returncode == 0, build.stderr
@@ -403,12 +410,17 @@ class TestKernels:
         run = subprocess.run([str(exe)], input=stdin, capture_output=True, env=env, timeout=300)
         assert run.returncode == 0, run.stderr.decode(errors="replace")[-3000:]
         assert run.stderr == b""
-        got = np.frombuffer(run.stdout, dtype=np.int32)
-        assert got.size == sum(map(len, cases))
+        assert len(run.stdout) == sum(4 * len(s) + 8 for s in cases)
         offset = 0
         for s in cases:
-            assert got[offset : offset + len(s)].tolist() == entropy._automaton_lengths(s), s[:40]
-            offset += len(s)
+            got = np.frombuffer(run.stdout, dtype=np.int32, count=len(s), offset=offset)
+            offset += 4 * len(s)
+            (h,) = np.frombuffer(run.stdout, dtype=np.float64, count=1, offset=offset)
+            offset += 8
+            expected = entropy._automaton_lengths(s)
+            assert got.tolist() == expected, s[:40]
+            # Cases shorter than an earlier one read the log2 table it grew.
+            assert float(h).hex() == entropy._python_entropy_rate(expected).hex(), s[:40]
 
     def test_load_failure_falls_back_with_one_warning(self, monkeypatch, caplog, tmp_path):
         def no_compiler():
@@ -483,6 +495,14 @@ class TestKernels:
         assert match_lengths("aba").values.tolist() == [1, 1, 2]
 
 
+def numpy_entropy_rate(values) -> float:
+    """The estimate by the numpy formula ``entropy_rate`` used before its sum
+    moved to C: the reference its two sums must stay within 1e-12 of."""
+    n = len(values)
+    terms = np.asarray(values, dtype=np.float64) / np.log2(np.arange(2, n + 2, dtype=np.float64))
+    return n / float(np.sum(terms))
+
+
 class TestEntropyRate:
     def test_single_char_is_one_bpc(self):
         assert entropy_rate(match_lengths("a")) == pytest.approx(1.0)
@@ -505,6 +525,20 @@ class TestEntropyRate:
             MatchLengths(())
         with pytest.raises(ValueError):
             MatchLengths((2, 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 10**5, 10**6])
+    def test_compiled_and_python_sums_agree_bit_for_bit(self, n, monkeypatch):
+        # Random lengths with l_1 = 1, up to the longest a book-sized text shows.
+        draws = np.random.default_rng(n).integers(1, 200, n)
+        draws[0] = 1
+        ml = MatchLengths(draws.tolist())
+        python = entropy._python_entropy_rate(ml.values)
+        reference = numpy_entropy_rate(ml.values)
+        assert abs(python - reference) <= 1e-12 * reference
+        if kernel_name() == "c":
+            assert entropy_rate(ml).hex() == python.hex()
+        monkeypatch.setattr(entropy, "load_library", lambda: None)
+        assert entropy_rate(ml).hex() == python.hex()
 
 
 class TestOracleCheck:
