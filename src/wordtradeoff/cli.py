@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from ._lazy import lazy_import
 from .corpus import (
     DEFAULT_BOOK_IDS,
     FORMATS,
@@ -74,7 +73,6 @@ from .stats import (
     write_ranks_csv,
 )
 
-np = lazy_import("numpy")
 logger = logging.getLogger(__name__)
 
 #: The keys of each unit's entry under ``errors`` in ``manifest.json``.
@@ -105,9 +103,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _books_arg(text: str) -> tuple[int, ...]:
-    # Book ids are ASCII digits, as in the corpus formats.
+    # Book ids are ASCII digits and at least 1, as in the corpus formats.
     parts = [part.strip() for part in text.split(",") if part.strip()]
-    if not all(part.isascii() and part.isdigit() for part in parts):
+    if not all(part.isascii() and part.isdigit() and int(part) >= 1 for part in parts):
         raise argparse.ArgumentTypeError(f"bad book list {text!r}")
     if not parts:
         raise argparse.ArgumentTypeError("no books requested")
@@ -392,6 +390,8 @@ def cmd_stats(
     out_dir: str | None,
 ) -> int:
     """Compute fits, correlation matrix, ranks and rank histograms."""
+    import numpy as np
+
     try:
         results = read_results_csv(results_path)
     except (OSError, ValueError) as exc:

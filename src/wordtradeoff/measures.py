@@ -22,8 +22,8 @@ str and standard-library ``array`` columns of int64 and float64):
 ``aggregate`` averages it per translation or language into one
 :class:`GroupMeans` table of groups by books. ``stats`` selects its books
 from that table once, and every statistic indexes the selection.
-Measuring and writing need no numpy: it is imported lazily, and executed
-only when ``aggregate``, the reader's checks or ``GroupMeans`` first use it.
+Measuring and writing need no numpy: ``aggregate``, the reader's checks and
+``GroupMeans.select`` import it inside the function, when they first run.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from array import array
 from dataclasses import dataclass, fields
 from itertools import compress, islice
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
-from ._lazy import lazy_import
 from .corpus import Book, flatten
 from .entropy import entropy_rate, match_lengths
 from .transforms import (
@@ -50,7 +49,9 @@ from .transforms import (
     shuffle_verses,
 )
 
-np = lazy_import("numpy")
+if TYPE_CHECKING:
+    import numpy as np
+
 logger = logging.getLogger(__name__)
 
 GROUP_KEYS = ("translation", "language")
@@ -166,6 +167,7 @@ class GroupMeans:
     def select(self, book_ids: Sequence[int]) -> GroupMeans:
         """The table of the columns of ``book_ids``, in the order given. An
         id the table lacks becomes a column that no group has (all NaN)."""
+        import numpy as np
         position = {book_id: j for j, book_id in enumerate(self.book_ids)}
         columns = [position.get(book_id, len(position)) for book_id in book_ids]
         absent = np.full((len(self.groups), 1), np.nan)
@@ -236,6 +238,7 @@ def aggregate(results: ResultsTable, group_by: str = "language") -> GroupMeans:
     are then averaged (unweighted) per language. Each mean is
     ``math.fsum(units) / len(units)``, as ``statistics.fmean`` computes it.
     """
+    import numpy as np
     if not len(results):
         raise ValueError("no measurements to aggregate")
     if group_by not in GROUP_KEYS:
@@ -268,6 +271,7 @@ def aggregate(results: ResultsTable, group_by: str = "language") -> GroupMeans:
 
 def _codes(values: Sequence[str]) -> np.ndarray:
     """Each value's index among the sorted distinct values."""
+    import numpy as np
     index = {value: code for code, value in enumerate(sorted(set(values)))}
     return np.fromiter(map(index.__getitem__, values), np.int64, len(values))
 
@@ -275,6 +279,7 @@ def _codes(values: Sequence[str]) -> np.ndarray:
 def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A stable sort by ``keys`` (the first is primary), and the bounds of
     its runs of equal keys: run ``r`` is ``order[bounds[r]:bounds[r + 1]]``."""
+    import numpy as np
     order = np.lexsort(keys[::-1])
     ordered = np.stack(keys)[:, order]
     starts = np.flatnonzero((ordered[:, 1:] != ordered[:, :-1]).any(axis=0)) + 1
@@ -312,7 +317,9 @@ def read_results_csv(source: str | Path | IO[str]) -> ResultsTable:
 
     Raises ValueError naming the row on a schema mismatch, a record the
     ``csv`` module cannot read (such as a field over its size limit), a
-    field that does not parse, a non-finite value, N < 1, a penalty that is not
+    field that does not parse (``book_id``, ``replicate`` and ``N`` take
+    ASCII digits only, so no replicate is below 0), a non-finite value, a
+    book id below 1, N < 1, a penalty that is not
     ``h_variant - h_original`` up to the 6-significant-digit rounding of
     the three values, a repeated (translation, book, replicate) key, or a
     translation whose language differs from the one on its first row.
@@ -321,8 +328,9 @@ def read_results_csv(source: str | Path | IO[str]) -> ResultsTable:
     first one it has, in the order listed.
 
     The file is read in chunks of ``_CHUNK_ROWS`` records, each split into
-    columns and converted by the builtins ``int`` and ``float``; the value
-    and key checks then run on the whole columns.
+    columns and converted by the builtins ``int`` and ``float``, after one
+    check of each whole integer column; the value and key checks then run
+    on the whole columns.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
@@ -380,15 +388,26 @@ def _convert(rows: list[list[str]]) -> list:
     text = list(zip(*rows)) or [()] * len(RESULT_COLUMNS)
     return [
         *(list(map(sys.intern, column)) for column in text[:2]),
-        *(array("q", map(int, column)) for column in text[2:5]),
+        *(_ints(name, column) for name, column in zip(RESULT_COLUMNS[2:5], text[2:5])),
         *(array("d", map(float, column)) for column in text[5:]),
     ]
+
+
+def _ints(name: str, column: Sequence[str]) -> array:
+    """``column`` as int64. Each field must be ASCII digits, as every integer
+    the package reads; ``int`` alone would take signs, ``_`` and other digits."""
+    digits = "".join(column)
+    if column and not (all(column) and digits.isascii() and digits.isdigit()):
+        bad = next(field for field in column if not (field.isascii() and field.isdigit()))
+        raise ValueError(f"{name} must be ASCII digits, got {bad!r}")
+    return array("q", map(int, column))
 
 
 def _check_rows(table: ResultsTable, row_nos: Sequence[int]) -> None:
     """Raise ValueError naming the first bad row and the first check it
     fails, in the order ``read_results_csv`` lists them. ``row_nos`` holds
     each row's CSV record number."""
+    import numpy as np
     if not len(table):
         return
     values = h0, h_order, h_structure, d_order, d_structure = tuple(map(np.asarray, (
@@ -409,7 +428,8 @@ def _check_rows(table: ResultsTable, row_nos: Sequence[int]) -> None:
     first_of_translation = np.unique(translations, return_index=True)[1][translations]
     languages = _codes(table.language)
 
-    bad = ~finite | (np.asarray(table.n_chars) < 1) | off["d_order"] | off["d_structure"]
+    bad = ~finite | (np.asarray(table.book_id) < 1) | (np.asarray(table.n_chars) < 1)
+    bad |= off["d_order"] | off["d_structure"]
     bad |= first_of_key != np.arange(len(table))
     bad |= languages != languages[first_of_translation]
     if not bad.any():
@@ -418,6 +438,8 @@ def _check_rows(table: ResultsTable, row_nos: Sequence[int]) -> None:
     penalty = next((name for name in off if off[name][i]), None)
     if not finite[i]:
         fault = "non-finite value"
+    elif table.book_id[i] < 1:
+        fault = f"book_id must be >= 1, got {table.book_id[i]}"
     elif table.n_chars[i] < 1:
         fault = f"N must be >= 1, got {int(table.n_chars[i])}"
     elif penalty:

@@ -25,12 +25,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, permutations
-from typing import IO, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Mapping, Sequence
 
-from ._lazy import lazy_import
 from .measures import GroupMeans, format_float
 
-np = lazy_import("numpy")
+if TYPE_CHECKING:
+    import numpy as np
 
 ALTERNATIVES = ("greater", "less", "two_sided")
 
@@ -41,6 +41,7 @@ class InsufficientDataError(ValueError):
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; a run of equal values shares the mean of its ranks."""
+    import numpy as np
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
     starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
@@ -52,6 +53,7 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 def _paired(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """``x`` and ``y`` as float64 vectors of one length, at least 2."""
+    import numpy as np
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
     if xv.ndim != 1 or xv.shape != yv.shape:
@@ -63,6 +65,7 @@ def _paired(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndar
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman rank correlation (tie-aware via average ranks)."""
+    import numpy as np
     xv, yv = _paired(x, y)
     rx = _average_ranks(xv)
     ry = _average_ranks(yv)
@@ -157,6 +160,7 @@ def fit_reciprocal(x: Sequence[float], y: Sequence[float]) -> RegressionFit:
     closed form. Points with x = 0 are rejected with a diagnostic rather
     than silently dropped.
     """
+    import numpy as np
     xs, ys = _paired(x, y)
     zero_idx = np.nonzero(xs == 0.0)[0]
     if zero_idx.size:
@@ -204,6 +208,7 @@ def correlation_matrix(means: GroupMeans) -> CorrelationMatrix:
     its groups. Only groups with every book are used, and at least two
     such groups are required.
     """
+    import numpy as np
     complete = ~np.isnan(means.d_order).any(axis=1)
     if (n_complete := int(complete.sum())) < 2:
         raise InsufficientDataError(
@@ -245,6 +250,7 @@ class RankTables:
 def _rank_desc(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's ranks, largest value first and equal values by column,
     and whether the row has equal values."""
+    import numpy as np
     order = np.argsort(-values, axis=1, kind="stable")
     ordered = np.take_along_axis(values, order, axis=1)
     return np.argsort(order, axis=1) + 1, (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
@@ -258,6 +264,7 @@ def rank_books(means: GroupMeans) -> RankTables:
     and marked in ``ties``. Translations missing any book are excluded
     and reported rather than silently dropped.
     """
+    import numpy as np
     books = means.book_ids
     present = ~np.isnan(means.d_order)
     complete = present.all(axis=1)
@@ -291,6 +298,7 @@ class RankHistograms:
 
 def rank_histograms(tables: RankTables) -> RankHistograms:
     """Tabulate rank frequencies over the translations of ``tables``."""
+    import numpy as np
     if not tables:
         raise ValueError("no rank tables given")
     k = len(tables.book_ids)

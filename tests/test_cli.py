@@ -31,6 +31,7 @@ from wordtradeoff.measures import (
     read_results_csv,
     write_results_csv,
 )
+from wordtradeoff.stats import spearman
 
 
 def write_toy_corpus(path: Path, mode: str, seed: int, sentences: int = 25) -> None:
@@ -485,9 +486,28 @@ class TestStats:
 
     @pytest.mark.parametrize("n", ["0", "-5"])
     def test_nonpositive_n_row_fatal(self, tmp_path, caplog, n):
+        # N is ASCII digits, as every integer read: a sign does not parse.
         row = f"t4,lt4,40,0,{n},2.5,2.6,2.8,0.1,0.3"
         assert self._stats_with_row(tmp_path, caplog, row) == 1
-        assert "N must be >= 1" in caplog.text
+        expected = "N must be >= 1, got 0" if n == "0" else "N must be ASCII digits, got '-5'"
+        assert expected in caplog.text
+
+    @pytest.mark.parametrize("ids, fault", [
+        ("٤٠,0,1000", "book_id must be ASCII digits, got '٤٠'"),
+        ("4_1,0,1000", "book_id must be ASCII digits, got '4_1'"),
+        (" +42 ,0,1000", "book_id must be ASCII digits, got ' +42 '"),
+        ("40,0,1_00", "N must be ASCII digits, got '1_00'"),
+        ("-7,0,1000", "book_id must be ASCII digits, got '-7'"),
+        ("40,-1,1000", "replicate must be ASCII digits, got '-1'"),
+        ("0,0,1000", "book_id must be >= 1, got 0"),
+    ], ids=["arabic-indic", "underscore", "signed", "underscored-n", "negative-book",
+            "negative-replicate", "book-0"])
+    def test_id_outside_the_integer_grammar_fatal(self, tmp_path, caplog, ids, fault):
+        # int() alone would read each of these ids as some book or count.
+        row = f"t4,lt4,{ids},2.5,2.6,2.8,0.1,0.3"
+        assert self._stats_with_row(tmp_path, caplog, row) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error == f"cannot read results: results CSV row 5: {fault}"
 
     def test_d_order_not_difference_fatal(self, tmp_path, caplog):
         # 2.6 - 2.5 = 0.1; 0.1001 is off by far more than 6-digit rounding.
@@ -921,8 +941,8 @@ def test_empty_verses_logged_once_at_any_worker_count(tmp_path):
 def imported_numpy_modules(stderr: str) -> list[str]:
     """The numpy modules that ``-X importtime`` lines in ``stderr`` name.
 
-    A lazily imported numpy is in ``sys.modules`` without a line; once it
-    runs, it imports its submodules, each with a line.
+    Every module an interpreter imports gets one line, the first time it is
+    imported, in the parent and in the pool workers that share its stderr.
     """
     names = [line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
              if line.startswith("import time:")]
@@ -1014,13 +1034,19 @@ class TestParser:
             main(["analyze", "--format", "xml", "x.tsv"])
         assert err.value.code == 1
 
-    @pytest.mark.parametrize("books", ["forty", "4_0", "+41", "٤٢", "40, 4_1"])
+    @pytest.mark.parametrize("books", ["forty", "4_0", "+41", "٤٢", "40, 4_1", "0", "40,0"])
     def test_bad_book_list_exits_1(self, books, capsys):
-        # Book ids are ASCII digits, as in the corpus: int() would take the rest.
+        # Book ids are ASCII digits and at least 1, as in the corpus: int()
+        # would take the rest, and no corpus holds a book 0.
         with pytest.raises(SystemExit) as err:
             main(["analyze", "--books", books, "x.tsv"])
         assert err.value.code == 1
         assert f"bad book list {books!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("books", ["0", "40,0", "4_0"])
+    def test_stats_bad_book_list_exits_1(self, books, capsys, caplog):
+        error = exit_1_message(["stats", "results.csv", "--books", books], capsys, caplog)
+        assert error.endswith(f"bad book list {books!r}")
 
     def test_analyze_has_no_group_by(self):
         # Grouping belongs to stats; analyze writes one row per unit.
@@ -1053,6 +1079,39 @@ def test_import_leaves_synth_and_pool_modules_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+def test_import_leaves_numpy_out_of_sys_modules():
+    # Only the functions that run numpy import it; no entry stands in for it.
+    probe = "import sys, wordtradeoff; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_first_numpy_use_from_eight_threads_at_once():
+    # The process's first statistic runs in eight threads released together:
+    # each imports numpy, under the import system's lock, and gets the value.
+    probe = (
+        "import threading, wordtradeoff\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "start = threading.Barrier(8)\n"
+        "def run(_):\n"
+        "    start.wait()\n"
+        "    return wordtradeoff.spearman([1, 2, 3, 4, 5], [2, 1, 4, 3, 5])\n"
+        "with ThreadPoolExecutor(8) as pool:\n"
+        "    print(*pool.map(run, range(8)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    expected = spearman([1, 2, 3, 4, 5], [2, 1, 4, 3, 5])
+    assert done.stdout.split() == [repr(expected)] * 8
 
 
 def test_every_exported_name_resolves():

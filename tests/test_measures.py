@@ -385,9 +385,9 @@ def reference_read(text):
                 row = BookMeasurement(
                     translation_id=rec[0],
                     language=rec[1],
-                    book_id=int(rec[2]),
-                    replicate=int(rec[3]),
-                    n_chars=int(rec[4]),
+                    book_id=ascii_int("book_id", rec[2]),
+                    replicate=ascii_int("replicate", rec[3]),
+                    n_chars=ascii_int("N", rec[4]),
                     h_original=float(rec[5]),
                     h_order=float(rec[6]),
                     h_structure=float(rec[7]),
@@ -399,6 +399,10 @@ def reference_read(text):
             values = (row.h_original, row.h_order, row.h_structure, row.d_order, row.d_structure)
             if not all(math.isfinite(x) for x in values):
                 raise ValueError(f"results CSV row {line_no}: non-finite value")
+            if row.book_id < 1:
+                raise ValueError(
+                    f"results CSV row {line_no}: book_id must be >= 1, got {row.book_id}"
+                )
             if row.n_chars < 1:
                 raise ValueError(f"results CSV row {line_no}: N must be >= 1, got {row.n_chars}")
             h0 = row.h_original
@@ -428,9 +432,16 @@ def reference_read(text):
     return rows
 
 
+def ascii_int(name, field):
+    """``field`` as an int, if it is ASCII digits."""
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"{name} must be ASCII digits, got {field!r}")
+    return int(field)
+
+
 FAULTS = (
     "unparsable", "field_count", "non_finite", "nonpositive_n", "penalty_off", "duplicate",
-    "oversized", "language",
+    "oversized", "language", "not_ascii_digits", "book_zero",
 )
 
 
@@ -450,6 +461,11 @@ def corrupt(rng, records, fault, i):
         rec[rng.randint(5, last)] = rng.choice(["nan", "inf", "-inf", "NaN"])
     elif fault == "nonpositive_n":
         rec[4] = str(-rng.randint(0, 5))
+    elif fault == "not_ascii_digits":
+        # Each is an id or count to int(), which takes signs, "_" and all digits.
+        rec[rng.randint(2, 4)] = rng.choice(["٤٠", "4_1", " +42 ", "1_00", "-7", "-1", "+0"])
+    elif fault == "book_zero":
+        rec[2] = rng.choice(["0", "00"])
     elif fault == "oversized":
         # More characters than the csv module reads in one field.
         rec[rng.randrange(len(rec))] = "x" * (csv.field_size_limit() + 1)
