@@ -51,7 +51,6 @@ from .corpus import (
 )
 from .entropy import kernel_name, run_oracle_check
 from .measures import (
-    GROUP_KEYS,
     ORDER_SCOPES,
     BookMeasurement,
     MeasureConfig,
@@ -74,6 +73,9 @@ from .stats import (
 )
 
 logger = logging.getLogger(__name__)
+
+#: The choices of ``stats --group-by``: the two tables ``aggregate`` returns.
+GROUP_KEYS = ("translation", "language")
 
 #: The keys of each unit's entry under ``errors`` in ``manifest.json``.
 ERROR_KEYS = ("translation_id", "book_id", "replicate", "error")
@@ -404,11 +406,13 @@ def cmd_stats(
     out = Path(out_dir) if out_dir else Path(results_path).parent
     out.mkdir(parents=True, exist_ok=True)
 
-    # Rank tables need translation aggregates; under translation grouping those are ``grouped``.
-    by_key = {key: aggregate(results, group_by=key) for key in {group_by, "translation"}}
+    tables = aggregate(results)
     if books:
-        by_key = {key: means.select(sorted(set(books))) for key, means in by_key.items()}
-    grouped, per_translation = by_key[group_by], by_key["translation"]
+        tables = [means.select(sorted(set(books))) for means in tables]
+    per_translation, per_language = tables
+    # Fits and the correlation matrix compare ``group_by``'s groups; rank
+    # tables rank books within each translation.
+    grouped = per_language if group_by == "language" else per_translation
 
     fits = []  # (book_id, fit, r_s) rows of fits.csv
     for book_id, x, y in zip(grouped.book_ids, grouped.d_order.T, grouped.d_structure.T):

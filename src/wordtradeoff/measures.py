@@ -19,9 +19,9 @@ values are reported as computed, with a warning.
 Results take one form, the :class:`ResultsTable` of columns (tuples of
 str and standard-library ``array`` columns of int64 and float64):
 ``write_results_csv`` writes one, ``read_results_csv`` reads it back, and
-``aggregate`` averages it per translation or language into one
-:class:`GroupMeans` table of groups by books. ``stats`` selects its books
-from that table once, and every statistic indexes the selection.
+``aggregate`` averages it in one pass into two :class:`GroupMeans` tables
+of groups by books, per translation and per language. ``stats`` selects
+its books from them once, and every statistic indexes a selection.
 Measuring and writing need no numpy: ``aggregate``, the reader's checks and
 ``GroupMeans.select`` import it inside the function, when they first run.
 """
@@ -54,7 +54,6 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-GROUP_KEYS = ("translation", "language")
 ORDER_SCOPES = ("verse", "book")
 
 #: Fixed column order of the results table.
@@ -230,19 +229,18 @@ def measure_book(book: Book, config: MeasureConfig | None = None) -> list[BookMe
     return [measure_replicate(book, r, config) for r in range(config.replicates)]
 
 
-def aggregate(results: ResultsTable, group_by: str = "language") -> GroupMeans:
-    """Average penalties per group and book.
+def aggregate(results: ResultsTable) -> tuple[GroupMeans, GroupMeans]:
+    """Average penalties per translation and book, then per language and book.
 
-    Replicate variability is folded in first: replicates are averaged
-    per translation, and for language grouping those translation means
-    are then averaged (unweighted) per language. Each mean is
-    ``math.fsum(units) / len(units)``, as ``statistics.fmean`` computes it.
+    Returns ``(per_translation, per_language)``. Replicate variability is
+    folded in first: replicates are averaged per translation, and those
+    translation means are then averaged (unweighted) per language. Each
+    mean is ``math.fsum(units) / len(units)``, as ``statistics.fmean``
+    computes it.
     """
     import numpy as np
     if not len(results):
         raise ValueError("no measurements to aggregate")
-    if group_by not in GROUP_KEYS:
-        raise ValueError(f"unknown grouping {group_by!r}")
 
     # Each (translation, book): its replicates' mean, and its first row.
     book_id = np.asarray(results.book_id)
@@ -250,20 +248,26 @@ def aggregate(results: ResultsTable, group_by: str = "language") -> GroupMeans:
     first = order[bounds[:-1]]
     d_order = _means(np.asarray(results.d_order)[order].tolist(), bounds)
     d_structure = _means(np.asarray(results.d_structure)[order].tolist(), bounds)
-    groups = results.translation_id
-    if group_by == "language":
-        # Each (language, book): the mean of its translations' means. A
-        # translation's language is the one on its first row of the book.
-        languages = [results.language[i] for i in first.tolist()]
-        order, bounds = _runs(_codes(languages), book_id[first])
-        first = first[order[bounds[:-1]]]
-        d_order = _means([d_order[i] for i in order.tolist()], bounds)
-        d_structure = _means([d_structure[i] for i in order.tolist()], bounds)
-        groups = results.language
+    books = book_id[first]
+    per_translation = _pivot([results.translation_id[i] for i in first.tolist()], books,
+                             d_order, d_structure)
 
-    # Each run's means go to the cell of its group and book.
-    names = [groups[i] for i in first.tolist()]
-    book_ids, columns = np.unique(book_id[first], return_inverse=True)
+    # Each (language, book): the mean of its translations' means. A
+    # translation's language is the one on its first row of the book.
+    languages = [results.language[i] for i in first.tolist()]
+    order, bounds = _runs(_codes(languages), books)
+    runs = order[bounds[:-1]].tolist()
+    d_order = _means([d_order[i] for i in order.tolist()], bounds)
+    d_structure = _means([d_structure[i] for i in order.tolist()], bounds)
+    per_language = _pivot([languages[i] for i in runs], books[runs], d_order, d_structure)
+    return per_translation, per_language
+
+
+def _pivot(names: list[str], books: np.ndarray, d_order: list, d_structure: list) -> GroupMeans:
+    """The table whose cell for group ``names[r]`` and book ``books[r]``
+    holds run ``r``'s means; each (group, book) pair is one run."""
+    import numpy as np
+    book_ids, columns = np.unique(books, return_inverse=True)
     means = np.full((2, len(set(names)), len(book_ids)), np.nan)
     means[:, _codes(names), columns] = d_order, d_structure
     return GroupMeans(tuple(sorted(set(names))), tuple(book_ids.tolist()), *means)

@@ -8,9 +8,10 @@ structure penalties, together with a reciprocal least-squares fit
 kind of information substitutes for the other. Across books within one
 translation, rank tables (rank 1 = largest penalty) and their histograms
 show whether the book-level pattern recurs between translations. Both
-index the one table of mean penalties by group and book that
-``measures.aggregate`` returns (:class:`~wordtradeoff.measures.GroupMeans`),
-over all of its books (``GroupMeans.select`` keeps fewer); NaN marks an absent cell.
+index a table of mean penalties by group and book that
+``measures.aggregate`` returns (:class:`~wordtradeoff.measures.GroupMeans`;
+rank tables the per-translation one), over all of its books
+(``GroupMeans.select`` keeps fewer); NaN marks an absent cell.
 
 :func:`exact_perm_test` compares two small vectors (such as the rank
 vectors of a translation's books) by an exact permutation test whose
@@ -259,10 +260,10 @@ def _rank_desc(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def rank_books(means: GroupMeans) -> RankTables:
     """Rank the books of ``means`` within each translation by both penalties.
 
-    ``means`` must be translation-level aggregates. Ties are broken by
-    column order (ascending book id, as ``aggregate`` gives the columns)
-    and marked in ``ties``. Translations missing any book are excluded
-    and reported rather than silently dropped.
+    ``means`` must be the per-translation table ``aggregate`` returns
+    first. Ties are broken by column order (ascending book id, as
+    ``aggregate`` gives the columns) and marked in ``ties``. Translations
+    missing any book are excluded and reported rather than silently dropped.
     """
     import numpy as np
     books = means.book_ids

@@ -340,7 +340,7 @@ def test_criterion_8_full_corpus_tradeoff():
             measurements.extend(measure_book(book, cfg))
 
     assert eligible >= 2, "need at least two translations with all six books"
-    per_language = aggregate(ResultsTable.from_measurements(measurements), group_by="language")
+    _, per_language = aggregate(ResultsTable.from_measurements(measurements))
     selected = per_language.select(book_ids)
     failures = []
     for book_id, x, y in zip(book_ids, selected.d_order.T, selected.d_structure.T):

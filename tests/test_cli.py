@@ -1048,6 +1048,12 @@ class TestParser:
         error = exit_1_message(["stats", "results.csv", "--books", books], capsys, caplog)
         assert error.endswith(f"bad book list {books!r}")
 
+    def test_stats_unknown_grouping_exits_1(self, capsys, caplog):
+        # Only the prefix: argparse quotes its list of choices differently
+        # across Python versions.
+        error = exit_1_message(["stats", "results.csv", "--group-by", "continent"], capsys, caplog)
+        assert error.startswith("error: argument --group-by: invalid choice: 'continent'")
+
     def test_analyze_has_no_group_by(self):
         # Grouping belongs to stats; analyze writes one row per unit.
         with pytest.raises(SystemExit) as err:

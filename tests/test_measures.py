@@ -150,7 +150,7 @@ def assert_same_means(actual, expected):
 
 class TestAggregate:
     def test_identity_for_single_measurement(self):
-        means = aggregate(ResultsTable.from_measurements([fake_measurement()]), "translation")
+        means, _ = aggregate(ResultsTable.from_measurements([fake_measurement()]))
         assert (means.groups, means.book_ids) == (("t",), (40,))
         assert means.d_order[0, 0] == pytest.approx(0.1)
 
@@ -159,7 +159,7 @@ class TestAggregate:
             fake_measurement(tid="t1", lang="deu", d_order=0.2),
             fake_measurement(tid="t2", lang="deu", d_order=0.4),
         ]
-        means = aggregate(ResultsTable.from_measurements(ms), group_by="language")
+        _, means = aggregate(ResultsTable.from_measurements(ms))
         assert means.d_order.shape == (1, 1)
         assert means.d_order[0, 0] == pytest.approx(0.3)
 
@@ -170,7 +170,7 @@ class TestAggregate:
             fake_measurement(tid="t1", lang="deu", rep=1, d_order=0.2),
             fake_measurement(tid="t2", lang="deu", rep=0, d_order=0.5),
         ]
-        means = aggregate(ResultsTable.from_measurements(ms), group_by="language")
+        _, means = aggregate(ResultsTable.from_measurements(ms))
         assert means.d_order[0, 0] == pytest.approx((0.1 + 0.5) / 2)
 
     def test_groups_and_means_per_grouping(self):
@@ -184,11 +184,10 @@ class TestAggregate:
             fake_measurement(tid="t1", lang="deu", rep=1, d_order=0.3, d_structure=0.2),
             fake_measurement(tid="t2", lang="deu", rep=1, d_order=0.9, d_structure=0.2),
         ]
-        per_translation = aggregate(ResultsTable.from_measurements(ms), group_by="translation")
+        per_translation, per_language = aggregate(ResultsTable.from_measurements(ms))
         assert per_translation.groups == ("t1", "t2", "t3")
         assert per_translation.d_order[:, 0] == pytest.approx([0.2, 0.7, 0.2])
 
-        per_language = aggregate(ResultsTable.from_measurements(ms), group_by="language")
         assert per_language.groups == ("deu", "fra")
         # Over the translation means (0.2, 0.7) and (0.3, 0.2), not the replicates.
         assert per_language.d_order[0, 0] == pytest.approx(0.45)
@@ -196,19 +195,19 @@ class TestAggregate:
 
     def test_books_kept_separate(self):
         ms = [fake_measurement(book=b) for b in (40, 41, 42, 43, 44, 66)]
-        means = aggregate(ResultsTable.from_measurements(ms), group_by="language")
-        assert means.book_ids == (40, 41, 42, 43, 44, 66)
-        assert means.d_order.shape == (1, 6)
+        for means in aggregate(ResultsTable.from_measurements(ms)):
+            assert means.book_ids == (40, 41, 42, 43, 44, 66)
+            assert means.d_order.shape == (1, 6)
 
     def test_input_order_irrelevant(self):
         ms = [
             fake_measurement(tid="t1", lang="deu", rep=r, d_order=0.1 * r)
             for r in range(3)
         ]
-        assert_same_means(
-            aggregate(ResultsTable.from_measurements(ms), "language"),
-            aggregate(ResultsTable.from_measurements(reversed(ms)), "language"),
-        )
+        forward = aggregate(ResultsTable.from_measurements(ms))
+        backward = aggregate(ResultsTable.from_measurements(reversed(ms)))
+        for actual, expected in zip(forward, backward):
+            assert_same_means(actual, expected)
 
     def test_cells_of_requested_books(self):
         # t1 lacks book 41; book 99 is in no row.
@@ -217,7 +216,7 @@ class TestAggregate:
             fake_measurement(tid="t2", book=40, d_order=0.2, d_structure=0.6),
             fake_measurement(tid="t2", book=41, d_order=0.3, d_structure=0.7),
         ]
-        means = aggregate(ResultsTable.from_measurements(ms), group_by="translation")
+        means, _ = aggregate(ResultsTable.from_measurements(ms))
         assert np.isnan(means.d_order[0, 1])
         selected = means.select([41, 99, 40])
         assert (selected.groups, selected.book_ids) == (("t1", "t2"), (41, 99, 40))
@@ -229,11 +228,7 @@ class TestAggregate:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            aggregate(ResultsTable.from_measurements([]), "language")
-
-    def test_unknown_grouping_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate(ResultsTable.from_measurements([fake_measurement()]), "continent")
+            aggregate(ResultsTable.from_measurements([]))
 
 
 class TestSerialization:
@@ -356,9 +351,9 @@ class TestAggregateBitEquality:
                     )
                     ms.append(fake_measurement(f"t{t}", language, book, rep, d_order, d_structure))
         rng.shuffle(ms)
-        for group_by in ("translation", "language"):
-            expected = reference_aggregate(ms, group_by)
-            assert_same_means(aggregate(ResultsTable.from_measurements(ms), group_by), expected)
+        per_translation, per_language = aggregate(ResultsTable.from_measurements(ms))
+        assert_same_means(per_translation, reference_aggregate(ms, "translation"))
+        assert_same_means(per_language, reference_aggregate(ms, "language"))
 
 
 def reference_read(text):
