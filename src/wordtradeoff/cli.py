@@ -356,9 +356,9 @@ def _measure_input(
     path: str, units: list[tuple[int, int]], config: RunConfig
 ) -> _InputOutcome | str:
     """Parse the requested books of one input, (optionally) truncate them, and
-    measure those of ``units`` the input has. An input error and each
-    unit's error come back as their messages: no exception crosses from a pool
-    worker, where one that pickle cannot rebuild would break the whole pool."""
+    measure those of ``units`` the input has. An input error, its path first,
+    and each unit's error come back as messages: no exception crosses from a
+    pool worker, where one that pickle cannot rebuild would break the pool."""
     # parse_corpus, truncate_books and measure_replicate are globals looked
     # up per call, so a replaced one runs.
     try:
@@ -369,7 +369,7 @@ def _measure_input(
         if config.truncate != "off":
             found = truncate_books(found, config.truncate)
     except (OSError, ValueError) as exc:
-        return str(exc)
+        return f"{path}: {exc}"
     books = {book.book_id: book for book in found}
     missing = sorted(set(config.books) - set(translation.books))
     rows, errors = [], []

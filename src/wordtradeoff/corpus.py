@@ -19,8 +19,10 @@ Two input formats are supported:
 * ``tsv``: UTF-8 lines of the form ``book_id<TAB>chapter<TAB>verse<TAB>text``
   with the same comment convention.
 
-In both, id fields are ASCII digits (whitespace around a field is allowed)
-and book, chapter and verse are at least 1.
+In both, an id field is one or more ASCII digits ``0-9``, and the pbc id is
+exactly 8 of them with nothing between. Any Unicode whitespace except a
+tab may stand around an id field. Book, chapter and verse are at least 1.
+``analyze`` starts each input error's message with the input's path.
 
 Lines end at ``\n``, ``\r\n`` or ``\r`` only. Any other Unicode line or
 paragraph separator inside a verse is whitespace, like a tab.
@@ -29,6 +31,7 @@ paragraph separator inside a verse is whitespace, like a tab.
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -60,12 +63,17 @@ DEFAULT_BOOK_IDS: tuple[int, ...] = (40, 41, 42, 43, 44, 66)
 #: Corpus line formats (see the module docstring).
 FORMATS = ("pbc", "tsv")
 
-#: Each format's data line: its shape as error messages name it, the number
-#: of tab-separated id fields before the text, and the digit count of a
-#: single id holding book, chapter and verse (0: one field each).
-_SHAPES = {
-    "pbc": ("<8-digit id><TAB>text", 1, 8),
-    "tsv": ("book<TAB>chapter<TAB>verse<TAB>text", 3, 0),
+#: Each format's data line: its shape as error messages name it, and a regex
+#: whose groups are the book, chapter and verse ids and the text. An id is
+#: ASCII digits (``[0-9]``: ``\d`` takes other scripts' digits) with any
+#: whitespace but a tab around it (``_W``: ``\s`` would take a tab before it).
+_W = r"[^\S\t]*"
+_GRAMMARS = {
+    "pbc": ("<8-digit id><TAB>text",
+            re.compile(rf"{_W}([0-9]{{2}})([0-9]{{3}})([0-9]{{3}}){_W}\t(.*)")),
+    # Written out three times: a {3} on one group would keep only the last id.
+    "tsv": ("book<TAB>chapter<TAB>verse<TAB>text",
+            re.compile(rf"{_W}([0-9]+){_W}\t" * 3 + "(.*)")),
 }
 
 #: Where :func:`truncate_books` may cut a book.
@@ -201,16 +209,26 @@ def parse_corpus(
     # str.splitlines would also break at \x0b, \x0c, \x1c-\x1e, \x85,
     # U+2028 and U+2029, which the body's whitespace split turns into spaces.
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    shape, grammar = _GRAMMARS[fmt]
     for line_no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped:
+        # A data line starts, after whitespace, with a digit: never blank or a comment.
+        match = grammar.fullmatch(raw)
+        if match is None:
+            stripped = raw.strip()
+            if stripped.startswith("#"):
+                kv = _parse_comment(stripped)
+                if kv is not None:
+                    comments.setdefault(kv[0], kv[1])
+            elif stripped:
+                raise CorpusFormatError(f"expected '{shape}', got {raw[:50]!r}", line_no)
             continue
-        if stripped.startswith("#"):
-            kv = _parse_comment(stripped)
-            if kv is not None:
-                comments.setdefault(kv[0], kv[1])
-            continue
-        key, body = _parse_line(raw, line_no, fmt)
+        book, chapter, verse, body = match.groups()
+        key = int(book), int(chapter), int(verse)
+        if 0 in key:  # the only id below 1 that digits spell: VerseRef names it
+            try:
+                VerseRef(*key)
+            except ValueError as exc:
+                raise CorpusFormatError(str(exc), line_no) from None
         kept = books is None or key[0] in books
         if kept:  # unkept text is tested raw: lowercasing neither adds nor drops whitespace
             body = " ".join((body.lower() if lowercase else body).split())
@@ -317,28 +335,3 @@ def _language_from_comments(comments: Mapping[str, str]) -> str | None:
         if value:
             return value
     return None
-
-
-def _parse_line(line: str, line_no: int, fmt: str) -> tuple[tuple[int, int, int], str]:
-    """Split a data line into its (book, chapter, verse) ids and its text."""
-    shape, n_ids, width = _SHAPES[fmt]
-    fields = line.split("\t", n_ids)
-    if width:  # one id field: book (2 digits), chapter (3) and verse (3)
-        ident = fields[0].strip()
-        fields[:1] = (ident[:2], ident[2:5], ident[5:]) if len(ident) == width else ()
-    # A line short of fields gets empty ids, which the check rejects; so does
-    # whitespace inside a fixed-width id, which leaves it short of digits.
-    book, chapter, verse, body = fields if len(fields) == 4 else ("",) * 4
-    book, chapter, verse = book.strip(), chapter.strip(), verse.strip()
-    digits = book + chapter + verse
-    if not (book and chapter and verse and digits.isascii() and digits.isdigit()) or (
-        width and len(digits) != width
-    ):
-        raise CorpusFormatError(f"expected '{shape}', got {line[:50]!r}", line_no)
-    key = int(book), int(chapter), int(verse)
-    if 0 in key:  # the only id below 1 that digits spell: VerseRef names it
-        try:
-            VerseRef(*key)
-        except ValueError as exc:
-            raise CorpusFormatError(str(exc), line_no) from None
-    return key, body

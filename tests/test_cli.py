@@ -999,6 +999,8 @@ def test_bad_second_input_fatal_alike_at_1_and_2_workers(tmp_path, caplog, secon
     assert messages[0] == messages[1]
     expected = "not valid UTF-8" if second == "corrupt" else "both have translation id 'x'"
     assert expected in messages[0]
+    if second == "corrupt":  # the two inputs share a file name: the path tells them apart
+        assert str(other) in messages[0] and str(first) not in messages[0]
 
 
 def test_parent_memory_does_not_grow_with_input_count(tmp_path):

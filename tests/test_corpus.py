@@ -152,6 +152,7 @@ class TestParse:
             "40\t1\t-1\ttext",
             "40\t\t1\ttext",
             "40\t \t1\ttext",
+            "\t40\t1\t1\ttext",
         ],
         ids=ascii,
     )
@@ -162,9 +163,9 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "ident",
-        # fullwidth digits; whitespace inside the id; 7 and 9 digits
+        # fullwidth digits; whitespace inside the id; 7 and 9 digits; a tab before it
         ["\uff14\uff10\uff10\uff10\uff11\uff10\uff10\uff11", "40 01001", "4000 1001", "4000100",
-         "400010011"],
+         "400010011", "\t40001001"],
         ids=ascii,
     )
     def test_pbc_id_that_is_not_8_ascii_digits_is_a_shape_error(self, ident):
@@ -172,7 +173,11 @@ class TestParse:
         with pytest.raises(CorpusFormatError, match="^line 2: expected '<8-digit id><TAB>text'"):
             parse_corpus(data, "pbc")
 
-    @pytest.mark.parametrize("fmt,ref", [("tsv", " 40 \t 1\t2 "), ("pbc", " 40001002 ")])
+    @pytest.mark.parametrize(
+        "fmt,ref",
+        [("tsv", " 40 \t 1\t2 "), ("pbc", " 40001002 "),
+         ("tsv", "\u300040\xa0\t1\t2"), ("pbc", "\xa040001002\u3000")],
+    )
     def test_whitespace_around_an_id_field_is_allowed(self, fmt, ref):
         tr = parse_corpus(f"{ref}\tsome text\n".encode(), fmt)
         assert tr.books[40].verses[0].ref == VerseRef(40, 1, 2)
@@ -392,7 +397,10 @@ def reference_parse_select(data, fmt, ids, lowercase):
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"input is not valid UTF-8: {exc}") from None
-    shape, n_ids, width = corpus_module._SHAPES[fmt]
+    shape, n_ids, width = {
+        "pbc": ("<8-digit id><TAB>text", 1, 8),
+        "tsv": ("book<TAB>chapter<TAB>verse<TAB>text", 3, 0),
+    }[fmt]
     comments, by_book, seen, skipped_empty = {}, defaultdict(list), {}, 0
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, raw in enumerate(lines, start=1):
@@ -509,6 +517,46 @@ class TestOnePassSelection:
         wanted = set(tr.books) if ids is None else ids
         got = list(tr.books.items()), sorted(wanted - set(tr.books)), tr.translation_id
         assert (*got, tr.sha256, tr.skipped_empty) == expected
+
+
+#: The characters besides ASCII digits and tabs that a drawn line holds:
+#: an Arabic-Indic four, signs, a comment mark, a letter and whitespace that
+#: is not a tab.
+LINE_CHARS = ("\u0664", "+", "-", "_", "#", "a", " ", "\xa0", "\x85", "\x0b", "\x1c",
+              "\u2028", "\u3000")
+
+
+@st.composite
+def grammar_lines(draw):
+    """One line of 1 to 5 tab-separated fields, each a core of digits (8 at
+    times, as in a pbc id; an Arabic-Indic four among them at times) or of
+    LINE_CHARS, between two affixes."""
+    affix = (st.just("") | st.text(st.sampled_from([c for c in LINE_CHARS if c.isspace()]),
+                                   max_size=2) | st.text(st.sampled_from(LINE_CHARS), max_size=2))
+    core = (st.text("0123456789", min_size=1, max_size=9)
+            | st.text("0123456789", min_size=8, max_size=8)
+            | st.text("0123456789\u0664", min_size=1, max_size=8) | affix)
+    n = draw(st.integers(1, 5))
+    fields = draw(st.lists(st.tuples(affix, core, affix).map("".join), min_size=n, max_size=n))
+    return "\t".join(fields)
+
+
+class TestLineGrammar:
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(grammar_lines(), st.sampled_from(["pbc", "tsv"]))
+    def test_line_outcome_equals_hand_split_reference(self, line, fmt):
+        # The same verse, skip or error message as the reference's own field split.
+        data = f"{line}\n".encode()
+        try:
+            expected = reference_parse_select(data, fmt, None, False)
+        except CorpusFormatError as exc:
+            with pytest.raises(CorpusFormatError) as raised:
+                parse_corpus(data, fmt)
+            assert str(raised.value) == str(exc)
+            return
+        tr = parse_corpus(data, fmt)
+        assert (list(tr.books.items()), [], tr.translation_id, tr.sha256,
+                tr.skipped_empty) == expected
 
 
 class TestInvariants:

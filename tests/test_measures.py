@@ -29,6 +29,7 @@ from wordtradeoff.measures import (
     read_results_csv,
     write_results_csv,
 )
+from wordtradeoff.testkit import render_toy_corpus, toy_language_pair
 from wordtradeoff.transforms import derive_seed
 
 
@@ -137,6 +138,17 @@ class TestMeasureBook:
     def test_replicate_count_validated(self):
         with pytest.raises(ValueError):
             MeasureConfig(replicates=0)
+
+    @pytest.mark.parametrize("sentences", [500, 1500, 5000])
+    def test_toy_pair_keeps_its_trade_off_across_text_length(self, sentences):
+        # d_structure falls with N while d_order stays flat; from 17k to 235k
+        # chars each language must still lead on its own penalty.
+        positional, affixal = toy_language_pair(0)
+        cfg = MeasureConfig(replicates=1)
+        (pos,) = measure_book(render_toy_corpus(positional, sentences, seed=0), cfg)
+        (aff,) = measure_book(render_toy_corpus(affixal, sentences, seed=0), cfg)
+        assert pos.d_order > aff.d_order
+        assert aff.d_structure > pos.d_structure
 
 
 def assert_same_means(actual, expected):
