@@ -369,7 +369,8 @@ def _measure_input(
         if config.truncate != "off":
             found = truncate_books(found, config.truncate)
     except (OSError, ValueError) as exc:
-        return f"{path}: {exc}"
+        # An OSError's own text quotes the path again; its strerror does not.
+        return f"{path}: {getattr(exc, 'strerror', None) or exc}"
     books = {book.book_id: book for book in found}
     missing = sorted(set(config.books) - set(translation.books))
     rows, errors = [], []

@@ -22,7 +22,7 @@ Two input formats are supported:
 In both, an id field is one or more ASCII digits ``0-9``, and the pbc id is
 exactly 8 of them with nothing between. Any Unicode whitespace except a
 tab may stand around an id field. Book, chapter and verse are at least 1.
-``analyze`` starts each input error's message with the input's path.
+``analyze`` reports an input error as ``<path>: <message>``.
 
 Lines end at ``\n``, ``\r\n`` or ``\r`` only. Any other Unicode line or
 paragraph separator inside a verse is whitespace, like a tab.
@@ -35,7 +35,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 #: Canonical book numbering (66-book Protestant canon, as used by the
 #: 8-digit verse ids of the pbc format).
@@ -167,7 +167,7 @@ def flatten(book: Book) -> str:
 
 
 def parse_corpus(
-    source: Union[bytes, str, Path, BinaryIO],
+    source: bytes | str | Path,
     fmt: str,
     *,
     lowercase: bool = False,
@@ -175,11 +175,11 @@ def parse_corpus(
 ) -> Translation:
     """Parse a verse-aligned corpus file into a Translation.
 
-    ``source`` may be raw bytes, a filesystem path, or a binary file
-    object; the content must be valid UTF-8. ``fmt`` selects the line
-    format, one of :data:`FORMATS`. Every data line is checked, but only
-    the books ``books`` names (default: all; none is a ``ValueError``) are
-    built, so a requested id the input lacks is absent from the result.
+    ``source`` is the input's bytes or its path (``str`` or ``Path``); the
+    content must be valid UTF-8. ``fmt`` is exactly ``"pbc"`` or ``"tsv"``
+    (:data:`FORMATS`). Every data line is checked, but only the books
+    ``books`` names (default: all; none is a ``ValueError``) are built, so
+    a requested id the input lacks is absent from the result.
     Verses are sorted by reference within each book. Data lines whose text
     is empty (untranslated verses) are skipped, in every book, and counted
     in ``Translation.skipped_empty``; nothing is logged, so a caller that
@@ -191,13 +191,13 @@ def parse_corpus(
     """
     if books is not None and not (books := frozenset(books)):
         raise ValueError("no books requested")
-    data, default_id = _read_source(source)
+    path = None if isinstance(source, bytes) else Path(source)
+    data = source if path is None else path.read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"input is not valid UTF-8: {exc}") from None
 
-    fmt = fmt.lower()
     if fmt not in FORMATS:
         raise ValueError(f"unknown corpus format {fmt!r} (expected one of {FORMATS})")
 
@@ -246,12 +246,11 @@ def parse_corpus(
 
     if not seen:
         raise CorpusFormatError("no verses found in input")
-    tid = comments.get("translation_id") or default_id or "unknown"
+    tid = comments.get("translation_id") or (path and path.stem) or "unknown"
     # Only a file name that is not valid UTF-8 gives an id lone surrogates.
     if any("\ud800" <= c <= "\udfff" for c in tid):
         raise CorpusFormatError(
-            f"file name {str(source)!r} is not valid UTF-8; "
-            "give the input a '# translation_id: ...' comment"
+            "file name is not valid UTF-8; give the input a '# translation_id: ...' comment"
         )
     lang = _language_from_comments(comments) or "und"
 
@@ -308,17 +307,6 @@ def _truncate_book(book: Book, target: int, granularity: str) -> Book:
         new_verses.append(verse if piece == verse.text else Verse(verse.ref, piece))
         offset += len(verse.text) + 1
     return replace(book, verses=tuple(new_verses))
-
-
-def _read_source(
-    source: Union[bytes, str, Path, BinaryIO]
-) -> tuple[bytes, str | None]:
-    if isinstance(source, bytes):
-        return source, None
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        return path.read_bytes(), path.stem
-    return source.read(), None
 
 
 def _parse_comment(line: str) -> tuple[str, str] | None:

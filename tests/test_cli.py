@@ -9,18 +9,21 @@ import functools
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wordtradeoff import cli, entropy, measures
 from wordtradeoff.cli import RunConfig, cmd_analyze, main
-from wordtradeoff.corpus import Book, Verse, VerseRef, parse_corpus
+from wordtradeoff.corpus import FORMATS, Book, Verse, VerseRef, parse_corpus
 from wordtradeoff.entropy import MatchLengths, kernel_name, match_lengths_naive
 from wordtradeoff.measures import (
     RESULT_COLUMNS,
@@ -188,11 +191,22 @@ class TestAnalyze:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["missing_books"] == {"toy1": [42]}
 
-    def test_unreadable_input_fatal(self, tmp_path):
-        config = RunConfig(
-            inputs=(str(tmp_path / "nope.tsv"),), fmt="tsv", out_dir=str(tmp_path / "out")
-        )
-        assert cmd_analyze(config) == 1
+    def test_unreadable_input_fatal(self, tmp_path, caplog):
+        # A missing file or a directory after a good input: one ERROR line
+        # that names it once, by its path and the system's reason.
+        good = tmp_path / "good.tsv"
+        write_two_book_corpus(good)
+        (tmp_path / "dir.tsv").mkdir()
+        for name, reason in (("nope.tsv", "No such file or directory"),
+                             ("dir.tsv", "Is a directory")):
+            bad = tmp_path / name
+            for workers in (1, 2):
+                caplog.clear()
+                config = RunConfig(inputs=(str(good), str(bad)), fmt="tsv", books=(40,),
+                                   replicates=1, workers=workers, out_dir=str(tmp_path / "out"))
+                assert cmd_analyze(config) == 1
+                errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+                assert errors == [f"{bad}: {reason}"]
 
     def test_per_book_error_isolated(self, tmp_path, monkeypatch):
         real = cli.measure_replicate
@@ -261,6 +275,8 @@ class TestAnalyze:
         assert code == 1
         (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert "not valid UTF-8" in error and "# translation_id:" in error
+        # Named once, as the path itself, not again quoted with its bytes escaped.
+        assert error.startswith(f"{path}: ") and error.count("-bible.tsv") == 1
         assert not (out_dir / "results.csv").exists()
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -1001,6 +1017,105 @@ def test_bad_second_input_fatal_alike_at_1_and_2_workers(tmp_path, caplog, secon
     assert expected in messages[0]
     if second == "corrupt":  # the two inputs share a file name: the path tells them apart
         assert str(other) in messages[0] and str(first) not in messages[0]
+
+
+#: The rare corruptions of one generated input, each with whether analyze
+#: must stop on it (exit 1, one ERROR line naming the input).
+CORRUPTIONS = {
+    None: False,
+    "bad-id": True,
+    "book-0": True,
+    "bom": True,
+    "bad-utf8-tail": True,
+    "nul": False,
+    "next-line": False,
+    "line-separator": False,
+    "duplicate-verse": True,
+    "same-id": True,
+    "missing": True,
+}
+
+
+@st.composite
+def corrupted_inputs(draw, kind):
+    """One or two small inputs of one format, books 40 and 41, one of them
+    with the corruption ``kind`` (if any): (fmt, {file name: bytes, or None
+    for a missing file}, index of the input that carries it)."""
+    fmt = draw(st.sampled_from(FORMATS))
+    count = 2 if kind == "same-id" else draw(st.integers(1, 2))
+    target = count - 1 if kind == "same-id" else draw(st.integers(0, count - 1))
+
+    def line(book, chapter, verse, text):
+        if fmt == "pbc":
+            return f"{book:02d}{chapter:03d}{verse:03d}\t{text}"
+        return f"{book}\t{chapter}\t{verse}\t{text}"
+
+    words = st.lists(st.sampled_from(["mata", "kilo", "rena", "bopu", "sati"]),
+                     min_size=1, max_size=4).map(" ".join)
+    inputs = {}
+    for index in range(count):
+        tid = "t0" if kind == "same-id" else f"t{index}"
+        lines = [line(book, 1, verse, draw(words))
+                 for book in draw(st.sets(st.sampled_from([40, 41]), min_size=1))
+                 for verse in range(1, draw(st.integers(2, 5)) + 1)]
+        head, tail = f"# translation_id: {tid}\n", b""
+        if index == target and kind is not None:
+            at = draw(st.integers(0, len(lines)))
+            if kind == "bad-id":
+                lines.insert(at, "4000100\tbad" if fmt == "pbc" else "40\t1\tbad")
+            elif kind == "book-0":
+                lines.insert(at, line(0, 1, 1, "zero"))
+            elif kind == "duplicate-verse":
+                ref = lines[draw(st.integers(0, len(lines) - 1))].rsplit("\t", 1)[0]
+                lines.insert(at, f"{ref}\tagain")
+            elif kind in ("nul", "next-line", "line-separator"):
+                char = {"nul": "\0", "next-line": "\x85", "line-separator": "\u2028"}[kind]
+                text_at = draw(st.integers(0, len(lines) - 1))
+                ref, text = lines[text_at].rsplit("\t", 1)
+                cut = draw(st.integers(0, len(text)))
+                lines[text_at] = f"{ref}\t{text[:cut]}{char}{text[cut:]}"
+            elif kind == "bom":
+                head = "\ufeff" + head
+            elif kind == "bad-utf8-tail":
+                tail = draw(st.sampled_from([b"\xff", b"\xe2\x82", b"\xc3"]))
+        data = (head + "\n".join(lines) + "\n").encode() + tail
+        inputs[f"in{index}.{fmt}"] = None if index == target and kind == "missing" else data
+    return fmt, inputs, target
+
+
+@pytest.mark.parametrize("kind", list(CORRUPTIONS))
+@settings(derandomize=True, max_examples=4, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_analyze_ends_alike_at_1_and_2_workers_on_one_corruption(caplog, kind, data):
+    fmt, inputs, target = data.draw(corrupted_inputs(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, name) for name in inputs]
+        for path, content in zip(paths, inputs.values()):
+            if content is not None:
+                path.write_bytes(content)
+        out = Path(tmp, "out")
+        ends = []
+        for workers in (1, 2):
+            caplog.clear()
+            code = main(["analyze", *map(str, paths), "--format", fmt, "--books", "40,41",
+                         "--replicates", "1", "--workers", str(workers), "--out", str(out)])
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            written = {p.name: p.read_bytes() for p in out.iterdir()}
+            ends.append((code, errors, written))
+            shutil.rmtree(out)
+    (code, errors, written), (code2, errors2, written2) = ends
+    assert code in (0, 1, 2) and code2 == code
+    assert (code == 1) == CORRUPTIONS[kind], (kind, errors)
+    if code == 1:
+        assert len(errors) == 1 and errors2 == errors
+        assert errors[0].count(str(paths[target])) == 1, errors[0]
+        assert written == written2 == {}
+    else:
+        # Both runs wrote to one --out, so the manifests differ in workers alone.
+        manifest2 = written2["manifest.json"].replace(b'"workers": 2', b'"workers": 1')
+        assert written2["results.csv"] == written["results.csv"]
+        assert manifest2 == written["manifest.json"]
 
 
 def test_parent_memory_does_not_grow_with_input_count(tmp_path):

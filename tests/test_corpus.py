@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 from collections import defaultdict
 from dataclasses import replace
@@ -98,6 +97,11 @@ class TestParse:
         with pytest.raises(ValueError, match="unknown corpus format"):
             parse_corpus(PBC_SAMPLE, "xml")
 
+    @pytest.mark.parametrize("fmt", ["PBC", "Tsv"])
+    def test_format_name_is_exact(self, fmt):
+        with pytest.raises(ValueError, match="unknown corpus format"):
+            parse_corpus(PBC_SAMPLE, fmt)
+
     def test_empty_verse_text_skipped_and_counted(self, caplog):
         data = b"40001001\tsome text\n40001002\t\n41001001\t \n"
         tr = parse_corpus(data, "pbc", books=[40])
@@ -120,10 +124,6 @@ class TestParse:
         path.write_bytes(PBC_SAMPLE)
         tr = parse_corpus(path, "pbc")
         assert tr.translation_id == "eng_kjv"
-
-    def test_binary_stream_source(self):
-        tr = parse_corpus(io.BytesIO(b"# translation_id: x\n" + TSV_SAMPLE), "tsv")
-        assert tr.translation_id == "x"
 
     @pytest.mark.parametrize("fmt,ref", [("pbc", "40001001"), ("tsv", "40\t1\t1")])
     @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=ascii)
