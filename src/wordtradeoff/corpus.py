@@ -24,8 +24,9 @@ exactly 8 of them with nothing between. Any Unicode whitespace except a
 tab may stand around an id field. Book, chapter and verse are at least 1.
 ``analyze`` reports an input error as ``<path>: <message>``.
 
-Lines end at ``\n``, ``\r\n`` or ``\r`` only. Any other Unicode line or
-paragraph separator inside a verse is whitespace, like a tab.
+Lines end at ``\n``, ``\r\n`` or ``\r`` only, and a leading UTF-8 byte-order
+mark is refused. Any other Unicode line or paragraph separator inside a
+verse is whitespace, like a tab.
 """
 
 from __future__ import annotations
@@ -197,6 +198,8 @@ def parse_corpus(
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"input is not valid UTF-8: {exc}") from None
+    if text.startswith("\ufeff"):
+        raise CorpusFormatError("input starts with a UTF-8 byte-order mark; save it without one", 1)
 
     if fmt not in FORMATS:
         raise ValueError(f"unknown corpus format {fmt!r} (expected one of {FORMATS})")

@@ -19,11 +19,12 @@ values are reported as computed, with a warning.
 Results take one form, the :class:`ResultsTable` of columns (tuples of
 str and standard-library ``array`` columns of int64 and float64):
 ``write_results_csv`` writes one, ``read_results_csv`` reads it back, and
-``aggregate`` averages it in one pass into two :class:`GroupMeans` tables
-of groups by books, per translation and per language. ``stats`` selects
-its books from them once, and every statistic indexes a selection.
-Measuring and writing need no numpy: ``aggregate``, the reader's checks and
-``GroupMeans.select`` import it inside the function, when they first run.
+``aggregate`` averages it, one grouping step applied per translation and
+then per language, into two :class:`GroupMeans` tables of groups by books.
+``stats`` selects its books from them once, and every statistic indexes
+a selection. Measuring and writing need no numpy: ``aggregate``, the
+reader's checks and ``GroupMeans.select`` import it inside the function,
+when they first run.
 """
 
 from __future__ import annotations
@@ -232,52 +233,45 @@ def measure_book(book: Book, config: MeasureConfig | None = None) -> list[BookMe
 def aggregate(results: ResultsTable) -> tuple[GroupMeans, GroupMeans]:
     """Average penalties per translation and book, then per language and book.
 
-    Returns ``(per_translation, per_language)``. Replicate variability is
-    folded in first: replicates are averaged per translation, and those
-    translation means are then averaged (unweighted) per language. Each
-    mean is ``math.fsum(units) / len(units)``, as ``statistics.fmean``
-    computes it.
+    Returns ``(per_translation, per_language)``, from one grouping step
+    (``_group``) applied per translation and then per language: replicates
+    are averaged per translation, and those translation means are then
+    averaged (unweighted) per language. Each mean is
+    ``math.fsum(units) / len(units)``, as ``statistics.fmean`` computes it.
     """
     import numpy as np
     if not len(results):
         raise ValueError("no measurements to aggregate")
-
-    # Each (translation, book): its replicates' mean, and its first row.
     book_id = np.asarray(results.book_id)
-    order, bounds = _runs(_codes(results.translation_id), book_id)
-    first = order[bounds[:-1]]
-    d_order = _means(np.asarray(results.d_order)[order].tolist(), bounds)
-    d_structure = _means(np.asarray(results.d_structure)[order].tolist(), bounds)
-    books = book_id[first]
-    per_translation = _pivot([results.translation_id[i] for i in first.tolist()], books,
-                             d_order, d_structure)
-
-    # Each (language, book): the mean of its translations' means. A
-    # translation's language is the one on its first row of the book.
+    per_translation, first, means = _group(
+        results.translation_id, book_id, results.d_order, results.d_structure)
+    # A translation's language is the one on its first row of the book.
     languages = [results.language[i] for i in first.tolist()]
-    order, bounds = _runs(_codes(languages), books)
-    runs = order[bounds[:-1]].tolist()
-    d_order = _means([d_order[i] for i in order.tolist()], bounds)
-    d_structure = _means([d_structure[i] for i in order.tolist()], bounds)
-    per_language = _pivot([languages[i] for i in runs], books[runs], d_order, d_structure)
-    return per_translation, per_language
+    return per_translation, _group(languages, book_id[first], *means)[0]
 
 
-def _pivot(names: list[str], books: np.ndarray, d_order: list, d_structure: list) -> GroupMeans:
-    """The table whose cell for group ``names[r]`` and book ``books[r]``
-    holds run ``r``'s means; each (group, book) pair is one run."""
+def _group(names: Sequence[str], books: np.ndarray, d_order: Sequence[float],
+           d_structure: Sequence[float]) -> tuple[GroupMeans, np.ndarray, list[list[float]]]:
+    """Average both penalties over each run of rows of one (name, book): the
+    table of those means by name and book, each run's first row, and the
+    runs' means of ``d_order`` and of ``d_structure``."""
     import numpy as np
-    book_ids, columns = np.unique(books, return_inverse=True)
-    means = np.full((2, len(set(names)), len(book_ids)), np.nan)
-    means[:, _codes(names), columns] = d_order, d_structure
-    return GroupMeans(tuple(sorted(set(names))), tuple(book_ids.tolist()), *means)
+    groups, codes = _codes(names)
+    order, bounds = _runs(codes, books)
+    first = order[bounds[:-1]]
+    means = [_means(np.asarray(d)[order].tolist(), bounds) for d in (d_order, d_structure)]
+    book_ids, columns = np.unique(books[first], return_inverse=True)
+    cells = np.full((2, len(groups), len(book_ids)), np.nan)
+    cells[:, codes[first], columns] = means
+    return GroupMeans(groups, tuple(book_ids.tolist()), *cells), first, means
 
 
-def _codes(values: Sequence[str]) -> np.ndarray:
-    """Each value's index among the sorted distinct values."""
+def _codes(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct values, and each value's index among them."""
     import numpy as np
-    index = {value: code for code, value in enumerate(sorted(set(values)))}
-    return np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+    distinct = tuple(sorted(set(values)))
+    index = {value: code for code, value in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, values), np.int64, len(values))
 
 
 def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -425,12 +419,12 @@ def _check_rows(table: ResultsTable, row_nos: Sequence[int]) -> None:
             off[name] = np.abs(d - (h - h0)) > _ROUNDING_6G * (np.abs(d) + np.abs(h) + np.abs(h0))
     # Each row's first row in file order with the same key, and with the
     # same translation.
-    translations = _codes(table.translation_id)
+    translations = _codes(table.translation_id)[1]
     order, bounds = _runs(translations, table.book_id, table.replicate)
     first_of_key = np.empty_like(order)
     first_of_key[order] = np.repeat(order[bounds[:-1]], np.diff(bounds))
     first_of_translation = np.unique(translations, return_index=True)[1][translations]
-    languages = _codes(table.language)
+    languages = _codes(table.language)[1]
 
     bad = ~finite | (np.asarray(table.book_id) < 1) | (np.asarray(table.n_chars) < 1)
     bad |= off["d_order"] | off["d_structure"]

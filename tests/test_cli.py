@@ -6,6 +6,7 @@ import argparse
 import ast
 import concurrent.futures
 import functools
+import io
 import json
 import multiprocessing
 import os
@@ -1019,28 +1020,37 @@ def test_bad_second_input_fatal_alike_at_1_and_2_workers(tmp_path, caplog, secon
         assert str(other) in messages[0] and str(first) not in messages[0]
 
 
-#: The rare corruptions of one generated input, each with whether analyze
-#: must stop on it (exit 1, one ERROR line naming the input).
+#: The rare corruptions of one generated input, each with the exit code
+#: analyze must end with: 1 stops the run with one ERROR line naming the
+#: input, 2 is a unit that cannot be measured.
 CORRUPTIONS = {
-    None: False,
-    "bad-id": True,
-    "book-0": True,
-    "bom": True,
-    "bad-utf8-tail": True,
-    "nul": False,
-    "next-line": False,
-    "line-separator": False,
-    "duplicate-verse": True,
-    "same-id": True,
-    "missing": True,
+    None: 0,
+    "bad-id": 1,
+    "book-0": 1,
+    "chapter-0": 1,
+    "bom": 1,
+    "bad-utf8-tail": 1,
+    "nul": 0,
+    "next-line": 0,
+    "line-separator": 0,
+    "free-slot": 0,  # U+FFFF, the mark of a free slot in the kernel's states
+    "mixed-line-ends": 0,
+    "duplicate-verse": 1,
+    "same-id": 1,
+    "missing": 1,
+    "unmaskable": 2,
 }
+
+#: The books every run asks for.
+REQUESTED_BOOKS = (40, 41)
 
 
 @st.composite
 def corrupted_inputs(draw, kind):
     """One or two small inputs of one format, books 40 and 41, one of them
     with the corruption ``kind`` (if any): (fmt, {file name: bytes, or None
-    for a missing file}, index of the input that carries it)."""
+    for a missing file}, index of the input that carries it, {translation
+    id: the requested books its input has})."""
     fmt = draw(st.sampled_from(FORMATS))
     count = 2 if kind == "same-id" else draw(st.integers(1, 2))
     target = count - 1 if kind == "same-id" else draw(st.integers(0, count - 1))
@@ -1052,35 +1062,59 @@ def corrupted_inputs(draw, kind):
 
     words = st.lists(st.sampled_from(["mata", "kilo", "rena", "bopu", "sati"]),
                      min_size=1, max_size=4).map(" ".join)
-    inputs = {}
+    inputs, holds = {}, {}
     for index in range(count):
         tid = "t0" if kind == "same-id" else f"t{index}"
+        corrupt = index == target and kind is not None
+        have = draw(st.sets(st.sampled_from(REQUESTED_BOOKS), min_size=1))
+        # Book 41 of the unmaskable input is one verse of two types, each a
+        # letter and a control character: a one-character mask alphabet for
+        # two masks. At 5 characters it is the shortest book, so the token
+        # truncation keeps both types.
+        unmaskable = corrupt and kind == "unmaskable"
         lines = [line(book, 1, verse, draw(words))
-                 for book in draw(st.sets(st.sampled_from([40, 41]), min_size=1))
+                 for book in sorted(have - {41} if unmaskable else have)
                  for verse in range(1, draw(st.integers(2, 5)) + 1)]
-        head, tail = f"# translation_id: {tid}\n", b""
-        if index == target and kind is not None:
+        if unmaskable:
+            letter = draw(st.sampled_from("aeiou"))
+            control = draw(st.sampled_from(["\0", "\x01", "\x7f", "\x9f"]))
+            lines.append(line(41, 1, 1, f"{letter}{control} {control}{letter}"))
+            have |= {41}
+        head, tail, ends = f"# translation_id: {tid}\n", b"", None
+        if corrupt:
             at = draw(st.integers(0, len(lines)))
             if kind == "bad-id":
                 lines.insert(at, "4000100\tbad" if fmt == "pbc" else "40\t1\tbad")
             elif kind == "book-0":
                 lines.insert(at, line(0, 1, 1, "zero"))
+            elif kind == "chapter-0":
+                lines.insert(at, line(draw(st.sampled_from(REQUESTED_BOOKS)), 0, 1, "zero"))
             elif kind == "duplicate-verse":
                 ref = lines[draw(st.integers(0, len(lines) - 1))].rsplit("\t", 1)[0]
                 lines.insert(at, f"{ref}\tagain")
-            elif kind in ("nul", "next-line", "line-separator"):
-                char = {"nul": "\0", "next-line": "\x85", "line-separator": "\u2028"}[kind]
-                text_at = draw(st.integers(0, len(lines) - 1))
+            elif kind in ("nul", "next-line", "line-separator", "free-slot"):
+                char = {"nul": "\0", "next-line": "\x85", "line-separator": "\u2028",
+                        "free-slot": "\uffff"}[kind]
+                # U+FFFF goes into the first token of the first verse, which
+                # the token truncation keeps.
+                free_slot = kind == "free-slot"
+                text_at = 0 if free_slot else draw(st.integers(0, len(lines) - 1))
                 ref, text = lines[text_at].rsplit("\t", 1)
-                cut = draw(st.integers(0, len(text)))
+                cut = draw(st.integers(0, 4 if free_slot else len(text)))
                 lines[text_at] = f"{ref}\t{text[:cut]}{char}{text[cut:]}"
+            elif kind == "mixed-line-ends":  # at least one of each
+                rest = st.sampled_from(["\n", "\r\n", "\r"])
+                ends = draw(st.permutations(["\r\n", "\r"] + draw(
+                    st.lists(rest, min_size=len(lines) - 2, max_size=len(lines) - 2))))
             elif kind == "bom":
                 head = "\ufeff" + head
             elif kind == "bad-utf8-tail":
                 tail = draw(st.sampled_from([b"\xff", b"\xe2\x82", b"\xc3"]))
-        data = (head + "\n".join(lines) + "\n").encode() + tail
-        inputs[f"in{index}.{fmt}"] = None if index == target and kind == "missing" else data
-    return fmt, inputs, target
+        ends = ends or ["\n"] * len(lines)
+        data = (head + "".join(map(str.__add__, lines, ends))).encode() + tail
+        inputs[f"in{index}.{fmt}"] = None if corrupt and kind == "missing" else data
+        holds[tid] = have
+    return fmt, inputs, target, holds
 
 
 @pytest.mark.parametrize("kind", list(CORRUPTIONS))
@@ -1088,7 +1122,8 @@ def corrupted_inputs(draw, kind):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_analyze_ends_alike_at_1_and_2_workers_on_one_corruption(caplog, kind, data):
-    fmt, inputs, target = data.draw(corrupted_inputs(kind))
+    fmt, inputs, target, holds = data.draw(corrupted_inputs(kind))
+    replicates = data.draw(st.integers(1, 2))
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp, name) for name in inputs]
         for path, content in zip(paths, inputs.values()):
@@ -1098,24 +1133,45 @@ def test_analyze_ends_alike_at_1_and_2_workers_on_one_corruption(caplog, kind, d
         ends = []
         for workers in (1, 2):
             caplog.clear()
-            code = main(["analyze", *map(str, paths), "--format", fmt, "--books", "40,41",
-                         "--replicates", "1", "--workers", str(workers), "--out", str(out)])
+            code = main(["analyze", *map(str, paths), "--format", fmt,
+                         "--books", ",".join(map(str, REQUESTED_BOOKS)),
+                         "--replicates", str(replicates), "--workers", str(workers),
+                         "--out", str(out)])
             errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
             written = {p.name: p.read_bytes() for p in out.iterdir()}
             ends.append((code, errors, written))
+            if workers == 1 and code != 1:
+                caplog.clear()
+                stats_code = main(["stats", str(out / "results.csv"),
+                                   "--out", str(Path(tmp, "stats"))])
+                stats_errors = [r for r in caplog.records if r.levelname == "ERROR"]
             shutil.rmtree(out)
     (code, errors, written), (code2, errors2, written2) = ends
-    assert code in (0, 1, 2) and code2 == code
-    assert (code == 1) == CORRUPTIONS[kind], (kind, errors)
+    assert code == code2 == CORRUPTIONS[kind], (kind, errors)
     if code == 1:
         assert len(errors) == 1 and errors2 == errors
         assert errors[0].count(str(paths[target])) == 1, errors[0]
+        if kind == "bom":
+            assert "byte-order mark" in errors[0], errors[0]
         assert written == written2 == {}
-    else:
-        # Both runs wrote to one --out, so the manifests differ in workers alone.
-        manifest2 = written2["manifest.json"].replace(b'"workers": 2', b'"workers": 1')
-        assert written2["results.csv"] == written["results.csv"]
-        assert manifest2 == written["manifest.json"]
+        return
+    # Both runs wrote to one --out, so the manifests differ in workers alone.
+    manifest2 = written2["manifest.json"].replace(b'"workers": 2', b'"workers": 1')
+    assert written2["results.csv"] == written["results.csv"]
+    assert manifest2 == written["manifest.json"]
+    # Each unit of a book the input has is one row or one error; each
+    # book it lacks is missing.
+    manifest = json.loads(written["manifest.json"])
+    table = read_results_csv(io.StringIO(written["results.csv"].decode(), newline=""))
+    units = Counter(zip(table.translation_id, table.book_id, table.replicate))
+    units.update((e["translation_id"], e["book_id"], e["replicate"]) for e in manifest["errors"])
+    assert units == Counter((tid, book, r) for tid, have in holds.items()
+                            for book in have for r in range(replicates))
+    assert manifest["missing_books"] == {
+        tid: sorted(set(REQUESTED_BOOKS) - have)
+        for tid, have in holds.items() if have != set(REQUESTED_BOOKS)
+    }
+    assert stats_code == 0 or (stats_code == 1 and len(stats_errors) == 1), stats_errors
 
 
 def test_parent_memory_does_not_grow_with_input_count(tmp_path):

@@ -93,6 +93,19 @@ class TestParse:
         with pytest.raises(CorpusFormatError, match="UTF-8"):
             parse_corpus(b"40001001\t\xff\xfe broken\n", "pbc")
 
+    @pytest.mark.parametrize("fmt,data", [
+        ("pbc", PBC_SAMPLE),
+        ("pbc", b"40001001\tthe book\n"),
+        ("tsv", TSV_SAMPLE),
+        ("tsv", b"40\t1\t1\tthe book\n"),
+    ], ids=["pbc-comment", "pbc-data", "tsv-comment", "tsv-data"])
+    def test_leading_byte_order_mark_is_named(self, fmt, data):
+        # Before a comment or a data line alike; the input without it parses.
+        assert parse_corpus(data, fmt).books[40].verses
+        message = "^line 1: input starts with a UTF-8 byte-order mark; save it without one$"
+        with pytest.raises(CorpusFormatError, match=message):
+            parse_corpus(b"\xef\xbb\xbf" + data, fmt)
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="unknown corpus format"):
             parse_corpus(PBC_SAMPLE, "xml")
