@@ -11,8 +11,10 @@ Subcommands:
   reading it once and building only the requested books, truncates them
   and measures a contiguous part of its (book, replicate) units; the
   parent lists the units from the configuration alone, never holds a
-  book, and logs each input's missing books and its count of verses
-  skipped for empty text once. An input is one task
+  book, and is the only process that logs, the same at any worker count:
+  each input's missing books and count of verses skipped for empty text
+  once, each failed unit once, and one line that counts the rows with a
+  negative penalty (written as computed, not clamped). An input is one task
   when there are at least as many inputs as workers, and is otherwise
   split into as many tasks as keep every worker busy, each parsing it again.
 * ``stats``: read a results table and write the statistical outputs
@@ -106,11 +108,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _books_arg(text: str) -> tuple[int, ...]:
     # Book ids are ASCII digits and at least 1, as in the corpus formats.
-    parts = [part.strip() for part in text.split(",") if part.strip()]
+    # Every entry is one id; spaces around it are allowed, an empty entry is not.
+    parts = [part.strip() for part in text.split(",")]
     if not all(part.isascii() and part.isdigit() and int(part) >= 1 for part in parts):
         raise argparse.ArgumentTypeError(f"bad book list {text!r}")
-    if not parts:
-        raise argparse.ArgumentTypeError("no books requested")
     return tuple(map(int, parts))
 
 
@@ -278,6 +279,16 @@ def cmd_analyze(config: RunConfig) -> int:
             "errors in manifest.json): rerun with fewer --workers and check free memory",
             lost,
             len(rows) + len(errors),
+        )
+    negative = sorted((m.translation_id, m.book_id, m.replicate)  # results.csv order
+                      for m in rows if m.d_order < 0 or m.d_structure < 0)
+    if negative:
+        logger.warning(
+            "%d of %d rows have a negative penalty (d_order %d, d_structure %d; first: %s): "
+            "estimation noise where a penalty is near 0, written as computed, not clamped",
+            len(negative), len(rows), sum(m.d_order < 0 for m in rows),
+            sum(m.d_structure < 0 for m in rows),
+            ", ".join("%s book %d replicate %d" % unit for unit in negative[:5]),
         )
 
     results_path = out_dir / "results.csv"

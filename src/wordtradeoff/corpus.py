@@ -178,13 +178,14 @@ def parse_corpus(
 
     ``source`` is the input's bytes or its path (``str`` or ``Path``); the
     content must be valid UTF-8. ``fmt`` is exactly ``"pbc"`` or ``"tsv"``
-    (:data:`FORMATS`). Every data line is checked, but only the books
-    ``books`` names (default: all; none is a ``ValueError``) are built, so
-    a requested id the input lacks is absent from the result.
-    Verses are sorted by reference within each book. Data lines whose text
-    is empty (untranslated verses) are skipped, in every book, and counted
-    in ``Translation.skipped_empty``; nothing is logged, so a caller that
-    parses one input several times can report the count once. A
+    (:data:`FORMATS`). Every data line is checked, an empty one for a
+    duplicate reference too, but only the books ``books`` names (default:
+    all; none is a ``ValueError``) are built, so a requested id the input
+    lacks is absent from the result. Verses are sorted by reference within
+    each book. Data lines whose text is empty (untranslated verses) are
+    skipped, in every book, and counted in ``Translation.skipped_empty``;
+    nothing is logged, so a caller that parses one input several times
+    can report the count once. A
     ``# translation_id: ...`` comment sets the translation id; the
     default is the file name's stem, which must then be valid UTF-8
     (else :class:`CorpusFormatError`), and a ``# language_code: ...`` (or
@@ -235,19 +236,19 @@ def parse_corpus(
         kept = books is None or key[0] in books
         if kept:  # unkept text is tested raw: lowercasing neither adds nor drops whitespace
             body = " ".join((body.lower() if lowercase else body).split())
-        if not body or body.isspace():
-            skipped_empty += 1
-            continue
         first = seen.setdefault(key, line_no)
         if first != line_no:
             raise CorpusFormatError(
                 f"duplicate verse reference {VerseRef(*key)} (first seen at line {first})",
                 line_no,
             )
-        if kept:
+        if not body or body.isspace():
+            skipped_empty += 1
+        elif kept:
             by_book[key[0]].append((key, body))
 
-    if not seen:
+    # Each data line has its own key: equal counts mean every verse was empty.
+    if len(seen) == skipped_empty:
         raise CorpusFormatError("no verses found in input")
     tid = comments.get("translation_id") or (path and path.stem) or "unknown"
     # Only a file name that is not valid UTF-8 gives an id lone surrogates.

@@ -14,7 +14,7 @@ penalties are
 in bits per character: the description-length cost of having destroyed
 that dimension of regularity. Replicates vary only the derived seeds.
 Estimation noise can push a penalty slightly below zero on short books;
-values are reported as computed, with a warning.
+values are returned as computed, never clamped, and nothing here logs.
 
 Results take one form, the :class:`ResultsTable` of columns (tuples of
 str and standard-library ``array`` columns of int64 and float64):
@@ -30,7 +30,6 @@ when they first run.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import sys
 from array import array
@@ -52,8 +51,6 @@ from .transforms import (
 
 if TYPE_CHECKING:
     import numpy as np
-
-logger = logging.getLogger(__name__)
 
 ORDER_SCOPES = ("verse", "book")
 
@@ -198,7 +195,7 @@ def measure_replicate(book: Book, replicate: int, config: MeasureConfig) -> Book
     masked_text = mask_word_structure(tokens, table)
     h_structure = entropy_rate(match_lengths(masked_text))
 
-    result = BookMeasurement(
+    return BookMeasurement(
         translation_id=book.translation_id,
         language=book.language,
         book_id=book.book_id,
@@ -210,18 +207,6 @@ def measure_replicate(book: Book, replicate: int, config: MeasureConfig) -> Book
         d_order=h_order - h_original,
         d_structure=h_structure - h_original,
     )
-    if result.d_order < 0 or result.d_structure < 0:
-        logger.warning(
-            "negative penalty for %s book %d replicate %d "
-            "(d_order=%.4g, d_structure=%.4g): estimation noise at N=%d",
-            book.translation_id,
-            book.book_id,
-            replicate,
-            result.d_order,
-            result.d_structure,
-            result.n_chars,
-        )
-    return result
 
 
 def measure_book(book: Book, config: MeasureConfig | None = None) -> list[BookMeasurement]:

@@ -955,6 +955,33 @@ def test_empty_verses_logged_once_at_any_worker_count(tmp_path):
         assert warnings == [expected]
 
 
+def test_negative_penalties_summed_up_in_one_line_alike_at_1_and_2_workers(tmp_path, caplog):
+    # Only the parent logs, so caplog sees every record at 2 workers too.
+    # The one summary line counts the rows of results.csv with a negative
+    # penalty, per penalty, and names the first five in file order.
+    inputs = sorted(map(str, (Path(__file__).parent / "data" / "golden" / "pbc").glob("*.txt")))
+    logged = []
+    for workers in (1, 2):
+        caplog.clear()
+        code = main(["analyze", *inputs, "--workers", str(workers), "--out", str(tmp_path)])
+        assert code == 0
+        logged.append([(r.levelname, r.getMessage()) for r in caplog.records])
+    assert logged[0] == logged[1]
+    summaries = [message for _, message in logged[0] if "negative penalty" in message]
+    assert len(summaries) == 1
+    table = read_results_csv(tmp_path / "results.csv")
+    rows = list(zip(table.translation_id, table.book_id, table.replicate,
+                    [d < 0 for d in table.d_order], [d < 0 for d in table.d_structure]))
+    negative = [row for row in rows if row[3] or row[4]]
+    assert negative
+    first = ", ".join(f"{tid} book {b} replicate {r}" for tid, b, r, *_ in negative[:5])
+    assert summaries[0].startswith(
+        f"{len(negative)} of {len(rows)} rows have a negative penalty "
+        f"(d_order {sum(row[3] for row in rows)}, d_structure {sum(row[4] for row in rows)}; "
+        f"first: {first}): "
+    ), summaries[0]
+
+
 def imported_numpy_modules(stderr: str) -> list[str]:
     """The numpy modules that ``-X importtime`` lines in ``stderr`` name.
 
@@ -1137,19 +1164,23 @@ def test_analyze_ends_alike_at_1_and_2_workers_on_one_corruption(caplog, kind, d
                          "--books", ",".join(map(str, REQUESTED_BOOKS)),
                          "--replicates", str(replicates), "--workers", str(workers),
                          "--out", str(out)])
-            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            logged = [(r.levelname, r.getMessage()) for r in caplog.records
+                      if r.levelname in ("WARNING", "ERROR")]
+            errors = [message for level, message in logged if level == "ERROR"]
             written = {p.name: p.read_bytes() for p in out.iterdir()}
-            ends.append((code, errors, written))
+            ends.append((code, logged, errors, written))
             if workers == 1 and code != 1:
                 caplog.clear()
                 stats_code = main(["stats", str(out / "results.csv"),
                                    "--out", str(Path(tmp, "stats"))])
                 stats_errors = [r for r in caplog.records if r.levelname == "ERROR"]
             shutil.rmtree(out)
-    (code, errors, written), (code2, errors2, written2) = ends
+    (code, logged, errors, written), (code2, logged2, _, written2) = ends
     assert code == code2 == CORRUPTIONS[kind], (kind, errors)
+    # Only the parent logs: the same warnings and errors at both worker counts.
+    assert logged2 == logged
     if code == 1:
-        assert len(errors) == 1 and errors2 == errors
+        assert len(errors) == 1
         assert errors[0].count(str(paths[target])) == 1, errors[0]
         if kind == "bom":
             assert "byte-order mark" in errors[0], errors[0]
@@ -1207,7 +1238,8 @@ class TestParser:
             main(["analyze", "--format", "xml", "x.tsv"])
         assert err.value.code == 1
 
-    @pytest.mark.parametrize("books", ["forty", "4_0", "+41", "٤٢", "40, 4_1", "0", "40,0"])
+    @pytest.mark.parametrize("books", ["forty", "4_0", "+41", "٤٢", "40, 4_1", "0", "40,0",
+                                       "40,", ",,40,,", "40,,41"])
     def test_bad_book_list_exits_1(self, books, capsys):
         # Book ids are ASCII digits and at least 1, as in the corpus: int()
         # would take the rest, and no corpus holds a book 0.
@@ -1216,7 +1248,11 @@ class TestParser:
         assert err.value.code == 1
         assert f"bad book list {books!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("books", ["0", "40,0", "4_0"])
+    def test_book_list_allows_spaces_around_an_entry(self):
+        args = cli.build_parser().parse_args(["analyze", "--books", " 41 ,40\t", "x.tsv"])
+        assert args.books == (41, 40)
+
+    @pytest.mark.parametrize("books", ["0", "40,0", "4_0", "40,", ",,40,,", "40,,41"])
     def test_stats_bad_book_list_exits_1(self, books, capsys, caplog):
         error = exit_1_message(["stats", "results.csv", "--books", books], capsys, caplog)
         assert error.endswith(f"bad book list {books!r}")

@@ -85,6 +85,19 @@ class TestParse:
         with pytest.raises(CorpusFormatError, match="line 2"):
             parse_corpus(bad, "pbc")
 
+    @pytest.mark.parametrize("data", [
+        b"40001001\t\n40001001\ttext here\n40001002\tmore text\n",
+        b"40001001\ttext here\n40001001\t \n40001002\tmore text\n",
+    ], ids=["empty-first", "text-first"])
+    def test_empty_verse_counts_for_the_duplicate_check(self, data):
+        message = r"^line 2: duplicate verse reference 40:1:1 \(first seen at line 1\)$"
+        with pytest.raises(CorpusFormatError, match=message):
+            parse_corpus(data, "pbc", books=[40])
+
+    def test_only_empty_verses_is_no_verses(self):
+        with pytest.raises(CorpusFormatError, match="^no verses found in input$"):
+            parse_corpus(b"40001001\t\n41001001\t \n", "pbc")
+
     def test_empty_input_is_error(self):
         with pytest.raises(CorpusFormatError, match="no verses"):
             parse_corpus(b"# only: comments\n", "pbc")
@@ -440,17 +453,18 @@ def reference_parse_select(data, fmt, ids, lowercase):
             ref = VerseRef(int(book), int(chapter), int(verse))
         except ValueError as exc:
             raise CorpusFormatError(str(exc), line_no) from None
-        body = " ".join((body.lower() if lowercase else body).split())
-        if not body:
-            skipped_empty += 1
-            continue
+        # Every data line takes the duplicate check, an empty one too.
         first = seen.setdefault(ref, line_no)
         if first != line_no:
             raise CorpusFormatError(
                 f"duplicate verse reference {ref} (first seen at line {first})", line_no
             )
+        body = " ".join((body.lower() if lowercase else body).split())
+        if not body:
+            skipped_empty += 1
+            continue
         by_book[ref.book_id].append(Verse(ref, body))
-    if not seen:
+    if not by_book:
         raise CorpusFormatError("no verses found in input")
     tid = comments.get("translation_id") or "unknown"
     lang = next((comments[k] for k in corpus_module._LANGUAGE_KEYS if comments.get(k)), "und")
@@ -517,6 +531,9 @@ class TestOnePassSelection:
     # A duplicate reference and a zero id, each in a book nobody requested.
     @example((b"40001001\ta\n01001001\tb\n01001001\tc\n", "pbc"), {40}, False)
     @example((b"40\t1\t1\ta\n1\t0\t1\tb\n", "tsv"), {40}, False)
+    # An empty verse and a text line of one reference, in both orders.
+    @example((b"40001001\t\n40001001\ttext\n40001002\tmore\n", "pbc"), {40}, False)
+    @example((b"40\t1\t1\ttext\n40\t1\t1\t \n40\t1\t2\tmore\n", "tsv"), {40}, False)
     def test_equals_parse_then_select(self, corpus, ids, lowercase):
         data, fmt = corpus
         try:
