@@ -20,6 +20,7 @@ from .corpus import (
     truncate_books,
 )
 from .entropy import (
+    KernelBuildError,
     MatchLengths,
     entropy_rate,
     match_lengths,
@@ -73,6 +74,7 @@ __all__ = [
     "CorrelationMatrix",
     "GroupMeans",
     "InsufficientDataError",
+    "KernelBuildError",
     "MaskSpaceExhaustedError",
     "MaskTable",
     "MatchLengths",

@@ -5,7 +5,9 @@ Subcommands:
 * ``analyze``: parse corpora, build the three variants per (translation,
   book, replicate), estimate entropies and write ``results.csv`` plus a
   ``manifest.json`` recording the configuration, input digests and the
-  match-length kernel that ran (``"c"`` or ``"python"``).
+  file name of the compiled kernel library that ran (``_kernels-<hash>.so``,
+  fixed by the C source and the compiler command). Where that library
+  cannot be built, ``analyze`` and ``oracle-check`` exit 1 with one error.
   Reruns with the same configuration and inputs produce byte-identical
   outputs, regardless of the worker count. Each task parses one input,
   reading it once and building only the requested books, truncates them
@@ -51,7 +53,7 @@ from .corpus import (
     parse_corpus,
     truncate_books,
 )
-from .entropy import kernel_name, run_oracle_check
+from .entropy import KernelBuildError, load_library, run_oracle_check
 from .measures import (
     ORDER_SCOPES,
     BookMeasurement,
@@ -209,6 +211,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "oracle-check":
             return cmd_oracle_check(**settings)
         return cmd_synth_toy(**settings)
+    except KernelBuildError as exc:  # from analyze or oracle-check, before any work
+        logger.error("%s", exc)
+        return 1
     except OSError as exc:
         # Each command catches its input errors; this is an unwritable output.
         logger.error("cannot write output: %s", exc)
@@ -220,9 +225,10 @@ def cmd_analyze(config: RunConfig) -> int:
     # Made first, so an unusable --out fails before any unit is measured.
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Build or load the compiled kernel before any worker starts, so
-    # forked workers inherit it and the manifest names what ran.
-    kernel = kernel_name()
+    # Build or load the compiled kernel before any worker starts: a failed
+    # build writes nothing, forked workers inherit it, and the manifest
+    # names what ran.
+    kernel = Path(load_library()._name).name
 
     # The units come from the configuration alone, book-major. Each input's
     # list is cut into as many contiguous parts as keep every worker busy.
@@ -484,6 +490,7 @@ def _skip(path: Path, reason: str) -> None:
 
 
 def cmd_oracle_check(count: int, seed: int) -> int:
+    load_library()  # a failed build stops the check before it starts, even a vacuous one
     if count == 0:
         print("oracle-check: PASS (vacuous: 0 cases requested)")
         logger.warning("oracle-check ran zero cases")

@@ -13,8 +13,7 @@ The entropy rate in bits per character is estimated as
     h = [ (1/N) * sum_{i=1..N} l_i / log2(i+1) ]^{-1}
 
 and :func:`entropy_rate` returns it as a float, summing the terms in
-order from i = 1 (in C where the library below loads, else by the same
-Python loop: the two give the same bits). Long matches indicate
+order from i = 1 (in C, in the library below). Long matches indicate
 redundancy and drive the estimate down. There is no cap on how far back
 a match may reach, so long-range repetition is fully credited.
 
@@ -50,11 +49,11 @@ and :func:`load_library` builds and loads it for all of them. The first
 call in a process compiles it with the C compiler Python was built with
 (``sysconfig`` ``CC``, else ``cc``) into the package's ``__pycache__/``
 under a name derived from the source and the compiler command; later
-calls and later processes load that file. It raises ValueError past
-``_C_MAX_N`` (about 715M) characters. Where no compiler is found, or
-compiling or loading fails, one warning says why and the same algorithms
-run in pure Python with the same output: the match lengths 15-40x
-slower. :func:`kernel_name` reports which one a process uses.
+calls and later processes load that file. Where no compiler is found,
+or compiling or loading fails, it raises :class:`KernelBuildError`,
+whose message says why and what to install: there is no other
+implementation. It raises ValueError past ``_C_MAX_N`` (about 715M)
+characters.
 """
 
 from __future__ import annotations
@@ -62,20 +61,14 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import logging
-import math
 import os
 import random
 import shlex
-import subprocess
 import sysconfig
-import tempfile
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
-
-logger = logging.getLogger(__name__)
+from typing import Callable
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 _KERNEL_CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -140,48 +133,60 @@ def match_lengths(s: str) -> MatchLengths:
     to the automaton and dropped from the front of the match by suffix
     links (see the module docstring). Work is near linear in N (amortized
     over suffix-link walks) regardless of how long the matches get.
-
-    Runs the compiled kernel when this process could build it, else the
-    Python automaton; both give the same values.
     """
     _check_nonempty(s)
-    library = load_library()
-    if library is None:
-        return MatchLengths(_automaton_lengths(s))
-    return MatchLengths(_compiled_lengths(library, s))
+    n = len(s)
+    if n > _C_MAX_N:
+        raise ValueError(f"compiled kernel takes 1..{_C_MAX_N} chars, got {n}")
+    # UTF-32 gives one code point per symbol; surrogatepass keeps the
+    # lone surrogates a Python str may hold.
+    codes = s.encode("utf-32-le", "surrogatepass")
+    out = array("i", [0]) * n
+    # With n checked above, the only failure left is allocation.
+    if load_library().match_lengths(codes, n, out.buffer_info()[0]) != 0:
+        raise MemoryError(f"match-length kernel could not allocate an automaton for {n} chars")
+    return MatchLengths(out)
 
 
-def kernel_name() -> str:
-    """The match-length kernel this process uses: ``"c"`` or ``"python"``."""
-    return "python" if load_library() is None else "c"
+class KernelBuildError(RuntimeError):
+    """The compiled kernels cannot be built or loaded; the message says why
+    and what to install."""
 
 
 @functools.lru_cache(maxsize=None)
-def load_library() -> ctypes.CDLL | None:
-    """The compiled library, or None after one warning if it cannot be built."""
+def load_library() -> ctypes.CDLL:
+    """The compiled library, built on the first call in a process.
+
+    Raises :class:`KernelBuildError` if it cannot be built or loaded; the
+    next call tries again.
+    """
     try:
         return _build_library()
-    except (OSError, subprocess.SubprocessError) as exc:
-        detail = getattr(exc, "stderr", None) or str(exc)
-        if isinstance(detail, bytes):
-            detail = detail.decode("utf-8", "replace")
-        logger.warning(
-            "cannot build the compiled kernels (%s: %s); using the pure-Python "
-            "match-length automaton and xorshift64* draws, which give the same "
-            "results, the match lengths 15-40x slower. To use the compiled "
-            "kernels, install a C compiler (the CC Python was built with, or cc) "
-            "and make %s writable.",
-            type(exc).__name__,
-            " ".join(detail.split())[:300],
-            _KERNEL_SOURCE.parent / "__pycache__",
-        )
-        return None
+    except OSError as exc:  # no compiler, an unwritable cache or an unloadable library
+        raise _build_error(exc) from exc
+
+
+def _build_error(exc: Exception) -> KernelBuildError:
+    """The error naming ``exc`` (with a compiler's stderr) and what to install."""
+    detail = getattr(exc, "stderr", None) or str(exc)
+    if isinstance(detail, bytes):
+        detail = detail.decode("utf-8", "replace")
+    return KernelBuildError(
+        f"cannot build the compiled kernels ({type(exc).__name__}: "
+        f"{' '.join(detail.split())[:300]}). Install a C compiler ({_compiler()[0]!r}: "
+        "the CC Python was built with, else cc) and make "
+        f"{_KERNEL_SOURCE.parent / '__pycache__'} writable."
+    )
+
+
+def _compiler() -> list[str]:
+    """The C compiler command Python was built with, else ``cc``."""
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
 
 
 def _build_library() -> ctypes.CDLL:
     """Compile ``_kernels.c`` once per source and flags, load it with ctypes."""
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    command = (*cc, *_KERNEL_CFLAGS)
+    command = (*_compiler(), *_KERNEL_CFLAGS)
     source = _KERNEL_SOURCE.read_bytes()
     digest = hashlib.sha256(
         source + "\0".join((*command, *_KERNEL_LIBS)).encode()
@@ -189,6 +194,9 @@ def _build_library() -> ctypes.CDLL:
     cache = _KERNEL_SOURCE.parent / "__pycache__"
     library = cache / f"_kernels-{digest}.so"
     if not library.exists():
+        import subprocess
+        import tempfile
+
         cache.mkdir(exist_ok=True)
         # Compile to a private name and rename: concurrent builders (pool
         # workers, parallel test runs) never see a half-written library.
@@ -202,6 +210,8 @@ def _build_library() -> ctypes.CDLL:
                 timeout=300,
             )
             os.replace(tmp, library)
+        except subprocess.SubprocessError as exc:  # the compiler failed or timed out
+            raise _build_error(exc) from exc
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -226,99 +236,9 @@ def _build_library() -> ctypes.CDLL:
     return lib
 
 
-def _compiled_lengths(library: ctypes.CDLL, s: str) -> array:
-    """Match lengths of ``s`` by the library's ``match_lengths``."""
-    n = len(s)
-    if not 0 < n <= _C_MAX_N:
-        raise ValueError(f"compiled kernel takes 1..{_C_MAX_N} chars, got {n}")
-    # UTF-32 gives one code point per symbol; surrogatepass keeps the
-    # lone surrogates a Python str may hold.
-    codes = s.encode("utf-32-le", "surrogatepass")
-    out = array("i", [0]) * n
-    # With n checked above, the only failure left is allocation.
-    if library.match_lengths(codes, n, out.buffer_info()[0]) != 0:
-        raise MemoryError(f"match-length kernel could not allocate an automaton for {n} chars")
-    return out
-
-
-def _automaton_lengths(s: str) -> list[int]:
-    """The one-pass suffix-automaton algorithm of :func:`match_lengths` in Python."""
-    n = len(s)
-
-    # Transitions, suffix link and longest length per state; (v, match) is
-    # the state of s[i:i+match] in the automaton of s[:i].
-    nxt: list[dict[str, int]] = [{}]
-    link = [-1]
-    length = [0]
-    last = v = match = 0
-    out = [0] * n
-    for i in range(n):
-        while match < n - i:
-            q = nxt[v].get(s[i + match])
-            if q is None:
-                break
-            v = q
-            match += 1
-        out[i] = match + 1
-
-        c = s[i]
-        cur = len(nxt)
-        nxt.append({})
-        length.append(length[last] + 1)
-        link.append(-1)
-        p = last
-        while p != -1 and c not in nxt[p]:
-            nxt[p][c] = cur
-            p = link[p]
-        if p == -1:
-            link[cur] = 0
-        else:
-            q = nxt[p][c]
-            if length[p] + 1 == length[q]:
-                link[cur] = q
-            else:
-                clone = len(nxt)
-                nxt.append(dict(nxt[q]))
-                length.append(length[p] + 1)
-                link.append(link[q])
-                while p != -1 and nxt[p].get(c) == q:
-                    nxt[p][c] = clone
-                    p = link[p]
-                link[q] = clone
-                link[cur] = clone
-        last = cur
-
-        # Drop s[i]; if v was just split, its suffix link is the clone.
-        if match > 0:
-            match -= 1
-            while v and length[link[v]] >= match:
-                v = link[v]
-    return out
-
-
 def entropy_rate(ml: MatchLengths) -> float:
-    """The entropy-rate estimate, in bits per character, of a match-length array.
-
-    Runs the compiled sum when this process could build it, else
-    :func:`_python_entropy_rate`; both give the same bits.
-    """
-    library = load_library()
-    if library is None:
-        return _python_entropy_rate(ml.values)
-    return library.entropy_rate(ml.values.obj.buffer_info()[0], len(ml.values))
-
-
-def _python_entropy_rate(values: Iterable[int]) -> float:
-    """``n / sum(l_i / log2(i + 1))``, summed from i = 1 up, as ``_kernels.c`` sums it.
-
-    An explicit loop: ``sum()`` of floats compensates its rounding on
-    Python 3.12 and later, and would give other bits than the C loop.
-    """
-    total = 0.0
-    n = 0
-    for n, li in enumerate(values, start=1):
-        total += li / math.log2(n + 1)
-    return n / total
+    """The entropy-rate estimate, in bits per character, of a match-length array."""
+    return load_library().entropy_rate(ml.values.obj.buffer_info()[0], len(ml.values))
 
 
 #: Symbols every oracle alphabet may take besides ASCII letters: two- and

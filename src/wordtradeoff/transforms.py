@@ -16,12 +16,9 @@ generator with unbiased rejection sampling; permutations use the
 backward Fisher-Yates walk. The byte-level recipe lives in
 ``docs/seeds.md`` so independent implementations can agree exactly.
 
-:class:`Xorshift64Star` is that recipe in pure Python, the reference.
-The transforms draw their permutations and masks in bulk from the
-compiled library that also holds the match-length kernel
-(:func:`wordtradeoff.entropy.load_library`), which gives the same draws
-and the same final state; where that library cannot be built or loaded
-they run the reference instead.
+:class:`Xorshift64Star` is that generator: its permutations and draws
+run in the compiled library that also holds the match-length kernel
+(:func:`wordtradeoff.entropy.load_library`).
 
 The order and structure transforms take the token list of the
 flattened original (``flatten(book).split(" ")``) and return their
@@ -95,100 +92,40 @@ class Xorshift64Star:
 
     Every randomized transform in this package draws from this
     generator so runs are reproducible bit-for-bit across platforms and
-    implementations.
+    implementations. ``permutation`` and ``draws`` run in C: each takes
+    ``state``, makes its draws and leaves the state after the last one.
     """
 
     __slots__ = ("state",)
 
-    MULTIPLIER = 0x2545F4914F6CDD1D
-
     def __init__(self, seed: int):
         self.state = (seed & _MASK64) or _GOLDEN
-
-    def next_u64(self) -> int:
-        s = self.state
-        s ^= s >> 12
-        s = (s ^ (s << 25)) & _MASK64
-        s ^= s >> 27
-        self.state = s
-        return (s * self.MULTIPLIER) & _MASK64
-
-    def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n) by threshold rejection (no modulo bias)."""
-        if n <= 0:
-            raise ValueError("randbelow needs n >= 1")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n
-
-    def shuffle(self, items: list) -> None:
-        """In-place backward Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]
 
     def permutation(self, counts: Sequence[int]) -> list[int]:
         """``range(sum(counts))`` with each consecutive segment shuffled.
 
         Segment g holds the next ``counts[g]`` indices; the segments are
-        shuffled in order, all from this one stream.
+        shuffled in order by backward Fisher-Yates, all from this one stream.
         """
-        perm: list[int] = []
-        for count in counts:
-            if count < 0:
-                raise ValueError("segment counts must be >= 0")
-            segment = list(range(len(perm), len(perm) + count))
-            self.shuffle(segment)
-            perm += segment
-        return perm
-
-    def draws(self, bound: int, count: int) -> list[int]:
-        """``count`` successive ``randbelow(bound)`` draws."""
-        return [self.randbelow(bound) for _ in range(count)]
-
-
-class CompiledXorshift64Star(Xorshift64Star):
-    """The same stream, with ``permutation`` and ``draws`` run in C.
-
-    The compiled functions take the state, make the same draws as the
-    Python methods and return the state after the last one, so the two
-    classes can be interleaved on one stream.
-    """
-
-    __slots__ = ("_lib",)
-
-    def __init__(self, seed: int, library):
-        super().__init__(seed)
-        self._lib = library
-
-    def permutation(self, counts: Sequence[int]) -> list[int]:
         try:  # the C function takes uint64 counts; the array refuses a negative one
             counts = array("Q", counts)
         except OverflowError:
             raise ValueError("segment counts must be >= 0") from None
         # The C function writes the identity permutation before shuffling it.
         perm = array("q", [0]) * sum(counts)
-        self.state = self._lib.shuffle_segments(
+        self.state = load_library().shuffle_segments(
             self.state, counts.buffer_info()[0], len(counts), perm.buffer_info()[0]
         )
         return perm.tolist()
 
     def draws(self, bound: int, count: int) -> list[int]:
+        """``count`` successive uniform draws from ``range(bound)``, by threshold
+        rejection (no modulo bias)."""
         if not 1 <= bound < 1 << 64:
-            raise ValueError("compiled draws need 1 <= bound < 2**64")
+            raise ValueError("draws need 1 <= bound < 2**64")
         out = array("Q", [0]) * count
-        self.state = self._lib.randbelow_fill(self.state, bound, count, out.buffer_info()[0])
+        self.state = load_library().randbelow_fill(self.state, bound, count, out.buffer_info()[0])
         return out.tolist()
-
-
-def _stream(seed: int) -> Xorshift64Star:
-    """The generator for one task seed: compiled where the library loads."""
-    library = load_library()
-    if library is None:
-        return Xorshift64Star(seed)
-    return CompiledXorshift64Star(seed, library)
 
 
 @dataclass(frozen=True)
@@ -207,7 +144,7 @@ class MaskTable:
 
 def shuffle_verses(book: Book, seed: int) -> Book:
     """Permute the verse order of a book (verse contents untouched)."""
-    perm = _stream(seed).permutation([len(book.verses)])
+    perm = Xorshift64Star(seed).permutation([len(book.verses)])
     return replace(book, verses=tuple(book.verses[i] for i in perm))
 
 
@@ -222,7 +159,7 @@ def destroy_word_order(tokens: Sequence[str], counts: Sequence[int], seed: int) 
     """
     if sum(counts) != len(tokens):
         raise ValueError(f"segment counts sum to {sum(counts)}, not {len(tokens)} tokens")
-    perm = _stream(seed).permutation(counts)
+    perm = Xorshift64Star(seed).permutation(counts)
     return " ".join([tokens[i] for i in perm])
 
 
@@ -258,7 +195,7 @@ def build_mask_table(types: Iterable[str], seed: int) -> MaskTable:
     # are made in bulk and each mask (or discarded mask) takes the next
     # len(word) of them.
     k = len(alpha)
-    stream = _stream(seed)
+    stream = Xorshift64Star(seed)
 
     def draw(count: int) -> str:
         return "".join([alpha[i] for i in stream.draws(k, count)])

@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from wordtradeoff import cli, entropy, measures
 from wordtradeoff.cli import RunConfig, cmd_analyze, main
 from wordtradeoff.corpus import FORMATS, Book, Verse, VerseRef, parse_corpus
-from wordtradeoff.entropy import MatchLengths, kernel_name, match_lengths_naive
+from wordtradeoff.entropy import MatchLengths, load_library, match_lengths_naive
 from wordtradeoff.measures import (
     RESULT_COLUMNS,
     BookMeasurement,
@@ -165,8 +165,7 @@ class TestAnalyze:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["rows_written"] == 4
         assert manifest["version"]
-        assert manifest["kernel"] in ("c", "python")
-        assert manifest["kernel"] == kernel_name()
+        assert manifest["kernel"] == Path(load_library()._name).name
 
     def test_rerun_byte_identical(self, tmp_path):
         code1, out_dir = self._run(tmp_path)
@@ -982,15 +981,20 @@ def test_negative_penalties_summed_up_in_one_line_alike_at_1_and_2_workers(tmp_p
     ), summaries[0]
 
 
-def imported_numpy_modules(stderr: str) -> list[str]:
-    """The numpy modules that ``-X importtime`` lines in ``stderr`` name.
+def imported_modules(stderr: str) -> list[str]:
+    """The modules that ``-X importtime`` lines in ``stderr`` name.
 
     Every module an interpreter imports gets one line, the first time it is
     imported, in the parent and in the pool workers that share its stderr.
     """
-    names = [line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
-             if line.startswith("import time:")]
-    return [name for name in names if name == "numpy" or name.startswith("numpy.")]
+    return [line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")]
+
+
+def imported_numpy_modules(stderr: str) -> list[str]:
+    """The numpy modules that ``-X importtime`` lines in ``stderr`` name."""
+    return [name for name in imported_modules(stderr)
+            if name == "numpy" or name.startswith("numpy.")]
 
 
 def test_analyze_imports_no_numpy(tmp_path):
@@ -1004,6 +1008,7 @@ def test_analyze_imports_no_numpy(tmp_path):
     assert bare.returncode == 0, bare.stderr
     assert "wordtradeoff.cli" in bare.stderr
     assert imported_numpy_modules(bare.stderr) == []
+    load_library()  # built here, so that analyze only loads it
     for workers in (1, 2):
         done = main_in_subprocess(
             "analyze", str(corpus), "--format", "tsv", "--books", "40,41",
@@ -1013,6 +1018,8 @@ def test_analyze_imports_no_numpy(tmp_path):
         assert done.returncode == 0, done.stderr
         assert "wrote 6 rows" in done.stderr
         assert imported_numpy_modules(done.stderr) == [], workers
+        if workers == 1:  # only a build runs the compiler; a pool may import subprocess
+            assert "subprocess" not in imported_modules(done.stderr)
     # The check sees numpy once it runs: stats runs it.
     done = main_in_subprocess("stats", str(tmp_path / "out1" / "results.csv"),
                               python_flags=("-X", "importtime"))

@@ -1,34 +1,31 @@
 """Match-length computation and the entropy-rate estimator.
 
-Match-length tests run every kernel: ``match_lengths`` (the compiled C
-kernel wherever it builds) and the pure-Python automaton it falls back to.
+Match-length tests run ``match_lengths`` (the compiled C kernel) and its
+pure-Python twin in ``tests/reference.py`` alike.
 """
 
 from __future__ import annotations
 
-import json
-import logging
+import re
 import math
 import os
 import random
-import shlex
 import shutil
 import subprocess
 import sys
-import sysconfig
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_golden import CORPORA, GOLDEN
+import reference
+from test_golden import CORPORA, GOLDEN, PBC
 from wordtradeoff import cli, entropy, measures
 from wordtradeoff.corpus import flatten
 from wordtradeoff.entropy import (
     MatchLengths,
     entropy_rate,
-    kernel_name,
     match_lengths,
     match_lengths_naive,
     run_oracle_check,
@@ -50,7 +47,7 @@ unicode_texts = st.text(
 
 
 def python_automaton(s: str) -> MatchLengths:
-    return MatchLengths(entropy._automaton_lengths(s))
+    return MatchLengths(reference.automaton_lengths(s))
 
 
 #: (name, function) of each kernel under test.
@@ -339,15 +336,11 @@ int main(void)
 
 class TestKernels:
     def test_compiled_kernel_builds_where_a_compiler_exists(self):
-        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
-        if shutil.which(cc) is None:
-            pytest.skip(f"no C compiler {cc!r}: the Python automaton is the kernel")
-        assert kernel_name() == "c"
+        # Named by the source and the compiler command, as the manifest names it.
+        assert re.fullmatch(r"_kernels-[0-9a-f]{16}\.so", Path(entropy.load_library()._name).name)
 
     def test_source_compiles_with_warnings_as_errors(self, tmp_path):
-        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-        if shutil.which(cc[0]) is None:
-            pytest.skip(f"no C compiler {cc[0]!r}")
+        cc = entropy._compiler()
         result = subprocess.run(
             [*cc, *entropy._KERNEL_CFLAGS, "-Wall", "-Wextra", "-Werror",
              "-o", str(tmp_path / "kernels.so"), str(entropy._KERNEL_SOURCE)],
@@ -374,9 +367,7 @@ class TestKernels:
             assert kernel(s).values.tolist() == expected, name
 
     def test_kernel_is_clean_under_address_and_undefined_sanitizers(self, tmp_path):
-        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-        if shutil.which(cc[0]) is None:
-            pytest.skip(f"no C compiler {cc[0]!r}")
+        cc = entropy._compiler()
         flags = ["-O1", "-g", "-fno-omit-frame-pointer",
                  "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
         probe = tmp_path / "probe.c"
@@ -417,55 +408,51 @@ class TestKernels:
             offset += 4 * len(s)
             (h,) = np.frombuffer(run.stdout, dtype=np.float64, count=1, offset=offset)
             offset += 8
-            expected = entropy._automaton_lengths(s)
+            expected = reference.automaton_lengths(s)
             assert got.tolist() == expected, s[:40]
             # Cases shorter than an earlier one read the log2 table it grew.
-            assert float(h).hex() == entropy._python_entropy_rate(expected).hex(), s[:40]
+            assert float(h).hex() == reference.entropy_rate(expected).hex(), s[:40]
 
-    def test_load_failure_falls_back_with_one_warning(self, monkeypatch, caplog, tmp_path):
+    def test_failed_build_stops_the_kernel_commands(self, monkeypatch, caplog, tmp_path):
         def no_compiler():
             raise FileNotFoundError(2, "No such file or directory", "cc")
 
         monkeypatch.setattr(entropy, "_build_library", no_compiler)
         entropy.load_library.cache_clear()
-        out = tmp_path / "out"
+        cache = str(Path(entropy.__file__).parent / "__pycache__")
+        analyze = ["analyze", *(str(GOLDEN / name) for name in CORPORA), "--format", "tsv",
+                   "--books", "1", "--out", str(tmp_path / "out")]
         try:
-            with caplog.at_level(logging.WARNING, logger="wordtradeoff.entropy"):
-                first = match_lengths("montana bananas")
-                second = match_lengths("abab")
-                assert kernel_name() == "python"
-                # The whole pipeline, transforms included, falls back.
-                code = cli.main([
-                    "analyze", *(str(GOLDEN / name) for name in CORPORA),
-                    "--format", "tsv", "--books", "1", "--replicates", "2",
-                    "--order-scope", "book", "--workers", "1", "--out", str(out),
-                ])
+            for argv in (analyze, ["oracle-check", "--count", "5"]):
+                caplog.clear()
+                assert cli.main(argv) == 1, argv
+                (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+                assert "FileNotFoundError" in error and cache in error, argv
+                assert repr(entropy._compiler()[0]) in error, argv
+            assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
+            # stats and synth toy never load the library.
+            results = PBC / "expected" / "defaults" / "results.csv"
+            assert cli.main(["stats", str(results), "--out", str(tmp_path / "stats")]) == 0
+            for name in ("fits.csv", "corr_matrix.csv", "ranks.csv", "rank_hist.csv"):
+                expected = (PBC / "expected" / "defaults" / name).read_bytes()
+                assert (tmp_path / "stats" / name).read_bytes() == expected, name
+            toy = tmp_path / "toy.tsv"
+            argv = ["synth", "toy", "--mode", "positional", "--sentences", "300", "--out"]
+            assert cli.main([*argv, str(toy)]) == 0
+            assert toy.read_bytes() == (GOLDEN / "toy_positional.tsv").read_bytes()
         finally:
             entropy.load_library.cache_clear()
-        warnings = [r for r in caplog.records if r.name == "wordtradeoff.entropy"]
-        assert len(warnings) == 1
-        message = warnings[0].getMessage()
-        assert "FileNotFoundError" in message and "install a C compiler" in message
-        assert "the match lengths 15-40x slower" in message
-        assert np.array_equal(first.values, match_lengths_naive("montana bananas").values)
-        assert second.values.tolist() == [1, 1, 3, 2]
-        assert code == 0
-        expected = GOLDEN / "expected" / "order-scope-book" / "results.csv"
-        assert (out / "results.csv").read_bytes() == expected.read_bytes()
-        assert json.loads((out / "manifest.json").read_text())["kernel"] == "python"
 
     def test_concurrent_first_builds_leave_one_library(self, tmp_path):
         # Fresh processes racing to build into an empty cache must each
         # load a whole library and leave one file behind, no temporaries.
-        if kernel_name() != "c":
-            pytest.skip("compiled kernel unavailable")
         package = tmp_path / "wordtradeoff"
         shutil.copytree(
             Path(entropy.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
         )
         code = (
-            "from wordtradeoff.entropy import kernel_name, match_lengths\n"
-            "print(kernel_name(), match_lengths('abab').values.tolist())"
+            "from wordtradeoff.entropy import match_lengths\n"
+            "print(match_lengths('abab').values.tolist())"
         )
         env = dict(os.environ, PYTHONPATH=str(tmp_path))
         procs = [
@@ -477,19 +464,12 @@ class TestKernels:
         ]
         outputs = [proc.communicate(timeout=300)[0] for proc in procs]
         assert [proc.returncode for proc in procs] == [0, 0, 0, 0]
-        assert outputs == ["c [1, 1, 3, 2]\n"] * 4
+        assert outputs == ["[1, 1, 3, 2]\n"] * 4
         built = [p.name for p in (package / "__pycache__").glob("_kernels*")]
         assert len(built) == 1 and built[0].endswith(".so")
 
     def test_inputs_beyond_compiled_limit_raise(self, monkeypatch):
-        library = entropy.load_library()
-        if library is None:
-            pytest.skip("compiled kernel unavailable")
         monkeypatch.setattr(entropy, "_C_MAX_N", 3)
-        with pytest.raises(ValueError):
-            entropy._compiled_lengths(library, "abab")
-        with pytest.raises(ValueError):
-            entropy._compiled_lengths(library, "")
         with pytest.raises(ValueError, match="compiled kernel takes 1..3 chars, got 4"):
             match_lengths("abab")
         assert match_lengths("aba").values.tolist() == [1, 1, 2]
@@ -527,17 +507,14 @@ class TestEntropyRate:
             MatchLengths((2, 1))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 10**5, 10**6])
-    def test_compiled_and_python_sums_agree_bit_for_bit(self, n, monkeypatch):
+    def test_compiled_and_python_sums_agree_bit_for_bit(self, n):
         # Random lengths with l_1 = 1, up to the longest a book-sized text shows.
         draws = np.random.default_rng(n).integers(1, 200, n)
         draws[0] = 1
         ml = MatchLengths(draws.tolist())
-        python = entropy._python_entropy_rate(ml.values)
-        reference = numpy_entropy_rate(ml.values)
-        assert abs(python - reference) <= 1e-12 * reference
-        if kernel_name() == "c":
-            assert entropy_rate(ml).hex() == python.hex()
-        monkeypatch.setattr(entropy, "load_library", lambda: None)
+        python = reference.entropy_rate(ml.values)
+        numpy = numpy_entropy_rate(ml.values)
+        assert abs(python - numpy) <= 1e-12 * numpy
         assert entropy_rate(ml).hex() == python.hex()
 
 

@@ -51,7 +51,7 @@ from pathlib import Path
 import pytest
 
 from wordtradeoff import cli
-from wordtradeoff.entropy import kernel_name
+from wordtradeoff.entropy import load_library
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CORPORA = ("toy_positional.tsv", "toy_affixal.tsv", "unicode_mix.tsv")
@@ -146,7 +146,7 @@ def test_pbc_default_path_matches_golden(tmp_path, run, workers):
 
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["config"]["workers"] == workers
-    assert manifest["kernel"] == kernel_name()
+    assert manifest["kernel"] == Path(load_library()._name).name
     view = manifest_view(manifest)
     # Key by key, so that the manifest may gain keys.
     for key, value in json.loads((expected / "manifest.json").read_text(encoding="utf-8")).items():

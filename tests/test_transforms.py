@@ -9,13 +9,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from conftest import random_book
-from wordtradeoff import transforms
 from wordtradeoff.corpus import Book, Verse, VerseRef, flatten
-from wordtradeoff.entropy import load_library
 from wordtradeoff.measures import MeasureConfig
 from wordtradeoff.transforms import (
-    CompiledXorshift64Star,
     MaskSpaceExhaustedError,
     Xorshift64Star,
     build_mask_table,
@@ -92,44 +90,51 @@ class TestXorshift:
     def test_deterministic_stream(self):
         a = Xorshift64Star(42)
         b = Xorshift64Star(42)
-        assert [a.next_u64() for _ in range(20)] == [b.next_u64() for _ in range(20)]
+        assert a.draws(2**64 - 1, 20) == b.draws(2**64 - 1, 20)
 
     def test_zero_seed_is_usable(self):
         rng = Xorshift64Star(0)
         assert rng.state != 0
-        assert 0 <= rng.next_u64() < 2**64
+        assert 0 <= rng.draws(2**64 - 1, 1)[0] < 2**64
 
     def test_randbelow_bounds_and_determinism(self):
-        rng = Xorshift64Star(9)
-        draws = [rng.randbelow(13) for _ in range(500)]
+        draws = Xorshift64Star(9).draws(13, 500)
         assert all(0 <= d < 13 for d in draws)
         assert len(set(draws)) == 13  # all residues show up over 500 draws
-        rng2 = Xorshift64Star(9)
-        assert draws == [rng2.randbelow(13) for _ in range(500)]
+        assert draws == Xorshift64Star(9).draws(13, 500)
 
     def test_randbelow_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            Xorshift64Star(1).randbelow(0)
+            Xorshift64Star(1).draws(0, 1)
 
     def test_shuffle_is_permutation(self):
-        items = list(range(50))
-        rng = Xorshift64Star(5)
-        rng.shuffle(items)
-        assert sorted(items) == list(range(50))
-        assert items != list(range(50))
+        perm = Xorshift64Star(5).permutation([50])
+        assert sorted(perm) == list(range(50))
+        assert perm != list(range(50))
 
 
 def make_stream(kind, seed):
-    """A stream of the given implementation, skipping where C is unavailable."""
-    if kind == "python":
-        return Xorshift64Star(seed)
-    library = load_library()
-    if library is None:
-        pytest.skip("compiled library unavailable")
-    return CompiledXorshift64Star(seed, library)
+    """The Python reference stream or the package's compiled one."""
+    return (reference.Xorshift64Star if kind == "python" else Xorshift64Star)(seed)
 
 
 STREAM_KINDS = ("python", "compiled")
+
+
+def reference_mask_table(types, seed):
+    """``build_mask_table``'s recipe on the reference stream, one ``randbelow``
+    per mask character, for types of maskable characters only."""
+    alpha = sorted(set("".join(types)))
+    rng = reference.Xorshift64Star(seed)
+    table, used = {}, set()
+    for word in sorted(t for t in set(types) if len(t) >= 2):
+        while True:
+            mask = "".join(alpha[rng.randbelow(len(alpha))] for _ in word)
+            if mask not in used:
+                break
+        used.add(mask)
+        table[word] = mask
+    return table
 
 
 class TestSeedVectors:
@@ -145,7 +150,7 @@ class TestSeedVectors:
         ) == self.SEED
 
     def test_first_outputs(self):
-        rng = Xorshift64Star(self.SEED)
+        rng = reference.Xorshift64Star(self.SEED)
         assert [rng.next_u64() for _ in range(5)] == [
             0xF3D485C3F9990637,
             0x55D7A99B9F329331,
@@ -184,7 +189,6 @@ class TestCompiledStream:
     LENGTHS = (0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65, 256, 257, 1000)
 
     def test_permutations_and_states_agree(self):
-        make_stream("compiled", 1)  # skips where C is unavailable
         rng = random.Random(11)
         for _ in range(200):
             seed = rng.getrandbits(64)
@@ -196,7 +200,6 @@ class TestCompiledStream:
             assert sorted(perm) == list(range(sum(counts)))
 
     def test_draws_and_states_agree(self):
-        make_stream("compiled", 1)
         rng = random.Random(12)
         bounds = [1, 2, 3, 7, 2**32, 2**32 + 1, 2**63, 2**63 + 1, 2**64 - 1]
         for _ in range(200):
@@ -208,12 +211,15 @@ class TestCompiledStream:
             assert compiled.state == python.state, (seed, bound)
 
     def test_interleaves_with_python_draws(self):
+        # The compiled stream resumes from any state the reference leaves.
         python, compiled = make_stream("python", 5), make_stream("compiled", 5)
-        for rng in (python, compiled):
-            rng.next_u64()
+        python.next_u64()
+        compiled.state = python.state
         assert compiled.permutation([4, 7]) == python.permutation([4, 7])
-        assert compiled.next_u64() == python.next_u64()
+        python.next_u64()
+        compiled.state = python.state
         assert compiled.draws(10, 5) == python.draws(10, 5)
+        assert compiled.state == python.state
 
     @pytest.mark.parametrize("kind", STREAM_KINDS)
     def test_bad_arguments_rejected(self, kind):
@@ -224,24 +230,17 @@ class TestCompiledStream:
             rng.draws(0, 3)
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_transforms_agree_without_the_library(self, seed, monkeypatch):
+    def test_transforms_agree_without_the_library(self, seed):
+        # Each transform equals its recipe run on the Python reference stream.
         book = random_book(seed, max_verses=30)
-        text = flatten(book)
-        tokens = text.split(" ")
-
-        def run():
-            table = build_mask_table(dict.fromkeys(tokens), seed)
-            return (
-                shuffle_verses(book, seed).verses,
-                destroy_word_order(tokens, verse_counts(book), seed),
-                destroy_word_order(tokens, [len(tokens)], seed),
-                table.table,
-                mask_word_structure(tokens, table),
-            )
-
-        compiled = run()
-        monkeypatch.setattr(transforms, "load_library", lambda: None)
-        assert run() == compiled
+        tokens = flatten(book).split(" ")
+        perm = reference.Xorshift64Star(seed).permutation([len(book.verses)])
+        assert shuffle_verses(book, seed).verses == tuple(book.verses[i] for i in perm)
+        for counts in (verse_counts(book), [len(tokens)]):
+            perm = reference.Xorshift64Star(seed).permutation(counts)
+            assert destroy_word_order(tokens, counts, seed) == " ".join(tokens[i] for i in perm)
+        table = build_mask_table(dict.fromkeys(tokens), seed)
+        assert table.table == reference_mask_table(tokens, seed)
 
 
 class TestShuffleVerses:
@@ -385,16 +384,7 @@ class TestMaskTable:
         alpha = "abc"
         types = [a + b for a in alpha for b in alpha][seed % 3 :]
         types += [a + b + c for a in alpha for b in alpha for c in alpha][: 20 + seed]
-        rng = Xorshift64Star(seed)
-        expected, used = {}, set()
-        for word in sorted(types):
-            while True:
-                mask = "".join(alpha[rng.randbelow(3)] for _ in word)
-                if mask not in used:
-                    break
-            used.add(mask)
-            expected[word] = mask
-        assert build_mask_table(types, seed).table == expected
+        assert build_mask_table(types, seed).table == reference_mask_table(types, seed)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None, derandomize=True)
