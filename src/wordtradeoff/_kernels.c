@@ -1,17 +1,18 @@
 /*
  * The package's compiled kernels, plain C with no Python headers.
  * entropy.py compiles this file on first use and calls it through ctypes.
- * Each function is the compiled form of Python code that stays in the
- * package as the reference, and must give the same output on every input.
+ * Each function is the compiled form of a Python reference kept in
+ * tests/reference.py, and must give the same output on every input.
  *
  * match_lengths: match lengths l_1..l_N of a code-point sequence, computed
  * in one pass while a suffix automaton (Blumer et al. 1985) of the text
- * grows, as entropy.py's automaton. Before s[i] is added, the automaton
- * holds exactly the substrings of s[0..i-1], so a match read in it cannot
- * overlap position i, and no occurrence positions are needed. After s[i]
- * is added, the match drops s[i] by suffix links. If adding s[i] split the
- * match state, its suffix link is now the clone, and that walk moves the
- * match there when its shortened length falls in the clone's range.
+ * grows, as automaton_lengths in tests/reference.py. Before s[i] is added,
+ * the automaton holds exactly the substrings of s[0..i-1], so a match read
+ * in it cannot overlap position i, and no occurrence positions are needed.
+ * After s[i] is added, the match drops s[i] by suffix links. If adding s[i]
+ * split the match state, its suffix link is now the clone, and that walk
+ * moves the match there when its shortened length falls in the clone's
+ * range.
  *
  * Layout: a state holds its first INLINE_EDGES transitions in its own
  * 24-byte struct, so the common lookup reads no other memory; further
@@ -34,7 +35,8 @@
  *
  * entropy_rate: the estimate n / sum_i l_i / log2(i + 1) of entropy.py's
  * entropy_rate, summed in one sequential loop with libm's log2, in the
- * same order as the Python fallback loop, so the two give the same bits.
+ * same order as entropy_rate in tests/reference.py, so the two give the
+ * same bits.
  *
  * shuffle_segments, randbelow_fill: the seeded draws of transforms.py's
  * Xorshift64Star, by the recipe of docs/seeds.md sections 2-4 (xorshift64*

@@ -76,7 +76,9 @@ from .stats import (
     write_ranks_csv,
 )
 
-logger = logging.getLogger(__name__)
+# Not __name__, which reads "__main__" under ``python -m wordtradeoff.cli``:
+# every log line names the logger, so it reads the same however the CLI starts.
+logger = logging.getLogger("wordtradeoff.cli")
 
 #: The choices of ``stats --group-by``: the two tables ``aggregate`` returns.
 GROUP_KEYS = ("translation", "language")

@@ -50,10 +50,10 @@ call in a process compiles it with the C compiler Python was built with
 (``sysconfig`` ``CC``, else ``cc``) into the package's ``__pycache__/``
 under a name derived from the source and the compiler command; later
 calls and later processes load that file. Where no compiler is found,
-or compiling or loading fails, it raises :class:`KernelBuildError`,
-whose message says why and what to install: there is no other
-implementation. It raises ValueError past ``_C_MAX_N`` (about 715M)
-characters.
+``CC`` does not split into a command, or compiling or loading fails, it
+raises :class:`KernelBuildError`, whose message says why and what to
+install: there is no other implementation. It raises ValueError past
+``_C_MAX_N`` (about 715M) characters.
 """
 
 from __future__ import annotations
@@ -162,7 +162,9 @@ def load_library() -> ctypes.CDLL:
     """
     try:
         return _build_library()
-    except OSError as exc:  # no compiler, an unwritable cache or an unloadable library
+    # No compiler, a CC that shlex cannot split (ValueError: an unbalanced
+    # quote), an unwritable cache or an unloadable library.
+    except (OSError, ValueError) as exc:
         raise _build_error(exc) from exc
 
 
@@ -173,15 +175,20 @@ def _build_error(exc: Exception) -> KernelBuildError:
         detail = detail.decode("utf-8", "replace")
     return KernelBuildError(
         f"cannot build the compiled kernels ({type(exc).__name__}: "
-        f"{' '.join(detail.split())[:300]}). Install a C compiler ({_compiler()[0]!r}: "
+        f"{' '.join(detail.split())[:300]}). Install a C compiler ({_cc()!r}: "
         "the CC Python was built with, else cc) and make "
         f"{_KERNEL_SOURCE.parent / '__pycache__'} writable."
     )
 
 
+def _cc() -> str:
+    """The C compiler command Python was built with, else ``cc``, unsplit."""
+    return sysconfig.get_config_var("CC") or "cc"
+
+
 def _compiler() -> list[str]:
-    """The C compiler command Python was built with, else ``cc``."""
-    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+    """:func:`_cc` as an argv; raises ValueError on an unbalanced quote."""
+    return shlex.split(_cc())
 
 
 def _build_library() -> ctypes.CDLL:

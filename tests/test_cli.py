@@ -920,62 +920,57 @@ def main_in_subprocess(*argv: str, python_flags: Sequence[str] = ()):
                           capture_output=True, text=True, timeout=300)
 
 
-def test_missing_books_logged_once_at_any_worker_count(tmp_path):
-    # At 3 workers the one input is split over three tasks, each of which
-    # parses it; the parent logs the missing book once. A subprocess, so that
-    # a warning logged in a pool worker would be counted too.
-    corpus = tmp_path / "in.tsv"
-    write_two_book_corpus(corpus)
-    for workers in (1, 3):
-        done = main_in_subprocess(
-            "analyze", str(corpus), "--format", "tsv", "--books", "40,41,42", "--replicates", "2",
-            "--workers", str(workers), "--out", str(tmp_path / "out"),
-        )
+@pytest.mark.parametrize("corpus", ["missing-books", "empty-verses", "pbc"])
+def test_log_reads_the_same_at_any_worker_count(tmp_path, corpus):
+    # Only the parent logs, so stderr is byte-identical at 1 and N workers.
+    # A subprocess, so that what a pool worker writes to stderr is compared
+    # too. At 3 workers the one tsv input is split over three tasks, each of
+    # which parses it; the parent logs each parse warning once.
+    if corpus == "pbc":
+        inputs = sorted(map(str, (Path(__file__).parent / "data" / "golden" / "pbc").glob("*.txt")))
+        flags, many = [], 2
+    else:
+        path = tmp_path / "in.tsv"
+        write_two_book_corpus(path)
+        if corpus == "empty-verses":
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("40\t2\t1\t \n")
+        books = "40,41,42" if corpus == "missing-books" else "40,41"
+        inputs, many = [str(path)], 3
+        flags = ["--format", "tsv", "--books", books, "--replicates", "2"]
+    argv = ["analyze", *inputs, *flags, "--out", str(tmp_path / "out")]
+    stderr = []
+    for workers in (1, many):
+        done = main_in_subprocess(*argv, "--workers", str(workers))
         assert done.returncode == 0, done.stderr
-        warnings = [line for line in done.stderr.splitlines() if "missing books" in line]
-        assert warnings == ["WARNING wordtradeoff.cli: translation in is missing books [42]"]
-
-
-def test_empty_verses_logged_once_at_any_worker_count(tmp_path):
-    # As the missing books: each of the three tasks at 3 workers parses the
-    # input and counts its empty verse, and the parent logs the count once.
-    corpus = tmp_path / "in.tsv"
-    write_two_book_corpus(corpus)
-    with open(corpus, "a", encoding="utf-8") as fh:
-        fh.write("40\t2\t1\t \n")
-    for workers in (1, 3):
-        done = main_in_subprocess(
-            "analyze", str(corpus), "--format", "tsv", "--books", "40,41", "--replicates", "2",
-            "--workers", str(workers), "--out", str(tmp_path / "out"),
-        )
-        assert done.returncode == 0, done.stderr
-        warnings = [line for line in done.stderr.splitlines() if "empty text" in line]
-        expected = "WARNING wordtradeoff.cli: translation in: skipped 1 verses with empty text"
-        assert warnings == [expected]
-
-
-def test_negative_penalties_summed_up_in_one_line_alike_at_1_and_2_workers(tmp_path, caplog):
-    # Only the parent logs, so caplog sees every record at 2 workers too.
+        stderr.append(done.stderr)
+    assert stderr[1] == stderr[0]
+    lines = stderr[0].splitlines()
+    if corpus != "pbc":  # the one parse warning, once
+        warning = {"missing-books": "translation in is missing books [42]",
+                   "empty-verses": "translation in: skipped 1 verses with empty text"}[corpus]
+        parse_warnings = [line for line in lines
+                          if line.startswith("WARNING wordtradeoff.cli: translation in")]
+        assert parse_warnings == [f"WARNING wordtradeoff.cli: {warning}"]
+        return
+    # The log names its logger the same under ``python -m``.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "wordtradeoff.cli", *argv, "--workers", "1"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == stderr[0]
     # The one summary line counts the rows of results.csv with a negative
     # penalty, per penalty, and names the first five in file order.
-    inputs = sorted(map(str, (Path(__file__).parent / "data" / "golden" / "pbc").glob("*.txt")))
-    logged = []
-    for workers in (1, 2):
-        caplog.clear()
-        code = main(["analyze", *inputs, "--workers", str(workers), "--out", str(tmp_path)])
-        assert code == 0
-        logged.append([(r.levelname, r.getMessage()) for r in caplog.records])
-    assert logged[0] == logged[1]
-    summaries = [message for _, message in logged[0] if "negative penalty" in message]
+    summaries = [line for line in lines if "negative penalty" in line]
     assert len(summaries) == 1
-    table = read_results_csv(tmp_path / "results.csv")
+    table = read_results_csv(tmp_path / "out" / "results.csv")
     rows = list(zip(table.translation_id, table.book_id, table.replicate,
                     [d < 0 for d in table.d_order], [d < 0 for d in table.d_structure]))
     negative = [row for row in rows if row[3] or row[4]]
     assert negative
     first = ", ".join(f"{tid} book {b} replicate {r}" for tid, b, r, *_ in negative[:5])
     assert summaries[0].startswith(
-        f"{len(negative)} of {len(rows)} rows have a negative penalty "
+        f"WARNING wordtradeoff.cli: {len(negative)} of {len(rows)} rows have a negative penalty "
         f"(d_order {sum(row[3] for row in rows)}, d_structure {sum(row[4] for row in rows)}; "
         f"first: {first}): "
     ), summaries[0]
@@ -1191,6 +1186,10 @@ def test_analyze_ends_alike_at_1_and_2_workers_on_one_corruption(caplog, kind, d
         assert errors[0].count(str(paths[target])) == 1, errors[0]
         if kind == "bom":
             assert "byte-order mark" in errors[0], errors[0]
+        if kind == "bad-id":  # the line that holds it, counted from 1
+            text = list(inputs.values())[target].decode().split("\n")
+            number = next(n for n, line in enumerate(text, 1) if line.endswith("\tbad"))
+            assert f"line {number}: expected" in errors[0], errors[0]
         assert written == written2 == {}
         return
     # Both runs wrote to one --out, so the manifests differ in workers alone.

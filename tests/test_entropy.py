@@ -413,11 +413,17 @@ class TestKernels:
             # Cases shorter than an earlier one read the log2 table it grew.
             assert float(h).hex() == reference.entropy_rate(expected).hex(), s[:40]
 
-    def test_failed_build_stops_the_kernel_commands(self, monkeypatch, caplog, tmp_path):
-        def no_compiler():
-            raise FileNotFoundError(2, "No such file or directory", "cc")
+    @pytest.mark.parametrize("failure", ["FileNotFoundError", "ValueError"])
+    def test_failed_build_stops_the_kernel_commands(self, monkeypatch, caplog, tmp_path, failure):
+        if failure == "FileNotFoundError":  # no compiler
+            def no_compiler():
+                raise FileNotFoundError(2, "No such file or directory", "cc")
 
-        monkeypatch.setattr(entropy, "_build_library", no_compiler)
+            monkeypatch.setattr(entropy, "_build_library", no_compiler)
+        else:  # a CC with an unbalanced quote, which shlex cannot split
+            config = entropy.sysconfig.get_config_var
+            monkeypatch.setattr(entropy.sysconfig, "get_config_var",
+                                lambda name: 'gcc -DX="' if name == "CC" else config(name))
         entropy.load_library.cache_clear()
         cache = str(Path(entropy.__file__).parent / "__pycache__")
         analyze = ["analyze", *(str(GOLDEN / name) for name in CORPORA), "--format", "tsv",
@@ -427,8 +433,8 @@ class TestKernels:
                 caplog.clear()
                 assert cli.main(argv) == 1, argv
                 (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-                assert "FileNotFoundError" in error and cache in error, argv
-                assert repr(entropy._compiler()[0]) in error, argv
+                assert failure in error and cache in error, argv
+                assert repr(entropy._cc()) in error, argv
             assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
             # stats and synth toy never load the library.
             results = PBC / "expected" / "defaults" / "results.csv"
