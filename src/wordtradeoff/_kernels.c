@@ -1,8 +1,9 @@
 /*
  * The package's compiled kernels, plain C with no Python headers.
  * entropy.py compiles this file on first use and calls it through ctypes.
- * Each function is the compiled form of a Python reference kept in
- * tests/reference.py, and must give the same output on every input.
+ * Each function is the compiled form of a Python reference, kept in
+ * tests/reference.py unless named below, and must give the same output on
+ * every input.
  *
  * match_lengths: match lengths l_1..l_N of a code-point sequence, computed
  * in one pass while a suffix automaton (Blumer et al. 1985) of the text
@@ -42,11 +43,21 @@
  * Xorshift64Star, by the recipe of docs/seeds.md sections 2-4 (xorshift64*
  * stream, threshold-rejection randbelow, backward Fisher-Yates). Both take
  * the generator state and return the state after their last draw.
+ *
+ * results_scan: the columns of a results table's body in the plain form
+ * that measures.write_results_csv writes, in one pass. Its reference is
+ * measures.read_results_csv on a text stream (the csv module), which reads
+ * any table the scan declines. A float field of at most 15 significant
+ * digits and a decimal exponent within +-22 is m * 10^e with m and 10^|e|
+ * exact doubles, so one IEEE multiply or divide rounds it correctly
+ * (Clinger 1990): the bits of Python's float(), with no strtod or locale.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define INLINE_EDGES 2
 /* Code of a free inline slot; U+FFFF itself never goes inline. */
@@ -298,4 +309,143 @@ uint64_t randbelow_fill(uint64_t state, uint64_t bound, int64_t count,
     for (int64_t i = 0; i < count; i++)
         out[i] = randbelow(&state, bound);
     return state;
+}
+
+static const double POW10[] = {
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+static int is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/*
+ * Each scan_* reads one field at s[*i..len) that ends in `end` (',' for an
+ * id), stores its value and moves *i past `end`; it returns 0, reading
+ * nothing at or past len, when the field is outside the plain form.
+ */
+
+/* An id: one or more ASCII bytes but '"', '\r', '\n' and NUL. */
+static int scan_id(const char *s, int64_t len, int64_t *i)
+{
+    int64_t j = *i;
+    for (; j < len && s[j] != ','; j++) {
+        unsigned char c = (unsigned char)s[j];
+        if (c == '"' || c == '\r' || c == '\n' || c == 0 || c >= 0x80)
+            return 0;
+    }
+    if (j == *i || j == len)
+        return 0;
+    *i = j + 1;
+    return 1;
+}
+
+/* 1-18 ASCII digits, so the value fits in int64. */
+static int scan_int(const char *s, int64_t len, int64_t *i, char end, int64_t *out)
+{
+    int64_t j = *i, v = 0;
+    for (; j < len && j - *i < 18 && is_digit(s[j]); j++)
+        v = 10 * v + (s[j] - '0');
+    if (j == *i || j == len || s[j] != end)
+        return 0;
+    *out = v;
+    *i = j + 1;
+    return 1;
+}
+
+/* Appends the digits at s[*j..] to m, counting significant ones in *sig. */
+static int64_t add_digits(const char *s, int64_t len, int64_t *j, uint64_t *m, int *sig)
+{
+    int64_t start = *j;
+    for (; *j < len && is_digit(s[*j]); (*j)++) {
+        if (*m == 0 && s[*j] == '0')
+            continue; /* a leading zero */
+        if (++*sig > 15)
+            return -1;
+        *m = 10 * *m + (uint64_t)(s[*j] - '0');
+    }
+    return *j - start;
+}
+
+/* -?D+(.D+)?(e[+-]?D{1,3})?, of at most 15 significant digits m and a
+ * decimal exponent e within +-22: the double nearest m * 10^e. */
+static int scan_float(const char *s, int64_t len, int64_t *i, char end, double *out)
+{
+    int64_t j = *i, exp10 = 0, n;
+    uint64_t m = 0;
+    int sig = 0, neg = j < len && s[j] == '-';
+    j += neg;
+    if (add_digits(s, len, &j, &m, &sig) < 1)
+        return 0;
+    if (j < len && s[j] == '.') {
+        j++;
+        if ((n = add_digits(s, len, &j, &m, &sig)) < 1)
+            return 0;
+        exp10 = -n;
+    }
+    if (j < len && s[j] == 'e') {
+        int eneg = ++j < len && s[j] == '-';
+        j += j < len && (s[j] == '-' || s[j] == '+');
+        int64_t start = j, e = 0;
+        for (; j < len && j - start < 3 && is_digit(s[j]); j++)
+            e = 10 * e + (s[j] - '0');
+        if (j == start)
+            return 0;
+        exp10 += eneg ? -e : e;
+    }
+    if (j == len || s[j] != end || exp10 < -22 || exp10 > 22)
+        return 0;
+    double x = exp10 < 0 ? (double)m / POW10[-exp10] : (double)m * POW10[exp10];
+    *out = neg ? -x : x;
+    *i = j + 1;
+    return 1;
+}
+
+/*
+ * Reads the records of s[start..len), each ten fields of at most max_field
+ * bytes (the csv module's field_size_limit) ending in '\n', into
+ * columns[0..7]: book_id, replicate and N as int64, then h_original ..
+ * d_structure as double, each with room for one value per '\n'. Each
+ * run of records with the same translation_id and language appends to runs
+ * its first row and the offsets of its translation_id and of the comma
+ * after its language; after the last run, runs holds the row count. So
+ * runs needs room for 3 values per '\n' and one more. Returns the row
+ * count, or -1 at the first record outside the plain form (each field as
+ * its scan_* above reads it); no record is stored before its '\n' is read.
+ */
+int64_t results_scan(const char *s, int64_t start, int64_t len, int64_t max_field,
+                     void *const *columns, int64_t *runs)
+{
+#if FLT_EVAL_METHOD != 0
+    return -1; /* wider intermediates would round twice */
+#endif
+    int64_t n = 0, i = start, prev = 0, prev_len = -1;
+    while (i < len) {
+        int64_t rec = i, ids_len = 0, v[3];
+        double x[5];
+        for (int f = 0; f < 10; f++) {
+            int64_t field = i;
+            char end = f < 9 ? ',' : '\n';
+            if (!(f < 2   ? scan_id(s, len, &i)
+                  : f < 5 ? scan_int(s, len, &i, end, &v[f - 2])
+                          : scan_float(s, len, &i, end, &x[f - 5])) ||
+                i - 1 - field > max_field)
+                return -1;
+            if (f == 1)
+                ids_len = i - 1 - rec;
+        }
+        if (ids_len != prev_len || memcmp(s + rec, s + prev, (size_t)ids_len) != 0) {
+            *runs++ = n;
+            *runs++ = rec;
+            *runs++ = rec + ids_len;
+            prev = rec;
+            prev_len = ids_len;
+        }
+        for (int c = 0; c < 3; c++)
+            ((int64_t *)columns[c])[n] = v[c];
+        for (int c = 0; c < 5; c++)
+            ((double *)columns[3 + c])[n] = x[c];
+        n++;
+    }
+    *runs = n;
+    return n;
 }

@@ -44,16 +44,18 @@ called through ``ctypes``) on the UTF-32 bytes of the text, and writes
 into an ``array("i")``. :class:`MatchLengths` holds the values as a
 read-only ``memoryview``, which ``numpy.asarray`` reads as int32 without
 a copy; nothing here imports numpy. The same library holds the sum of
-:func:`entropy_rate` and the seeded draws of :mod:`wordtradeoff.transforms`,
-and :func:`load_library` builds and loads it for all of them. The first
-call in a process compiles it with the C compiler Python was built with
-(``sysconfig`` ``CC``, else ``cc``) into the package's ``__pycache__/``
-under a name derived from the source and the compiler command; later
-calls and later processes load that file. Where no compiler is found,
-``CC`` does not split into a command, or compiling or loading fails, it
-raises :class:`KernelBuildError`, whose message says why and what to
-install: there is no other implementation. It raises ValueError past
-``_C_MAX_N`` (about 715M) characters.
+:func:`entropy_rate`, the seeded draws of :mod:`wordtradeoff.transforms`
+and the scan by which :func:`wordtradeoff.measures.read_results_csv`
+reads a results file, and :func:`load_library` builds and loads it for
+all of them. The first call in a process compiles it with the C compiler
+Python was built with (``sysconfig`` ``CC``, else ``cc``) into the
+package's ``__pycache__/`` under a name derived from the source and the
+compiler command; later calls and later processes load that file. Where
+no compiler is found, ``CC`` does not split into a command, or compiling
+or loading fails, it raises :class:`KernelBuildError`, whose message says
+why and what to install: only the results reader has another path (the
+``csv`` module); the kernels and the draws have none. It raises
+ValueError past ``_C_MAX_N`` (about 715M) characters.
 """
 
 from __future__ import annotations
@@ -240,6 +242,11 @@ def _build_library() -> ctypes.CDLL:
         ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p
     ]
     lib.randbelow_fill.restype = ctypes.c_uint64
+    lib.results_scan.argtypes = [
+        ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+        ctypes.c_void_p,
+    ]
+    lib.results_scan.restype = ctypes.c_int64
     return lib
 
 

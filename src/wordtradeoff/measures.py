@@ -25,21 +25,29 @@ then per language, into two :class:`GroupMeans` tables of groups by books.
 a selection. Measuring and writing need no numpy: ``aggregate``, the
 reader's checks and ``GroupMeans.select`` import it inside the function,
 when they first run.
+
+``read_results_csv`` reads a path whole (about 2 MB at PBC scale). A file
+in the plain form that ``write_results_csv`` writes is split into columns
+by one compiled pass (``results_scan`` in ``_kernels.c``). A text stream,
+any other file, and any file where the library cannot be built take the
+``csv`` module, ``_CHUNK_ROWS`` records at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import io
 import math
 import sys
 from array import array
 from dataclasses import dataclass, fields
-from itertools import compress, islice
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 from .corpus import Book, flatten
-from .entropy import entropy_rate, match_lengths
+from .entropy import KernelBuildError, entropy_rate, load_library, match_lengths
 from .transforms import (
     PURPOSE_TAGS,
     build_mask_table,
@@ -290,9 +298,12 @@ def write_results_csv(table: ResultsTable, fh: IO[str]) -> None:
     ))
 
 
-#: Rows converted at a time: large enough that per-chunk work is negligible,
-#: small enough that the raw text rows never all sit in memory at once.
+#: Rows the csv path converts at a time: large enough that per-chunk work
+#: is negligible, small enough that its text rows never all sit in memory.
 _CHUNK_ROWS = 1024
+
+#: The header line of the plain form, the form ``write_results_csv`` writes.
+_HEADER = (",".join(RESULT_COLUMNS) + "\n").encode()
 
 
 def read_results_csv(source: str | Path | IO[str]) -> ResultsTable:
@@ -310,14 +321,23 @@ def read_results_csv(source: str | Path | IO[str]) -> ResultsTable:
     named is the first bad one in file order, and the fault named is the
     first one it has, in the order listed.
 
-    The file is read in chunks of ``_CHUNK_ROWS`` records, each split into
-    columns and converted by the builtins ``int`` and ``float``, after one
-    check of each whole integer column; the value and key checks then run
-    on the whole columns.
+    A path is read whole (about 2 MB at PBC scale). A file in the plain
+    form that ``write_results_csv`` writes (see ``_scan``) is split into
+    columns by one compiled pass; any other file, a text stream, or any
+    source where the library cannot be built takes the csv path: chunks
+    of ``_CHUNK_ROWS`` records, each split into columns and converted by
+    the builtins ``int`` and ``float``, after one check of each whole
+    integer column. The value and key checks then run on the whole
+    columns, on either path.
     """
     if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            return read_results_csv(fh)
+        data = Path(source).read_bytes()
+        table = _scan(data)
+        if table is not None:
+            _check_rows(table, range(2, len(table) + 2))
+            return table
+        # Through the layers open() stacks, so a decode error reads alike.
+        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
     reader = csv.reader(source)
     try:
         header = next(reader, None)
@@ -362,6 +382,35 @@ def read_results_csv(source: str | Path | IO[str]) -> ResultsTable:
     if unreadable is not None:
         raise ValueError(unreadable)
     return table
+
+
+def _scan(data: bytes) -> ResultsTable | None:
+    """The table of a results file's bytes by ``results_scan`` of
+    ``_kernels.c``, or None where they are not in the plain form named
+    there, with no field over ``csv.field_size_limit()``, or the library
+    cannot be built. Equal ids share one string object."""
+    if not data.startswith(_HEADER):
+        return None
+    try:
+        scan = load_library().results_scan
+    except KernelBuildError:
+        return None
+    n = data.count(b"\n", len(_HEADER))
+    columns = [*(array("q", [0]) * n for _ in range(3)), *(array("d", [0.0]) * n for _ in range(5))]
+    addresses = (ctypes.c_void_p * len(columns))(*(c.buffer_info()[0] for c in columns))
+    runs = array("q", [0]) * (3 * n + 1)
+    limit = csv.field_size_limit()
+    if scan(data, len(_HEADER), len(data), limit, addresses, runs.buffer_info()[0]) < 0:
+        return None
+    # Per run of equal ids: its first row and the span of "id,language";
+    # then the row count, which ends the last run.
+    marks = runs[: 3 * runs[::3].index(n) + 1].tolist()
+    pairs = [data[a:b].decode().split(",") for a, b in zip(marks[1::3], marks[2::3])]
+    counts = [b - a for a, b in zip(marks[::3], marks[3::3])]
+    return ResultsTable(*(
+        tuple(chain.from_iterable(repeat(sys.intern(p[k]), c) for p, c in zip(pairs, counts)))
+        for k in (0, 1)
+    ), *columns)
 
 
 def _convert(rows: list[list[str]]) -> list:

@@ -568,6 +568,21 @@ class TestStats:
         assert errors == ["results table is empty"]
         assert not (tmp_path / "fits.csv").exists()
 
+    def test_byte_not_utf8_past_the_first_8_kib_fatal(self, tmp_path, caplog):
+        # The scan declines a byte outside ASCII, and the csv path decodes
+        # the file in chunks of 8 KiB as open() does: the position counts
+        # from the start of the byte's chunk.
+        lines = [",".join(RESULT_COLUMNS)]
+        lines += [f"t{t:03d},l,40,0,1000,2.5,2.6,2.8,0.1,0.3" for t in range(300)]
+        data = bytearray(("\n".join(lines) + "\n").encode())
+        data[8192 + 100] = 0xFF
+        results = tmp_path / "results.csv"
+        results.write_bytes(data)
+        assert main(["stats", str(results)]) == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error == ("cannot read results: 'utf-8' codec can't decode byte 0xff in "
+                         "position 100: invalid start byte")
+
     def test_unreadable_header_named_as_row_1(self, tmp_path, caplog):
         results = tmp_path / "results.csv"
         results.write_text('"' + "t" * 200000 + '",language\n')

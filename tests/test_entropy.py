@@ -308,12 +308,72 @@ SANITIZER_DRIVER = r"""
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 
 int match_lengths(const uint32_t *s, int64_t n, int32_t *out);
 double entropy_rate(const int32_t *l, int64_t n);
+int64_t results_scan(const char *s, int64_t start, int64_t len, int64_t max_field,
+                     void *const *columns, int64_t *runs);
+
+/* A results body in the plain form: three rows in two runs of ids. */
+static const char BODY[] =
+    "t1,l1,40,0,79351,1.06749,1.15045,1.1612,0.0829665,0.0937101\n"
+    "t1,l1,41,0,79351,1.1266,1.20358,1.19486,0.0769766,1e-05\n"
+    "t2,l1,40,2,1,0.000123456789012345,1e22,-0,1.23457e+06,-0.0833\n";
+static const char QUOTED[] =
+    "t1,l1,40,0,79351,1.06749,1.15045,1.1612,0.0829665,\"0.0937101\"\n";
+
+/*
+ * results_scan over an exactly sized copy of body[0..len), with exactly
+ * sized columns: its row count, the last row's values in last[0..7] and
+ * the run marks in runs[0..3 * rows].
+ */
+static int64_t scan_copy(const char *body, int64_t len, double *last, int64_t *runs)
+{
+    int64_t cap = 0;
+    for (int64_t i = 0; i < len; i++)
+        cap += body[i] == '\n';
+    char *s = malloc((size_t)len);
+    void *columns[8];
+    int64_t *marks = malloc((size_t)(3 * cap + 1) * sizeof *marks);
+    for (int c = 0; c < 8; c++)
+        columns[c] = malloc((size_t)cap * 8);
+    memcpy(s, body, (size_t)len);
+    int64_t n = results_scan(s, 0, len, 131072, columns, marks);
+    for (int c = 0; n > 0 && c < 8; c++)
+        last[c] = c < 3 ? (double)((int64_t *)columns[c])[n - 1] : ((double *)columns[c])[n - 1];
+    for (int64_t k = 0; n >= 0 && k < 3 * n + 1; k++)
+        runs[k] = marks[k];
+    for (int c = 0; c < 8; c++)
+        free(columns[c]);
+    free(marks);
+    free(s);
+    return n;
+}
+
+/* 0 if results_scan reads BODY and declines every cut of it and QUOTED. */
+static int check_results_scan(void)
+{
+    const double want[8] = {40, 2, 1, 0.000123456789012345, 1e22, -0.0, 1.23457e+06, -0.0833};
+    double last[8];
+    int64_t runs[3 * 3 + 1], len = (int64_t)sizeof BODY - 1;
+    if (scan_copy(BODY, len, last, runs) != 3 || memcmp(last, want, sizeof want) != 0)
+        return 20;
+    if (runs[0] != 0 || runs[3] != 2 || runs[6] != 3 || runs[4] - runs[1] != 116)
+        return 21;
+    for (int64_t cut = 0, rows = 0; cut < len; rows += BODY[cut++] == '\n')
+        if (scan_copy(BODY, cut, last, runs) != (cut == 0 || BODY[cut - 1] == '\n' ? rows : -1))
+            return 22;
+    if (scan_copy(QUOTED, (int64_t)sizeof QUOTED - 1, last, runs) != -1)
+        return 23;
+    return 0;
+}
 
 int main(void)
 {
+    int rc = check_results_scan();
+    if (rc != 0)
+        return rc;
     int64_t n;
     while (fread(&n, sizeof n, 1, stdin) == 1) {
         uint32_t *s = malloc((size_t)n * sizeof *s);
@@ -436,7 +496,8 @@ class TestKernels:
                 assert failure in error and cache in error, argv
                 assert repr(entropy._cc()) in error, argv
             assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
-            # stats and synth toy never load the library.
+            # synth toy never loads the library, and stats reads results.csv
+            # through the csv module when the library cannot be built.
             results = PBC / "expected" / "defaults" / "results.csv"
             assert cli.main(["stats", str(results), "--out", str(tmp_path / "stats")]) == 0
             for name in ("fits.csv", "corr_matrix.csv", "ranks.csv", "rank_hist.csv"):

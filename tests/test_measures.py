@@ -8,12 +8,13 @@ import logging
 import math
 import random
 import statistics
+from array import array
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import random_book
 from wordtradeoff import measures
@@ -483,28 +484,41 @@ def corrupt(rng, records, fault, i):
 
 
 def read_outcome(read, text):
-    """The error text of ``read(text)``, or the columns it read."""
+    """The error text of ``read(text)``, or the columns it read: the floats
+    by their bits, since ``==`` takes -0.0 for 0.0."""
     try:
         rows = read(text)
     except ValueError as exc:
         return str(exc)
     table = rows if isinstance(rows, ResultsTable) else ResultsTable.from_measurements(rows)
-    return [list(getattr(table, name)) for name in RESULT_COLUMNS[:4] + ("n_chars",)
-            + RESULT_COLUMNS[5:]]
+    return [*(list(getattr(table, name)) for name in RESULT_COLUMNS[:4] + ("n_chars",)),
+            *(array("d", getattr(table, name)).tobytes() for name in RESULT_COLUMNS[5:])]
+
+
+def read_by_path(path, text):
+    """``read_results_csv`` of ``text`` written to ``path``."""
+    path.write_bytes(text.encode())
+    return read_results_csv(path)
 
 
 class TestReadErrors:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         seed=st.integers(0, 2**32 - 1),
         faults=st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3),
         chunk=st.sampled_from([1, 2, 3, 5, 8, measures._CHUNK_ROWS]),
+        quoted=st.booleans(),
     )
-    def test_names_the_row_the_row_loop_named(self, seed, faults, chunk):
+    def test_names_the_row_the_row_loop_named(self, tmp_path, seed, faults, chunk, quoted):
         # 1-3 faults of any kind on random records, several possibly on one
-        # record, with blank records between and chunk boundaries anywhere.
+        # record, with blank records between and chunk boundaries anywhere;
+        # then the same records without the blank ones. Read by path, a
+        # table with no quoted id and no blank record faces the scan, and
+        # the csv path where a fault takes it out of the plain form.
         rng = random.Random(seed)
-        keys = [(t, b, r) for t in ("a", "b,c", "d") for b in (40, 41, 42) for r in (0, 1, 2)]
+        tids = ("a", "b,c" if quoted else "b", "d")
+        keys = [(t, b, r) for t in tids for b in (40, 41, 42) for r in (0, 1, 2)]
         records = []
         for tid, book, rep in sorted(rng.sample(keys, rng.randint(2, len(keys)))):
             h = [rng.uniform(0.5, 3.0) for _ in range(3)]
@@ -516,18 +530,22 @@ class TestReadErrors:
             corrupt(rng, records, fault, rng.randrange(len(records)))
         for _ in range(rng.randint(0, 2)):
             records.insert(rng.randint(0, len(records)), [])  # blank records
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        writer.writerows(records)
-        text = buf.getvalue()
+        texts = []
+        for rows in (records, [rec for rec in records if rec]):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(RESULT_COLUMNS)
+            writer.writerows(rows)
+            texts.append(buf.getvalue())
 
-        expected = read_outcome(reference_read, text)
-        with mock.patch.object(measures, "_CHUNK_ROWS", chunk):
-            got = read_outcome(lambda t: read_results_csv(io.StringIO(t)), text)
-        assert got == expected
+        for text in dict.fromkeys(texts):
+            expected = read_outcome(reference_read, text)
+            with mock.patch.object(measures, "_CHUNK_ROWS", chunk):
+                assert read_outcome(lambda t: read_results_csv(io.StringIO(t)), text) == expected
+                by_path = read_outcome(lambda t: read_by_path(tmp_path / "results.csv", t), text)
+                assert by_path == expected
 
-    def test_valid_table_equals_row_loop(self):
+    def test_valid_table_equals_row_loop(self, tmp_path):
         rng = random.Random(3)
         ms = [
             fake_measurement(f"t{t}", f"l{t % 3}", book, rep, rng.uniform(-1, 1), rng.random())
@@ -535,9 +553,111 @@ class TestReadErrors:
         ]
         buf = io.StringIO()
         write_results_csv(ResultsTable.from_measurements(ms), buf)
-        text = buf.getvalue().replace("\n", "\n\n", 7)  # blank records, then 240 rows
-        expected = read_outcome(reference_read, text)
-        with mock.patch.object(measures, "_CHUNK_ROWS", 16):
-            got = read_outcome(lambda t: read_results_csv(io.StringIO(t)), text)
-        assert len(expected[0]) == 240
-        assert got == expected
+        # As written, the scan reads it by path; with blank records, the csv path.
+        for blank in (0, 7):
+            text = buf.getvalue().replace("\n", "\n\n", blank)  # then 240 rows
+            expected = read_outcome(reference_read, text)
+            assert len(expected[0]) == 240
+            assert (measures._scan(text.encode()) is None) == (blank > 0)
+            with mock.patch.object(measures, "_CHUNK_ROWS", 16):
+                assert read_outcome(lambda t: read_results_csv(io.StringIO(t)), text) == expected
+                by_path = read_outcome(lambda t: read_by_path(tmp_path / "results.csv", t), text)
+                assert by_path == expected
+
+
+def read_both_ways(tmp_path, text):
+    """``read_outcome`` of ``text`` as a text stream, and as a file by path."""
+    return (read_outcome(lambda t: read_results_csv(io.StringIO(t, newline="")), text),
+            read_outcome(lambda t: read_by_path(tmp_path / "results.csv", t), text))
+
+
+#: Float fields that the csv path reads and ``format_float`` never writes,
+#: and fields at the edges of the scan's limits (15 significant digits, a
+#: decimal exponent within +-22).
+ODD_FLOATS = (
+    "+1", "1.", ".5", "1_0", " 1", "1E5", "nan", "inf", "-inf", "1e400", "-1e400", "1e-400",
+    "-0", "0e0", "-0.0e-22", "1e22", "1e23", "1e-22", "1e-23", "1e+022", "1e0022",
+    "123456789012345", "1234567890123456", "9007199254740993", "0.1e-21", "0.01e-21",
+)
+#: N of 18 and 19 digits: the scan reads 18 at most.
+LONG_NS = ("999999999999999999", "100000000000000000", "1000000000000000000",
+           "9223372036854775807", "9223372036854775808")
+#: Doubles at the edges of the float parse: zero, the smallest subnormal and
+#: normal, 1e+-22 (the largest exact power of ten) and 1e+-23.
+EDGE_DOUBLES = (0.0, 5e-324, 2.2250738585072014e-308, 1e22, 1e-22, 1e23, 1e-23)
+
+float_fields = st.one_of(
+    st.builds(
+        lambda x, spec: repr(x) if spec == "r" else format(x, spec),
+        st.one_of(st.floats(), st.sampled_from(EDGE_DOUBLES).flatmap(lambda x: st.sampled_from(
+            [x, -x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)]))),
+        st.sampled_from(["r", ".6g", ".15g", ".16g", ".17g", ".14e", ".15e"]),
+    ),
+    # 15 and 16 significant digits, the point anywhere, exponents past +-22.
+    st.builds(
+        lambda sign, digits, point, exp: f"{sign}{digits[:point] or 0}.{digits[point:] or 0}e{exp}",
+        st.sampled_from(["", "-"]), st.integers(10**14, 10**16 - 1).map(str),
+        st.integers(0, 16), st.integers(-40, 40),
+    ),
+    st.sampled_from(ODD_FLOATS),
+)
+
+
+class TestPlainFormScan:
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=float_fields, in_h=st.booleans(),
+           n=st.one_of(st.integers(1, 10**6).map(str), st.sampled_from(LONG_NS)))
+    def test_one_row_reads_alike_by_path_and_by_stream(self, tmp_path, field, n, in_h):
+        # Three equal h beside d = 0, or h_original = 0 beside four equal
+        # fields: a row with a finite field is valid either way.
+        values = [field] * 3 + ["0"] * 2 if in_h else ["0"] + [field] * 4
+        text = ",".join(RESULT_COLUMNS) + "\n" + ",".join(["t", "l", "40", "0", n, *values]) + "\n"
+        by_stream, by_path = read_both_ways(tmp_path, text)
+        assert by_path == by_stream
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_scan_takes_what_the_writer_writes(self, tmp_path, seed):
+        # Values of either sign at magnitudes 1e-13..1e13 are written in the
+        # plain form, and the scan alone reads them, as the csv path does.
+        rng = random.Random(seed)
+        ms = []
+        for t in range(rng.randint(1, 6)):
+            for book in rng.sample([1, 40, 41, 66], rng.randint(1, 4)):
+                for rep in range(rng.randint(1, 3)):
+                    h = [rng.choice([-1, 1]) * rng.uniform(0.1, 9.99) * 10.0 ** rng.randint(-12, 12)
+                         for _ in range(3)]
+                    ms.append(BookMeasurement(f"t{t}", f"l{t % 2}", book, rep,
+                                              rng.randint(1, 10**17), *h, h[1] - h[0], h[2] - h[0]))
+        buf = io.StringIO()
+        write_results_csv(ResultsTable.from_measurements(ms), buf)
+        text = buf.getvalue()
+        assert measures._scan(text.encode()) is not None
+        by_stream = read_outcome(lambda t: read_results_csv(io.StringIO(t, newline="")), text)
+        with mock.patch.object(measures.csv, "reader", side_effect=AssertionError("csv path")):
+            by_path = read_outcome(lambda t: read_by_path(tmp_path / "results.csv", t), text)
+        assert by_path == by_stream
+
+    @pytest.mark.parametrize("ids, end", [
+        ('"t1",l1', "\n"), ('t1,"l1"', "\n"), ('t"1,l1', "\n"), ("t1,l1", "\r\n"),
+        ("t\r1,l1", "\n"), ("t\u00e91,l1", "\n"), (",l1", "\n"), ("t1,", "\n"), ("t\x001,l1", "\n"),
+        ("t\x0b1,l 1", "\n"), ("t" * csv.field_size_limit() + ",l1", "\n"),
+        ("t" * (csv.field_size_limit() + 1) + ",l1", "\n"),
+    ], ids=["quoted-id", "quoted-language", "inner-quote", "crlf", "cr-in-id", "not-ascii",
+            "empty-id", "empty-language", "nul", "control-and-space", "id-at-limit",
+            "id-over-limit"])
+    def test_ids_and_line_ends_read_alike_by_path_and_by_stream(self, tmp_path, ids, end):
+        # Where the csv module reads other text than the bytes, or refuses
+        # them, the scan must decline.
+        rows = [f"{ids},40,0,1000,2.5,2.6,2.8,0.1,0.3", f"{ids},41,0,1000,2.5,2.6,2.8,0.1,0.3"]
+        text = end.join([",".join(RESULT_COLUMNS), *rows, ""])
+        by_stream, by_path = read_both_ways(tmp_path, text)
+        assert by_path == by_stream
+
+    def test_quoted_id_and_blank_record_take_the_csv_path(self):
+        stats_table = (GOLDEN / "stats" / "results.csv").read_bytes()
+        assert b'"q20-x-bible,017"' in stats_table and b"\n\n" in stats_table
+        assert measures._scan(stats_table) is None
+        assert all(measures._scan(path.read_bytes()) is not None for path in GOLDEN_RESULTS)
